@@ -23,7 +23,6 @@ REGISTERED_OPS = (
     "add",
     "concat_rows",
     "cross_entropy",
-    "dropout",
     "elu",
     "exp",
     "gather_rows",
@@ -463,20 +462,6 @@ def l2_normalize_rows(a):
     return _node(out_data, (a,), bw)
 
 
-def dropout(a, p, seed):
-    """Inverted dropout with a deterministic per-seed mask; p in [0, 1)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    rng = np.random.default_rng(seed)
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-
-    def bw(go):
-        if a.requires_grad:
-            _accum(a, go * mask)
-
-    return _node(a.data * mask, (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -547,7 +532,7 @@ def spmm(adj, x):
     def edge_grads(go):
         # d(loss)/d(value at (i, j)) = go[i] . x[j]; below ~4k nodes the dense
         # product is far cheaper than per-edge gathers
-        if pattern.n * pattern.n_cols <= 16_777_216:
+        if pattern.n * pattern.n <= 16_777_216:
             return (go @ x.data.T)[rows, cols]
         out = np.empty(rows.size)
         for start in range(0, rows.size, 65536):

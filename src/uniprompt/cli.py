@@ -25,7 +25,7 @@ from .harness import (
     sweep,
 )
 from .hyperparams import get_tuning_config
-from .prompt import METHODS, TuneConfig, run_method
+from .prompt import ABLATION_VARIANTS, METHODS, TuneConfig, run_method
 from .pretrain import OBJECTIVES, PretrainConfig, pretrain
 from .theory import format_report, run_verification
 
@@ -242,8 +242,7 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="run one component-replacement run")
     common(p)
-    p.add_argument("--variant", required=True,
-                   choices=("random_topo", "simple_add", "discard_topo"))
+    p.add_argument("--variant", required=True, choices=ABLATION_VARIANTS)
     p.add_argument("--encoder", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--shot", type=int, required=True)
@@ -292,10 +291,6 @@ def build_parser():
     p.set_defaults(handler=_cmd_inspect)
 
     return parser
-
-
-class _QuietParser(argparse.ArgumentParser):
-    pass
 
 
 def _as_ablate(args):

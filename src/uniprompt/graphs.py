@@ -12,13 +12,12 @@ import scipy.sparse as sp
 
 
 class SparseAdj:
-    """Immutable CSR matrix (row offsets, sorted column indices, values)."""
+    """Immutable square CSR matrix (row offsets, sorted column indices, values)."""
 
-    __slots__ = ("n", "n_cols", "indptr", "indices", "data")
+    __slots__ = ("n", "indptr", "indices", "data")
 
-    def __init__(self, n, indptr, indices, data, n_cols=None):
+    def __init__(self, n, indptr, indices, data):
         self.n = int(n)
-        self.n_cols = int(n_cols) if n_cols is not None else self.n
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
@@ -28,7 +27,7 @@ class SparseAdj:
             raise ValueError("indptr offsets must be monotone")
         if self.indices.shape != self.data.shape or self.indices.ndim != 1:
             raise ValueError("indices and values must be parallel 1-D arrays")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n_cols):
+        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
             raise ValueError("column index out of range")
         if not np.isfinite(self.data).all():
             raise ValueError("sparse values must be finite")
@@ -40,15 +39,14 @@ class SparseAdj:
         return self.indices.size
 
     @classmethod
-    def from_coo(cls, n, rows, cols, vals, n_cols=None):
+    def from_coo(cls, n, rows, cols, vals):
         """Build from unordered triplets; duplicate positions are summed."""
-        n_cols = n if n_cols is None else n_cols
         mat = sp.coo_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n_cols)
+            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
         ).tocsr()
         mat.sum_duplicates()
         mat.sort_indices()
-        return cls(n, mat.indptr, mat.indices, mat.data, n_cols=n_cols)
+        return cls(n, mat.indptr, mat.indices, mat.data)
 
     def row_ids(self):
         """Row index of every stored entry, aligned with ``indices``."""
@@ -56,12 +54,10 @@ class SparseAdj:
 
     def to_scipy(self, values=None):
         data = self.data if values is None else np.asarray(values, dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr), shape=(self.n, self.n_cols)
-        )
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def with_values(self, values):
-        return SparseAdj(self.n, self.indptr, self.indices, values, n_cols=self.n_cols)
+        return SparseAdj(self.n, self.indptr, self.indices, values)
 
 
 class Graph:

@@ -56,6 +56,8 @@ def sample_k_shot(graph, k, seed, run):
 
 def evaluate(predictions, task):
     """Fraction correct on the test ids only."""
+    if task.test_ids.size == 0:
+        raise ValueError("empty test split")
     if isinstance(predictions, dict):
         try:
             preds = np.asarray([predictions[int(i)] for i in task.test_ids])

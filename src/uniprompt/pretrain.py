@@ -118,12 +118,6 @@ def dgi_loss_at_scores(score_pos, score_neg):
     )
 
 
-def dgi_pretrain(graph, cfg):
-    if cfg.validate().objective != "dgi":
-        raise ValueError("config objective must be 'dgi'")
-    return _dgi(graph, cfg)[0]
-
-
 def _dgi(graph, cfg, probe_seed=None):
     adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
     x = ad.constant(graph.features)
@@ -193,12 +187,6 @@ def infonce_loss(z1, z2, temperature):
     )
 
 
-def grace_pretrain(graph, cfg):
-    if cfg.validate().objective != "grace":
-        raise ValueError("config objective must be 'grace'")
-    return _grace(graph, cfg)[0]
-
-
 def _grace(graph, cfg, probe_seed=None):
     enc = init_encoder(graph.num_features, cfg.hidden_dim, cfg.embed_dim,
                        cfg.activation, rng_stream("encoder-init", cfg.seed))
@@ -242,12 +230,6 @@ def scaled_cosine_error(x_true, x_hat, gamma):
     cos = ad.row_sum(ad.hadamard(xn, hn))
     one = ad.constant(np.ones_like(cos.data))
     return ad.row_mean(ad.power(ad.sub(one, cos), gamma))
-
-
-def graphmae_pretrain(graph, cfg):
-    if cfg.validate().objective != "graphmae":
-        raise ValueError("config objective must be 'graphmae'")
-    return _graphmae(graph, cfg)[0]
 
 
 def _graphmae(graph, cfg, probe_seed=None):

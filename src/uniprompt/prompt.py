@@ -1,13 +1,19 @@
-"""Learnable prompt topology: kNN initialization, edge gating, bootstrapped
-fusion with the original adjacency, and the joint prompt/classifier tuning
-loop, plus the fine-tune / linear-probe / feature-prompt baselines and the
-component-replacement ablations.
+"""Learnable prompt topology and the one tuning engine.
+
+Every method here trains a set of "upstream" parameters jointly with a
+downstream MLP classifier on a pretrained encoder. ``METHOD_TABLE`` maps each
+``METHODS`` name to a builder returning those parameters and a
+``represent(training)`` function for the node representations: the gate
+weights of a kNN prompt topology fused into the graph by bootstrapping
+(uniprompt) and of its three component-replacement ablations, one vector
+added to every feature row (gpf), the weights of a thawed encoder clone
+(fine-tune), or nothing (linear probe). ``run_method`` owns everything else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +30,6 @@ from .encoder import (
 )
 from .graphs import SparseAdj, knn_prompt_init, symmetric_normalize
 from .seeds import rng_stream
-
-ABLATION_VARIANTS = ("random_topo", "simple_add", "discard_topo")
 
 DEG_EPS = 1e-12  # degree floor when normalizing without self-loops
 
@@ -119,25 +123,6 @@ class _NormContext:
         return ad.SparseTensor(self.norm_pattern, ordered)
 
 
-@dataclass
-class PromptState:
-    """Gate weights over a fixed prompt support plus the fused-adjacency
-    history. The fused support never exceeds support(A) | support(init)."""
-
-    init_support: SparseAdj          # prompt support (init similarity values)
-    w: ad.Tensor                     # (nnz, 1) gate weights
-    alpha: float
-    tau: float
-    union: SparseAdj                 # support(A) | support(init), values = A
-    init_pos_in_union: np.ndarray    # position of each support entry in union
-    fused_current: np.ndarray        # (union nnz, 1) values of A_hat^(t)
-    t: int = 0
-
-    @property
-    def num_prompt_edges(self):
-        return self.init_support.nnz
-
-
 def _union_with_graph(adj, support):
     """Union support with the graph's values (zero on prompt-only entries),
     plus the positions of the prompt entries inside the union."""
@@ -152,40 +137,19 @@ def _union_with_graph(adj, support):
     return union, pos
 
 
-def init_prompt_state(graph, support, cfg):
-    union, pos = _union_with_graph(graph.adjacency(), support)
-    w = ad.parameter(np.ones((support.nnz, 1)), name="prompt.gate_weights")
-    return PromptState(
-        init_support=support,
-        w=w,
-        alpha=cfg.alpha,
-        tau=cfg.tau,
-        union=union,
-        init_pos_in_union=pos,
-        fused_current=union.data.reshape(-1, 1).copy(),
-    )
-
-
-def build_prompt_adj(state):
-    """Gate values on the prompt support; gradients flow to the weights."""
-    return ad.SparseTensor(state.init_support, gate_values(state.w, state.alpha))
-
-
-def bootstrap_fuse(state, prompt_adj):
+def bootstrap_fuse(previous, gates, positions, union, tau):
     """A_hat^(t) = tau * stop_grad(A_hat^(t-1)) + (1 - tau) * A_tilde over the
-    union support; only the prompt term carries gradient."""
-    if not 0.0 <= state.tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {state.tau}")
-    scattered = ad.segment_sum(
-        prompt_adj.values, state.init_pos_in_union, state.union.nnz
-    )
+    union support. ``previous`` holds the (union nnz, 1) values of
+    A_hat^(t-1), ``gates`` the prompt values and ``positions`` their entries
+    in ``union``; only the prompt term carries gradient."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    scattered = ad.segment_sum(gates, positions, union.nnz)
     fused = ad.add(
-        ad.scalar_scale(ad.constant(state.fused_current), state.tau),
-        ad.scalar_scale(scattered, 1.0 - state.tau),
+        ad.scalar_scale(ad.constant(previous), tau),
+        ad.scalar_scale(scattered, 1.0 - tau),
     )
-    state.t += 1
-    state.fused_current = fused.data.copy()
-    return ad.SparseTensor(state.union, fused)
+    return ad.SparseTensor(union, fused)
 
 
 def random_support_like(knn_support, n, rng):
@@ -215,12 +179,16 @@ class TuneResult:
     method: str
     predictions: np.ndarray
     loss_history: list
-    epochs_run: int
-    final_loss: float
     classifier: Classifier
-    prompt_state: PromptState | None = None
-    encoder: object = None
-    feature_prompt: ad.Tensor | None = None
+    upstream: list  # trained upstream parameters; empty for the linear probe
+
+    @property
+    def epochs_run(self):
+        return len(self.loss_history)
+
+    @property
+    def final_loss(self):
+        return self.loss_history[-1] if self.loss_history else math.nan
 
 
 def _validate_labeled(graph, train_ids):
@@ -258,241 +226,138 @@ def _train_loop(cfg, step_fn):
 
 
 def _prompt_support(graph, cfg, topology):
-    if topology == "knn":
-        if cfg.knn_sample is not None:
-            sample_seed = int(rng_stream("prompt-init", cfg.seed).integers(2**31))
-            return knn_prompt_init(
-                graph.features, cfg.k, sample_size=cfg.knn_sample, seed=sample_seed
-            )
-        return knn_prompt_init(graph.features, cfg.k)
     if topology == "random":
         knn = knn_prompt_init(graph.features, cfg.k)
         return random_support_like(knn, graph.num_nodes, rng_stream("prompt-init", cfg.seed))
-    raise ValueError(f"unknown topology '{topology}'")
+    if cfg.knn_sample is not None:
+        sample_seed = int(rng_stream("prompt-init", cfg.seed).integers(2**31))
+        return knn_prompt_init(
+            graph.features, cfg.k, sample_size=cfg.knn_sample, seed=sample_seed
+        )
+    return knn_prompt_init(graph.features, cfg.k)
 
 
-def _prompt_tune(graph, encoder, train_ids, cfg, topology, integration, method):
-    cfg.validate()
-    if not encoder.frozen:
-        raise ValueError("prompt tuning requires a frozen encoder")
-    ids = _validate_labeled(graph, train_ids)
-    targets = graph.labels[ids]
-    hash_before = encoder_checkpoint_hash(encoder)
+def _graph_prompt(topology, integration):
+    """Builder of a gated prompt over a ``knn`` or ``random`` support, merged
+    with the graph by ``bootstrap`` fusion, by ``simple_add`` or not at all
+    (``discard``). The upstream parameters are the gate weights."""
 
-    support = _prompt_support(graph, cfg, topology)
-    state = init_prompt_state(graph, support, cfg)
-    clf = init_classifier(encoder.out_dim, cfg.clf_hidden, graph.num_classes,
-                          rng_stream("classifier-init", cfg.seed))
-    opt_w = ad.AdamState([state.w], lr=cfg.up_lr)
-    opt_clf = ad.AdamState(clf.parameters(), lr=cfg.down_lr)
-
-    if integration == "discard":
-        ctx = _NormContext(support, add_self_loops=False)
-    else:
-        ctx = _NormContext(state.union, add_self_loops=True)
-    a_union = ad.constant(state.union.data.reshape(-1, 1))
-    x = ad.constant(graph.features)
-
-    def adjacency(values_w):
-        prompt_adj = ad.SparseTensor(support, gate_values(values_w, cfg.alpha))
-        if integration == "bootstrap":
-            fused = bootstrap_fuse(state, prompt_adj)
-            return ctx.normalize(fused.values)
+    def build(graph, encoder, cfg):
+        support = _prompt_support(graph, cfg, topology)
+        union, positions = _union_with_graph(graph.adjacency(), support)
+        w = ad.parameter(np.ones((support.nnz, 1)), name="prompt.gate_weights")
         if integration == "discard":
-            return ctx.normalize(prompt_adj.values)
-        if integration == "simple_add":
-            scattered = ad.segment_sum(
-                prompt_adj.values, state.init_pos_in_union, state.union.nnz
-            )
-            return ctx.normalize(ad.add(a_union, scattered))
-        raise ValueError(f"unknown integration '{integration}'")
+            ctx = _NormContext(support, add_self_loops=False)
+        else:
+            ctx = _NormContext(union, add_self_loops=True)
+        a_union = ad.constant(union.data.reshape(-1, 1))
+        x = ad.constant(graph.features)
+        fused = union.data.reshape(-1, 1)  # A_hat^(t) of the bootstrap path
 
-    def step(epoch):
-        adj = adjacency(state.w)
-        logits = classify(clf, encode(encoder, adj, x))
-        loss = ad.cross_entropy(ad.gather_rows(logits, ids), targets)
-        ad.backward(loss)
-        ad.adam_step(opt_w)
-        ad.adam_step(opt_clf)
-        return loss.item()
+        def represent(training):
+            nonlocal fused
+            if integration == "bootstrap" and not training:
+                # predict with the last fused adjacency of training
+                values = ad.constant(fused)
+            else:
+                gates = gate_values(w if training else w.detach(), cfg.alpha)
+                if integration == "bootstrap":
+                    values = bootstrap_fuse(fused, gates, positions, union, cfg.tau).values
+                    fused = values.data
+                elif integration == "simple_add":
+                    values = ad.add(a_union, ad.segment_sum(gates, positions, union.nnz))
+                else:
+                    values = gates
+            return encode(encoder, ctx.normalize(values), x)
 
-    history = _train_loop(cfg, step)
+        return [w], represent
 
-    # predict with the end-of-training state: the last fused adjacency for the
-    # bootstrap path, the current gates otherwise
-    if integration == "bootstrap":
-        final_adj = ctx.normalize(ad.constant(state.fused_current))
-    else:
-        final_adj = adjacency(state.w.detach())
-    logits = classify(clf, encode(encoder, final_adj, x))
-    preds = predictions_from_logits(logits)
-
-    if encoder_checkpoint_hash(encoder) != hash_before:
-        raise RuntimeError("frozen encoder parameters changed during prompt tuning")
-    return TuneResult(
-        method=method,
-        predictions=preds,
-        loss_history=history,
-        epochs_run=len(history),
-        final_loss=history[-1] if history else math.nan,
-        classifier=clf,
-        prompt_state=state,
-    )
+    return build
 
 
-def uniprompt_tune(graph, encoder, train_ids, cfg):
-    """Joint gate/classifier optimization through the bootstrapped fusion
-    pipeline; the encoder stays frozen (checkpoint-hash asserted)."""
-    return _prompt_tune(graph, encoder, train_ids, cfg, "knn", "bootstrap", "uniprompt")
-
-
-def ablation_tune(variant, graph, encoder, train_ids, cfg):
-    if variant == "random_topo":
-        return _prompt_tune(graph, encoder, train_ids, cfg, "random", "bootstrap",
-                            "ablate:random_topo")
-    if variant == "simple_add":
-        return _prompt_tune(graph, encoder, train_ids, cfg, "knn", "simple_add",
-                            "ablate:simple_add")
-    if variant == "discard_topo":
-        return _prompt_tune(graph, encoder, train_ids, cfg, "knn", "discard",
-                            "ablate:discard_topo")
-    raise ValueError(f"unknown ablation variant '{variant}'")
-
-
-def linear_probe_tune(graph, encoder, train_ids, cfg):
-    """Classifier-only optimization on representations computed once from the
-    original normalized adjacency."""
-    cfg.validate()
-    if not encoder.frozen:
-        raise ValueError("linear probing requires a frozen encoder")
-    ids = _validate_labeled(graph, train_ids)
-    targets = graph.labels[ids]
-    hash_before = encoder_checkpoint_hash(encoder)
-
+def _linear_probe(graph, encoder, cfg):
+    """Representations from a single encoder forward on the original
+    normalized adjacency; only the classifier trains."""
     adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
-    h = encode(encoder, adj, ad.constant(graph.features))  # single forward
-    clf = init_classifier(encoder.out_dim, cfg.clf_hidden, graph.num_classes,
-                          rng_stream("classifier-init", cfg.seed))
-    opt = ad.AdamState(clf.parameters(), lr=cfg.down_lr)
-
-    def step(epoch):
-        logits = classify(clf, h)
-        loss = ad.cross_entropy(ad.gather_rows(logits, ids), targets)
-        ad.backward(loss)
-        ad.adam_step(opt)
-        return loss.item()
-
-    history = _train_loop(cfg, step)
-    preds = predictions_from_logits(classify(clf, h))
-    if encoder_checkpoint_hash(encoder) != hash_before:
-        raise RuntimeError("frozen encoder parameters changed during linear probing")
-    return TuneResult(
-        method="linear-probe",
-        predictions=preds,
-        loss_history=history,
-        epochs_run=len(history),
-        final_loss=history[-1] if history else math.nan,
-        classifier=clf,
-    )
+    h = encode(encoder, adj, ad.constant(graph.features))
+    return [], lambda training: h
 
 
-def fine_tune(graph, encoder, train_ids, cfg):
-    """Joint encoder/classifier optimization on the original normalized
-    adjacency. Pass a thawed clone; the encoder is mutated in place."""
-    cfg.validate()
-    if encoder.frozen:
-        raise ValueError("fine-tuning requires a thawed encoder (clone and thaw first)")
-    ids = _validate_labeled(graph, train_ids)
-    targets = graph.labels[ids]
-
+def _thawed_encoder(graph, encoder, cfg):
+    """The weights of a thawed clone of the encoder train; the shared encoder
+    is left as it was."""
+    clone = thaw(clone_encoder(encoder))
     adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
     x = ad.constant(graph.features)
-    clf = init_classifier(encoder.out_dim, cfg.clf_hidden, graph.num_classes,
-                          rng_stream("classifier-init", cfg.seed))
-    opt_enc = ad.AdamState(encoder.parameters(), lr=cfg.up_lr)
-    opt_clf = ad.AdamState(clf.parameters(), lr=cfg.down_lr)
-
-    def step(epoch):
-        logits = classify(clf, encode(encoder, adj, x))
-        loss = ad.cross_entropy(ad.gather_rows(logits, ids), targets)
-        ad.backward(loss)
-        ad.adam_step(opt_enc)
-        ad.adam_step(opt_clf)
-        return loss.item()
-
-    history = _train_loop(cfg, step)
-    preds = predictions_from_logits(classify(clf, encode(encoder, adj, x)))
-    return TuneResult(
-        method="fine-tune",
-        predictions=preds,
-        loss_history=history,
-        epochs_run=len(history),
-        final_loss=history[-1] if history else math.nan,
-        classifier=clf,
-        encoder=encoder,
-    )
+    return clone.parameters(), lambda training: encode(clone, adj, x)
 
 
-def feature_prompt_tune(graph, encoder, train_ids, cfg):
-    """Single learnable prompt vector added to every feature row (the
-    feature-prompt baseline); tuned jointly with the classifier on the fixed
+def _feature_prompt(graph, encoder, cfg):
+    """One learnable vector added to every feature row (gpf), on the original
     normalized adjacency."""
-    cfg.validate()
-    if not encoder.frozen:
-        raise ValueError("feature-prompt tuning requires a frozen encoder")
-    ids = _validate_labeled(graph, train_ids)
-    targets = graph.labels[ids]
-    hash_before = encoder_checkpoint_hash(encoder)
-
     adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
     x = ad.constant(graph.features)
     p = ad.parameter(np.zeros((1, graph.num_features)), name="gpf.prompt")
-    clf = init_classifier(encoder.out_dim, cfg.clf_hidden, graph.num_classes,
-                          rng_stream("classifier-init", cfg.seed))
-    opt_p = ad.AdamState([p], lr=cfg.up_lr)
-    opt_clf = ad.AdamState(clf.parameters(), lr=cfg.down_lr)
-
-    def step(epoch):
-        logits = classify(clf, encode(encoder, adj, ad.add(x, p)))
-        loss = ad.cross_entropy(ad.gather_rows(logits, ids), targets)
-        ad.backward(loss)
-        ad.adam_step(opt_p)
-        ad.adam_step(opt_clf)
-        return loss.item()
-
-    history = _train_loop(cfg, step)
-    preds = predictions_from_logits(
-        classify(clf, encode(encoder, adj, ad.add(x, p.detach())))
-    )
-    if encoder_checkpoint_hash(encoder) != hash_before:
-        raise RuntimeError("frozen encoder parameters changed during feature-prompt tuning")
-    return TuneResult(
-        method="gpf",
-        predictions=preds,
-        loss_history=history,
-        epochs_run=len(history),
-        final_loss=history[-1] if history else math.nan,
-        classifier=clf,
-        feature_prompt=p,
-    )
+    return [p], lambda training: encode(encoder, adj, ad.add(x, p if training else p.detach()))
 
 
-METHODS = ("uniprompt", "linear-probe", "fine-tune", "gpf") + tuple(
-    f"ablate:{v}" for v in ABLATION_VARIANTS
-)
+# (topology, integration) row of each component-replacement ablation
+_ABLATIONS = {
+    "random_topo": ("random", "bootstrap"),
+    "simple_add": ("knn", "simple_add"),
+    "discard_topo": ("knn", "discard"),
+}
+ABLATION_VARIANTS = tuple(_ABLATIONS)
+
+# method name -> builder(graph, encoder, cfg) -> (upstream parameters,
+# represent(training) -> node representations)
+METHOD_TABLE = {
+    "uniprompt": _graph_prompt("knn", "bootstrap"),
+    "linear-probe": _linear_probe,
+    "fine-tune": _thawed_encoder,
+    "gpf": _feature_prompt,
+    **{f"ablate:{v}": _graph_prompt(*row) for v, row in _ABLATIONS.items()},
+}
+METHODS = tuple(METHOD_TABLE)
 
 
 def run_method(method, graph, encoder, train_ids, cfg):
-    """Dispatch a tuning method by name. ``encoder`` is shared and frozen;
-    fine-tune works on a thawed clone."""
-    if method == "uniprompt":
-        return uniprompt_tune(graph, encoder, train_ids, cfg)
-    if method == "linear-probe":
-        return linear_probe_tune(graph, encoder, train_ids, cfg)
-    if method == "gpf":
-        return feature_prompt_tune(graph, encoder, train_ids, cfg)
-    if method == "fine-tune":
-        return fine_tune(graph, thaw(clone_encoder(encoder)), train_ids, cfg)
-    if method.startswith("ablate:"):
-        return ablation_tune(method.split(":", 1)[1], graph, encoder, train_ids, cfg)
-    raise ValueError(f"unknown method '{method}'")
+    """Tune one ``METHODS`` entry on the labeled ``train_ids``.
+
+    ``METHOD_TABLE[method]`` gives the method's upstream parameters and its
+    ``represent(training)``, the node representations that feed a fresh MLP
+    classifier. Each epoch runs one forward and backward pass, then steps one
+    Adam state for the upstream parameters at ``cfg.up_lr`` (when there are
+    any) and one for the classifier at ``cfg.down_lr``. Training stops at
+    ``cfg.max_epochs`` or after ``cfg.patience`` epochs without improvement;
+    predictions use ``represent(False)``. The shared ``encoder`` must be
+    frozen, and its checkpoint hash is asserted unchanged at the end.
+    """
+    if method not in METHOD_TABLE:
+        raise ValueError(f"unknown method '{method}'")
+    cfg.validate()
+    if not encoder.frozen:
+        raise ValueError("tuning requires a frozen encoder")
+    ids = _validate_labeled(graph, train_ids)
+    targets = graph.labels[ids]
+    hash_before = encoder_checkpoint_hash(encoder)
+
+    upstream, represent = METHOD_TABLE[method](graph, encoder, cfg)
+    clf = init_classifier(encoder.out_dim, cfg.clf_hidden, graph.num_classes,
+                          rng_stream("classifier-init", cfg.seed))
+    optimizers = [ad.AdamState(upstream, lr=cfg.up_lr)] if upstream else []
+    optimizers.append(ad.AdamState(clf.parameters(), lr=cfg.down_lr))
+
+    def step(epoch):
+        logits = classify(clf, represent(True))
+        loss = ad.cross_entropy(ad.gather_rows(logits, ids), targets)
+        ad.backward(loss)
+        for opt in optimizers:
+            ad.adam_step(opt)
+        return loss.item()
+
+    history = _train_loop(cfg, step)
+    preds = predictions_from_logits(classify(clf, represent(False)))
+    if encoder_checkpoint_hash(encoder) != hash_before:
+        raise RuntimeError("frozen encoder parameters changed during tuning")
+    return TuneResult(method, preds, history, clf, upstream)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# Each code is the first entropy word of its stream: renumbering one would
+# change every value it draws. Code 4 is retired.
 _STREAM_CODES = {
     "classifier-init": 1,
     "prompt-init": 2,
     "sampling": 3,
-    "dropout": 4,
     "encoder-init": 5,
     "corruption": 6,
     "views": 7,

@@ -13,7 +13,6 @@ the second-order remainder of the product update, which scales as eta^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -288,28 +287,3 @@ def format_report(summary):
     ]
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# motivation experiment: normalized linear-probe loss curves
-# ---------------------------------------------------------------------------
-
-
-def motivation_replication(graph, encoders, train_ids, cfg, out_dir=None):
-    """Per-epoch normalized training-loss series of linear probing for each
-    pretrained encoder; optionally written one CSV per encoder."""
-    from .prompt import linear_probe_tune
-
-    series = {}
-    for name, enc in encoders.items():
-        result = linear_probe_tune(graph, enc, train_ids, cfg)
-        losses = np.asarray(result.loss_history, dtype=np.float64)
-        series[name] = losses / losses[0]
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, values in series.items():
-            with open(out_dir / f"loss_{name}.csv", "w") as fh:
-                fh.write("epoch,normalized_loss\n")
-                for i, v in enumerate(values):
-                    fh.write(f"{i},{v!r}\n")
-    return series

@@ -110,18 +110,6 @@ class TestOpValues:
         with pytest.raises(ValueError):
             ad.spmm(adj, ad.constant(np.ones((3, 2))))
 
-    def test_dropout_deterministic_per_seed(self):
-        x = ad.constant(np.ones((8, 8)))
-        a = ad.dropout(x, 0.5, seed=123).data
-        b = ad.dropout(x, 0.5, seed=123).data
-        c = ad.dropout(x, 0.5, seed=124).data
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_dropout_rate_validation(self):
-        with pytest.raises(ValueError):
-            ad.dropout(ad.constant(np.ones((2, 2))), 1.0, seed=0)
-
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))

@@ -122,6 +122,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="missing prediction"):
             evaluate(np.zeros(3, dtype=int), task)
 
+    def test_empty_test_split_rejected(self):
+        g = generate_sbm(6, 3, 0.5, 0.1, 4, 3.0, seed=0)
+        task = sample_k_shot(g, 2, 42, 0)
+        assert task.test_ids.size == 0
+        with pytest.raises(ValueError, match="empty test split"):
+            evaluate(g.labels.copy(), task)
+        with pytest.raises(ValueError, match="empty test split"):
+            evaluate({int(i): 0 for i in task.train_ids}, task)
+
 
 class TestResultTable:
     def make_table(self):

@@ -11,9 +11,6 @@ from uniprompt.harness import generate_sbm
 from uniprompt.pretrain import (
     PretrainConfig,
     dgi_loss_at_scores,
-    dgi_pretrain,
-    grace_pretrain,
-    graphmae_pretrain,
     infonce_loss,
     pretrain,
     pretrain_with_history,
@@ -44,10 +41,6 @@ class TestConfig:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError, match="sce_gamma"):
             PretrainConfig("graphmae", sce_gamma=0.5).validate()
-
-    def test_objective_mismatch_rejected(self, sbm):
-        with pytest.raises(ValueError, match="dgi"):
-            dgi_pretrain(sbm, small_cfg("grace"))
 
 
 class TestDgi:
@@ -87,12 +80,12 @@ class TestDgi:
             sims = means @ means.T
             return 1.0 - sims[np.triu_indices(3, 1)].mean()  # larger = better
 
-        enc0 = dgi_pretrain(sbm, small_cfg("dgi", epochs=0))
-        enc = dgi_pretrain(sbm, cfg)
+        enc0 = pretrain(sbm, small_cfg("dgi", epochs=0))
+        enc = pretrain(sbm, cfg)
         assert class_separation(enc) > class_separation(enc0)
 
     def test_returns_frozen(self, sbm):
-        assert dgi_pretrain(sbm, small_cfg("dgi", epochs=1)).frozen
+        assert pretrain(sbm, small_cfg("dgi", epochs=1)).frozen
 
 
 class TestGrace:
@@ -133,10 +126,10 @@ class TestGrace:
                              [0, 0, 1, 1], 2)
         cfg = small_cfg("grace", edge_drop=0.999, epochs=200)
         with pytest.raises(RuntimeError, match="zero edges"):
-            grace_pretrain(g, cfg)
+            pretrain(g, cfg)
 
     def test_returns_frozen_and_runs(self, sbm):
-        enc = grace_pretrain(sbm, small_cfg("grace", epochs=2))
+        enc = pretrain(sbm, small_cfg("grace", epochs=2))
         assert enc.frozen
 
 
@@ -160,10 +153,10 @@ class TestGraphMae:
 
     def test_zero_mask_rate_rejected(self, sbm):
         with pytest.raises(ValueError, match="mask rate"):
-            graphmae_pretrain(sbm, small_cfg("graphmae", mask_rate=0.0))
+            pretrain(sbm, small_cfg("graphmae", mask_rate=0.0))
 
     def test_returns_frozen_and_runs(self, sbm):
-        enc = graphmae_pretrain(sbm, small_cfg("graphmae", epochs=2))
+        enc = pretrain(sbm, small_cfg("graphmae", epochs=2))
         assert enc.frozen
 
 

@@ -1,5 +1,6 @@
-"""Prompt mechanism tests: gate, fusion, tuning loops, baselines, ablations."""
+"""Prompt mechanism tests: gate, fusion, the tuning engine, baselines, ablations."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -9,24 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniprompt import autodiff as ad
-from uniprompt.encoder import classify, clone_encoder, encode, encoder_checkpoint_hash, thaw
+from uniprompt.encoder import (
+    classify,
+    clone_encoder,
+    encode,
+    encoder_checkpoint_hash,
+    init_classifier,
+    thaw,
+)
 from uniprompt.graphs import knn_prompt_init, symmetric_normalize
 from uniprompt.harness import evaluate, generate_sbm, sample_k_shot
 from uniprompt.pretrain import PretrainConfig, pretrain
 from uniprompt.prompt import (
+    ABLATION_VARIANTS,
+    METHOD_TABLE,
+    METHODS,
     TuneConfig,
-    ablation_tune,
+    _NormContext,
+    _union_with_graph,
     bootstrap_fuse,
-    build_prompt_adj,
-    feature_prompt_tune,
-    fine_tune,
     gate,
     gate_values,
-    init_prompt_state,
-    linear_probe_tune,
     random_support_like,
     run_method,
-    uniprompt_tune,
 )
 from uniprompt.seeds import rng_stream
 
@@ -95,16 +101,15 @@ class TestGate:
 class TestBuildPromptAdj:
     def test_unit_weights_give_unweighted_support(self, sbm, cfg):
         support = knn_prompt_init(sbm.features, cfg.k)
-        state = init_prompt_state(sbm, support, cfg)
-        adj = build_prompt_adj(state)
+        w = ad.parameter(np.ones((support.nnz, 1)))
+        adj = ad.SparseTensor(support, gate_values(w, cfg.alpha))
         assert np.allclose(adj.values.data, 1.0)
 
     def test_saturated_weight_prunes_edge(self, sbm, cfg):
         support = knn_prompt_init(sbm.features, cfg.k)
-        state = init_prompt_state(sbm, support, cfg)
-        state.w.data = state.w.data.copy()
-        state.w.data[3, 0] = -5.0
-        adj = build_prompt_adj(state)
+        wdata = np.ones((support.nnz, 1))
+        wdata[3, 0] = -5.0
+        adj = ad.SparseTensor(support, gate_values(ad.parameter(wdata), cfg.alpha))
         assert adj.values.data[3, 0] < 1e-19
 
     def test_gradient_through_gate_and_spmm(self, sbm, cfg):
@@ -130,155 +135,160 @@ class TestBuildPromptAdj:
 
 
 class TestBootstrapFuse:
-    def make_state(self, sbm, cfg, tau):
+    def make(self, sbm, cfg):
+        """Prompt support, union with the graph, prompt positions in the
+        union, and unit-weight gate values."""
         support = knn_prompt_init(sbm.features, cfg.k)
-        return init_prompt_state(sbm, support, replace(cfg, tau=tau))
+        union, pos = _union_with_graph(sbm.adjacency(), support)
+        gates = gate_values(ad.parameter(np.ones((support.nnz, 1))), cfg.alpha)
+        return support, union, pos, gates
+
+    def fuse(self, union, pos, gates, tau, steps):
+        """Run ``steps`` fusions from A_hat^(0) = A; the fused values of each."""
+        previous = union.data.reshape(-1, 1)
+        out = []
+        for _ in range(steps):
+            previous = bootstrap_fuse(previous, gates, pos, union, tau).values.data
+            out.append(previous)
+        return out
 
     def test_tau_one_keeps_original_adjacency(self, sbm, cfg):
-        state = self.make_state(sbm, cfg, 1.0)
-        a_vals = state.union.data.reshape(-1, 1).copy()
-        for _ in range(5):
-            fused = bootstrap_fuse(state, build_prompt_adj(state))
-        assert np.array_equal(fused.values.data, a_vals)
+        _, union, pos, gates = self.make(sbm, cfg)
+        fused = self.fuse(union, pos, gates, 1.0, 5)[-1]
+        assert np.array_equal(fused, union.data.reshape(-1, 1))
 
     def test_tau_zero_gives_prompt_exactly(self, sbm, cfg):
-        state = self.make_state(sbm, cfg, 0.0)
-        fused = bootstrap_fuse(state, build_prompt_adj(state))
-        scattered = np.zeros((state.union.nnz, 1))
-        scattered[state.init_pos_in_union, 0] = gate_values(state.w, cfg.alpha).data[:, 0]
-        assert np.array_equal(fused.values.data, scattered)
+        _, union, pos, gates = self.make(sbm, cfg)
+        fused = self.fuse(union, pos, gates, 0.0, 1)[0]
+        scattered = np.zeros((union.nnz, 1))
+        scattered[pos, 0] = gates.data[:, 0]
+        assert np.array_equal(fused, scattered)
 
     def test_half_tau_geometric_decay(self, sbm, cfg):
-        state = self.make_state(sbm, cfg, 0.5)
-        only_a = (state.union.data > 0) & ~np.isin(
-            np.arange(state.union.nnz), state.init_pos_in_union
-        )
+        _, union, pos, gates = self.make(sbm, cfg)
+        only_a = (union.data > 0) & ~np.isin(np.arange(union.nnz), pos)
         idx = np.flatnonzero(only_a)[0]
-        assert state.union.data[idx] == 1.0
-        fused = bootstrap_fuse(state, build_prompt_adj(state))
-        assert fused.values.data[idx, 0] == pytest.approx(0.5)
-        fused = bootstrap_fuse(state, build_prompt_adj(state))
-        assert fused.values.data[idx, 0] == pytest.approx(0.25)
+        assert union.data[idx] == 1.0
+        first, second = self.fuse(union, pos, gates, 0.5, 2)
+        assert first[idx, 0] == pytest.approx(0.5)
+        assert second[idx, 0] == pytest.approx(0.25)
 
     def test_closed_form_constant_prompt(self, sbm, cfg):
         # A_hat(t) = tau^t A + (1 - tau^t) A_tilde entrywise, dense oracle
+        support, union, pos, gates = self.make(sbm, cfg)
+        a_dense = union.to_scipy().toarray()
+        tilde = support.to_scipy(gates.data[:, 0]).toarray()
         for tau in (0.0, 0.5, 0.9, 1.0):
-            state = self.make_state(sbm, cfg, tau)
-            a_dense = state.union.to_scipy().toarray()
-            prompt_dense = ad.SparseTensor(
-                state.init_support, gate_values(state.w, cfg.alpha)
-            )
-            tilde = state.init_support.to_scipy(
-                gate_values(state.w, cfg.alpha).data[:, 0]
-            ).toarray()
-            for t in range(1, 51):
-                fused = bootstrap_fuse(state, build_prompt_adj(state))
+            for t, fused in enumerate(self.fuse(union, pos, gates, tau, 50), start=1):
                 expected = tau**t * a_dense + (1 - tau**t) * tilde
-                got = state.union.to_scipy(fused.values.data[:, 0]).toarray()
+                got = union.to_scipy(fused[:, 0]).toarray()
                 assert np.abs(got - expected).max() < 1e-10
 
     def test_support_containment(self, sbm, cfg):
-        state = self.make_state(sbm, cfg, 0.7)
+        support, union, pos, gates = self.make(sbm, cfg)
         n = sbm.num_nodes
-        union_keys = set((state.union.row_ids() * n + state.union.indices).tolist())
+        union_keys = set((union.row_ids() * n + union.indices).tolist())
         a = sbm.adjacency()
-        knn = state.init_support
         allowed = set((a.row_ids() * n + a.indices).tolist()) | set(
-            (knn.row_ids() * n + knn.indices).tolist()
+            (support.row_ids() * n + support.indices).tolist()
         )
         assert union_keys <= allowed
-        for _ in range(3):
-            fused = bootstrap_fuse(state, build_prompt_adj(state))
-        nz = np.abs(fused.values.data[:, 0]) > 0
-        nz_keys = set(
-            (state.union.row_ids()[nz] * n + state.union.indices[nz]).tolist()
-        )
+        fused = self.fuse(union, pos, gates, 0.7, 3)[-1]
+        nz = np.abs(fused[:, 0]) > 0
+        nz_keys = set((union.row_ids()[nz] * n + union.indices[nz]).tolist())
         assert nz_keys <= allowed
 
     def test_invalid_tau_rejected(self, sbm, cfg):
-        state = self.make_state(sbm, cfg, 0.5)
-        state.tau = 1.5
+        _, union, pos, gates = self.make(sbm, cfg)
         with pytest.raises(ValueError, match="tau"):
-            bootstrap_fuse(state, build_prompt_adj(state))
+            bootstrap_fuse(union.data.reshape(-1, 1), gates, pos, union, 1.5)
+
+    def test_inputs_left_unchanged(self, sbm, cfg):
+        _, union, pos, gates = self.make(sbm, cfg)
+        previous = np.full((union.nnz, 1), 0.5)
+        kept = (previous.copy(), gates.data.copy(), pos.copy())
+        bootstrap_fuse(previous, gates, pos, union, 0.3)
+        for before, after in zip(kept, (previous, gates.data, pos)):
+            assert np.array_equal(before, after)
 
 
 class TestUnipromptTune:
     def test_requires_frozen_encoder(self, sbm, encoder, cfg):
         enc = thaw(clone_encoder(encoder))
         with pytest.raises(ValueError, match="frozen"):
-            uniprompt_tune(sbm, enc, train_ids(sbm), cfg)
+            run_method("uniprompt", sbm, enc, train_ids(sbm), cfg)
 
     def test_no_labeled_nodes(self, sbm, encoder, cfg):
         with pytest.raises(ValueError, match="no labeled nodes"):
-            uniprompt_tune(sbm, encoder, np.array([], dtype=int), cfg)
+            run_method("uniprompt", sbm, encoder, np.array([], dtype=int), cfg)
 
     def test_duplicate_labeled_ids(self, sbm, encoder, cfg):
         with pytest.raises(ValueError, match="distinct"):
-            uniprompt_tune(sbm, encoder, np.array([1, 1]), cfg)
+            run_method("uniprompt", sbm, encoder, np.array([1, 1]), cfg)
 
     def test_tau_one_bit_identical_to_linear_probe(self, sbm, encoder, cfg):
         c = replace(cfg, tau=1.0, max_epochs=40)
-        uni = uniprompt_tune(sbm, encoder, train_ids(sbm), c)
-        probe = linear_probe_tune(sbm, encoder, train_ids(sbm), c)
+        uni = run_method("uniprompt", sbm, encoder, train_ids(sbm), c)
+        probe = run_method("linear-probe", sbm, encoder, train_ids(sbm), c)
         assert np.array_equal(uni.predictions, probe.predictions)
         assert uni.loss_history == probe.loss_history
         assert uni.epochs_run == probe.epochs_run
 
     def test_frozen_encoder_hash_invariant(self, sbm, encoder, cfg):
         before = encoder_checkpoint_hash(encoder)
-        uniprompt_tune(sbm, encoder, train_ids(sbm), cfg)
+        run_method("uniprompt", sbm, encoder, train_ids(sbm), cfg)
         assert encoder_checkpoint_hash(encoder) == before
 
-    def test_end_to_end_prompt_gradient_matches_fd(self, encoder):
-        # loss as a function of the gate weights through
-        # normalize . fuse . encode . classify on a tiny graph
+    def test_end_to_end_prompt_gradient_matches_fd(self):
+        # loss as a function of the gate weights through the uniprompt
+        # representation that run_method trains (normalize . fuse . encode)
+        # and a fixed classifier, on a tiny graph
         g = generate_sbm(12, 3, 0.4, 0.15, 6, 2.0, seed=7)
         enc = pretrain(g, PretrainConfig("dgi", epochs=3, seed=0,
                                          hidden_dim=6, embed_dim=6))
         cfg = TuneConfig(k=3, tau=0.6, alpha=5.0, clf_hidden=6, seed=1)
-        support = knn_prompt_init(g.features, cfg.k)
-        from uniprompt.encoder import init_classifier
-        from uniprompt.prompt import _NormContext
-
         clf = init_classifier(6, 6, 3, rng_stream("classifier-init", 1))
         ids = np.array([0, 5, 9])
-        base_state = init_prompt_state(g, support, cfg)
-        ctx = _NormContext(base_state.union, add_self_loops=True)
 
-        def loss_of(wdata, with_tape):
-            state = init_prompt_state(g, support, cfg)
-            state.w = ad.Tensor(wdata.reshape(-1, 1), requires_grad=with_tape)
-            fused = bootstrap_fuse(state, build_prompt_adj(state))
-            adj = ctx.normalize(fused.values)
-            logits = classify(clf, encode(enc, adj, ad.constant(g.features)))
-            loss = ad.cross_entropy(ad.gather_rows(logits, ids), g.labels[ids])
-            return loss, state.w
+        def loss_of(wdata):
+            (w,), represent = METHOD_TABLE["uniprompt"](g, enc, cfg)
+            w.data = wdata.reshape(-1, 1)
+            logits = classify(clf, represent(True))
+            return ad.cross_entropy(ad.gather_rows(logits, ids), g.labels[ids]), w
 
-        w0 = 1.0 + np.linspace(-0.4, 0.4, support.nnz)
-        loss, w = loss_of(w0, True)
+        nnz = knn_prompt_init(g.features, cfg.k).nnz
+        w0 = 1.0 + np.linspace(-0.4, 0.4, nnz)
+        loss, w = loss_of(w0)
         analytic = ad.backward(loss, params=[w])[w].reshape(-1)
         h = 1e-5
-        for i in range(0, support.nnz, 5):
+        for i in range(0, nnz, 5):
             wp, wm = w0.copy(), w0.copy()
             wp[i] += h
             wm[i] -= h
-            fd = (loss_of(wp, False)[0].item() - loss_of(wm, False)[0].item()) / (2 * h)
+            fd = (loss_of(wp)[0].item() - loss_of(wm)[0].item()) / (2 * h)
             assert analytic[i] == pytest.approx(fd, rel=1e-3, abs=1e-10)
 
     def test_early_stopping_respects_patience(self, sbm, encoder):
         cfg = TuneConfig(k=3, tau=1.0, max_epochs=500, patience=3, min_delta=10.0,
                          clf_hidden=8, seed=0)
         # min_delta so large that only the first epoch (from inf) improves
-        res = uniprompt_tune(sbm, encoder, train_ids(sbm), cfg)
+        res = run_method("uniprompt", sbm, encoder, train_ids(sbm), cfg)
         assert res.epochs_run == 1 + cfg.patience
 
-    def test_loss_history_and_result_fields(self, sbm, encoder, cfg):
-        res = uniprompt_tune(sbm, encoder, train_ids(sbm), cfg)
+    def test_loss_history_and_result_fields(self, sbm, encoder, cfg, monkeypatch):
+        import uniprompt.prompt as prompt_mod
+
+        fusions = []
+        real = prompt_mod.bootstrap_fuse
+        monkeypatch.setattr(prompt_mod, "bootstrap_fuse",
+                            lambda *a: fusions.append(1) or real(*a))
+        res = run_method("uniprompt", sbm, encoder, train_ids(sbm), cfg)
         assert res.method == "uniprompt"
         assert res.epochs_run == len(res.loss_history) <= cfg.max_epochs
         assert res.final_loss == res.loss_history[-1]
         assert res.predictions.shape == (sbm.num_nodes,)
-        assert res.prompt_state.t == res.epochs_run
+        assert len(fusions) == res.epochs_run
+        assert res.upstream[0].shape == (knn_prompt_init(sbm.features, cfg.k).nnz, 1)
 
 
 class TestLinearProbe:
@@ -293,15 +303,13 @@ class TestLinearProbe:
             return real(*args, **kw)
 
         monkeypatch.setattr(prompt_mod, "encode", counting)
-        linear_probe_tune(sbm, encoder, train_ids(sbm), cfg)
+        run_method("linear-probe", sbm, encoder, train_ids(sbm), cfg)
         assert len(calls) == 1
 
     def test_equals_finetune_with_frozen_encoder_by_definition(self, sbm, encoder, cfg):
         # an inline fine-tune loop with the encoder step removed must
         # reproduce linear probing exactly
-        from uniprompt.encoder import init_classifier
-
-        probe = linear_probe_tune(sbm, encoder, train_ids(sbm), cfg)
+        probe = run_method("linear-probe", sbm, encoder, train_ids(sbm), cfg)
 
         adj = symmetric_normalize(sbm.adjacency(), add_self_loops=True)
         x = ad.constant(sbm.features)
@@ -327,25 +335,23 @@ class TestLinearProbe:
 
     def test_requires_frozen(self, sbm, encoder, cfg):
         with pytest.raises(ValueError, match="frozen"):
-            linear_probe_tune(sbm, thaw(clone_encoder(encoder)), train_ids(sbm), cfg)
+            run_method("linear-probe", sbm, thaw(clone_encoder(encoder)), train_ids(sbm), cfg)
 
 
 class TestFineTune:
+    @staticmethod
+    def same_weights(result, encoder):
+        return all(np.array_equal(a.data, b.data)
+                   for a, b in zip(result.upstream, encoder.parameters()))
+
     def test_zero_epochs_leaves_encoder_unchanged(self, sbm, encoder, cfg):
-        enc = thaw(clone_encoder(encoder))
-        before = encoder_checkpoint_hash(enc)
-        fine_tune(sbm, enc, train_ids(sbm), replace(cfg, max_epochs=0))
-        assert encoder_checkpoint_hash(enc) == before
+        res = run_method("fine-tune", sbm, encoder, train_ids(sbm), replace(cfg, max_epochs=0))
+        assert len(res.upstream) == len(encoder.parameters())
+        assert self.same_weights(res, encoder)
 
     def test_one_step_changes_encoder(self, sbm, encoder, cfg):
-        enc = thaw(clone_encoder(encoder))
-        before = encoder_checkpoint_hash(enc)
-        fine_tune(sbm, enc, train_ids(sbm), replace(cfg, max_epochs=1))
-        assert encoder_checkpoint_hash(enc) != before
-
-    def test_rejects_frozen_encoder(self, sbm, encoder, cfg):
-        with pytest.raises(ValueError, match="thaw"):
-            fine_tune(sbm, encoder, train_ids(sbm), cfg)
+        res = run_method("fine-tune", sbm, encoder, train_ids(sbm), replace(cfg, max_epochs=1))
+        assert not self.same_weights(res, encoder)
 
     def test_beats_majority_class_on_easy_homophilic_sbm(self):
         g = generate_sbm(90, 3, 0.3, 0.02, 8, 3.5, seed=9)
@@ -356,8 +362,7 @@ class TestFineTune:
         accs = []
         for run in range(3):
             task = sample_k_shot(g, 5, 42, run)
-            enc2 = thaw(clone_encoder(enc))
-            res = fine_tune(g, enc2, task.train_ids, replace(cfg, seed=run))
+            res = run_method("fine-tune", g, enc, task.train_ids, replace(cfg, seed=run))
             accs.append(evaluate(res.predictions, task))
         majority = np.bincount(g.labels).max() / g.num_nodes
         assert np.mean(accs) >= majority + 0.20
@@ -366,14 +371,12 @@ class TestFineTune:
 class TestFeaturePrompt:
     def test_epoch_zero_matches_linear_probe(self, sbm, encoder, cfg):
         c = replace(cfg, max_epochs=1)
-        gpf = feature_prompt_tune(sbm, encoder, train_ids(sbm), c)
-        probe = linear_probe_tune(sbm, encoder, train_ids(sbm), c)
+        gpf = run_method("gpf", sbm, encoder, train_ids(sbm), c)
+        probe = run_method("linear-probe", sbm, encoder, train_ids(sbm), c)
         assert gpf.loss_history[0] == probe.loss_history[0]
 
     def test_prompt_gradient_matches_fd(self, sbm, encoder):
         adj = symmetric_normalize(sbm.adjacency(), add_self_loops=True)
-        from uniprompt.encoder import init_classifier
-
         clf = init_classifier(encoder.out_dim, 8, sbm.num_classes,
                               rng_stream("classifier-init", 3))
         ids = train_ids(sbm)
@@ -396,8 +399,9 @@ class TestFeaturePrompt:
             assert analytic[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
     def test_returns_prompt_vector(self, sbm, encoder, cfg):
-        res = feature_prompt_tune(sbm, encoder, train_ids(sbm), cfg)
-        assert res.feature_prompt.shape == (1, sbm.num_features)
+        res = run_method("gpf", sbm, encoder, train_ids(sbm), cfg)
+        (prompt_vector,) = res.upstream
+        assert prompt_vector.shape == (1, sbm.num_features)
         assert res.method == "gpf"
 
 
@@ -416,15 +420,10 @@ class TestAblations:
         assert all((c, r) in forward for r, c in forward)
 
     def test_discard_with_saturated_gates_collapses_to_chance(self, sbm, encoder):
-        cfg = TuneConfig(up_lr=1e-9, down_lr=1e-9, k=4, alpha=10.0, max_epochs=1,
-                         patience=1, clf_hidden=8, seed=0)
-        support = knn_prompt_init(sbm.features, cfg.k)
-        state = init_prompt_state(sbm, support, cfg)
-        state.w.data = np.full_like(state.w.data, -5.0)  # gates ~ exp(-60)
-        from uniprompt.prompt import _NormContext
-
+        support = knn_prompt_init(sbm.features, 4)
+        w = ad.parameter(np.full((support.nnz, 1), -5.0))  # gates ~ exp(-60)
         ctx = _NormContext(support, add_self_loops=False)
-        adj = ctx.normalize(gate_values(state.w, cfg.alpha))
+        adj = ctx.normalize(gate_values(w, 10.0))
         assert np.abs(adj.values.data).max() < 1e-12
         h = encode(encoder, adj, ad.constant(sbm.features))
         # zero adjacency -> constant rows -> constant logits -> chance accuracy
@@ -432,21 +431,19 @@ class TestAblations:
 
     def test_variants_run_and_leave_encoder_frozen(self, sbm, encoder, cfg):
         before = encoder_checkpoint_hash(encoder)
-        for variant in ("random_topo", "simple_add", "discard_topo"):
-            res = ablation_tune(variant, sbm, encoder, train_ids(sbm), cfg)
+        for variant in ABLATION_VARIANTS:
+            res = run_method(f"ablate:{variant}", sbm, encoder, train_ids(sbm), cfg)
             assert res.method == f"ablate:{variant}"
             assert res.predictions.shape == (sbm.num_nodes,)
         assert encoder_checkpoint_hash(encoder) == before
 
     def test_unknown_variant_rejected(self, sbm, encoder, cfg):
-        with pytest.raises(ValueError, match="variant"):
-            ablation_tune("swap_all", sbm, encoder, train_ids(sbm), cfg)
+        with pytest.raises(ValueError, match="unknown method 'ablate:swap_all'"):
+            run_method("ablate:swap_all", sbm, encoder, train_ids(sbm), cfg)
 
 
 class TestRunMethod:
     def test_dispatch_covers_all_methods(self, sbm, encoder, cfg):
-        from uniprompt.prompt import METHODS
-
         for method in METHODS:
             res = run_method(method, sbm, encoder, train_ids(sbm),
                              replace(cfg, max_epochs=3))
@@ -461,3 +458,31 @@ class TestRunMethod:
     def test_unknown_method(self, sbm, encoder, cfg):
         with pytest.raises(ValueError, match="unknown method"):
             run_method("prompting", sbm, encoder, train_ids(sbm), cfg)
+
+
+# sha256 of float64 loss_history bytes then int64 predictions bytes, per
+# method, on the module fixture with the ``cfg`` fixture and the 1-shot task
+# of seed 42, run 0. Recorded before the tuning loops were merged into one
+# engine; any change to a method's numbers changes its digest.
+PINNED_DIGESTS = {
+    "uniprompt": "a81c790f386cdf33533b1a7b2e8aed007cc2ced90b7df91aee169505e2bdc381",
+    "linear-probe": "4e75427824c88e4ddd5e43f45372be2814fd8c2ef8841a065d82715d2e70428f",
+    "fine-tune": "dea484b1362bdb84ec18f1b3b632238af1cf9c8cae818a1aec6c904d6433f205",
+    "gpf": "9580b685e7b271f828f54b3fc67946106391b43df2bae42dc200464d19c2f430",
+    "ablate:random_topo": "4501eccd825c662173b8fbd9eabbed1a40df0327f8f888e09e67cc3ba3316395",
+    "ablate:simple_add": "8bc31e7b985e56e306b6156e85721ef5f11eb47d3d8b15e7720a703ad1652b91",
+    "ablate:discard_topo": "cb443a4da345b3ad2c3c7a86f41225f11181889e57d914f58ca186fb3ca13bb0",
+}
+
+
+class TestBehaviourPin:
+    def test_digests_cover_every_method(self):
+        assert set(PINNED_DIGESTS) == set(METHODS)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_loss_history_and_predictions_bit_identical(self, sbm, encoder, cfg, method):
+        res = run_method(method, sbm, encoder, train_ids(sbm), cfg)
+        digest = hashlib.sha256()
+        digest.update(np.asarray(res.loss_history, dtype=np.float64).tobytes())
+        digest.update(np.asarray(res.predictions, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == PINNED_DIGESTS[method]
