@@ -38,7 +38,6 @@ REGISTERED_OPS = (
     "scalar_scale",
     "segment_sum",
     "sigmoid",
-    "softmax_rows",
     "softplus",
     "spmm",
     "sum_all",
@@ -431,19 +430,6 @@ def power(a, p):
     def bw(go):
         if a.requires_grad:
             _accum(a, go * p * a.data ** (p - 1.0))
-
-    return _node(out_data, (a,), bw)
-
-
-def softmax_rows(a):
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def bw(go):
-        if a.requires_grad:
-            dot = (go * out_data).sum(axis=1, keepdims=True)
-            _accum(a, out_data * (go - dot))
 
     return _node(out_data, (a,), bw)
 

@@ -21,6 +21,7 @@ from .harness import (
     generate_sbm,
     noise_robustness,
     run_experiment,
+    run_seed,
     sample_k_shot,
     sweep,
 )
@@ -37,11 +38,10 @@ def _data_dir(args):
     return Path(args.data_dir or os.environ.get("UNIPROMPT_DATA_DIR", "."))
 
 
-def _resolve_dataset(args):
-    candidate = Path(args.dataset)
-    if candidate.is_dir():
-        return load_graph_bundle(candidate)
-    return load_graph_bundle(_data_dir(args) / args.dataset)
+def _resolve_dataset(args, name):
+    """A bundle directory given by path, else by name under the data dir."""
+    path = Path(name)
+    return load_graph_bundle(path if path.is_dir() else _data_dir(args) / name)
 
 
 def _load_json(path):
@@ -50,7 +50,8 @@ def _load_json(path):
 
 
 def _tune_config(args, pretrain_name, dataset_name):
-    """Shipped table < config file < explicit flags."""
+    """Shipped table < config file < explicit flags, seeded as the harness
+    seeds run ``args.run`` of seed ``args.seed``."""
     overrides = {}
     if args.config:
         cfg_file = _load_json(args.config)
@@ -60,11 +61,11 @@ def _tune_config(args, pretrain_name, dataset_name):
         if value is not None:
             overrides[name] = value
     cfg = get_tuning_config(pretrain_name or "", dataset_name or "", args.shot, **overrides)
-    return replace(cfg, seed=args.seed).validate()
+    return replace(cfg, seed=run_seed(args.seed, args.run)).validate()
 
 
 def _cmd_pretrain(args):
-    graph = _resolve_dataset(args)
+    graph = _resolve_dataset(args, args.dataset)
     cfg = PretrainConfig(
         objective=args.objective,
         epochs=args.epochs,
@@ -84,7 +85,7 @@ def _cmd_pretrain(args):
 
 
 def _cmd_tune(args):
-    graph = _resolve_dataset(args)
+    graph = _resolve_dataset(args, args.dataset)
     enc, meta = load_encoder(args.encoder)
     cfg = _tune_config(args, meta.get("pretrain"), graph.name)
     task = sample_k_shot(graph, args.shot, args.seed, args.run)
@@ -99,26 +100,29 @@ def _cmd_tune(args):
         "epochs": result.epochs_run,
         "final_loss": result.final_loss,
     }
-    text = json.dumps(record, sort_keys=True)
+    text = json.dumps(record, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
     return 0
 
 
-def _experiment_spec(args, config):
-    graph_path = Path(config["dataset"])
-    if not graph_path.is_dir():
-        graph_path = _data_dir(args) / config["dataset"]
-    graph = load_graph_bundle(graph_path)
+def _cmd_ablate(args):
+    args.method = f"ablate:{args.variant}"
+    return _cmd_tune(args)
+
+
+def _experiment_spec(args):
+    config = _load_json(args.config)
+    graph = _resolve_dataset(args, config["dataset"])
     enc, meta = load_encoder(config["encoder"])
     pretrain_name = meta.get("pretrain", "unknown")
     methods = tuple(config["methods"])
     shots = tuple(config.get("shots", (1,)))
-    tune = {}
-    for method in methods:
-        overrides = dict(config.get("tune", {}).get(method, config.get("tune", {}).get("default", {})))
-        tune[method] = get_tuning_config(pretrain_name, graph.name, shots[0], **overrides)
+    overrides = config.get("tune", {})
+    tune = {m: get_tuning_config(pretrain_name, graph.name, shots[0],
+                                 **overrides.get(m, overrides.get("default", {})))
+            for m in methods}
     return ExperimentSpec(
         dataset=graph.name,
         pretrain=pretrain_name,
@@ -139,26 +143,21 @@ def _write_table(table, out_dir):
     table.to_csv(out_dir / "results.csv")
     table.to_markdown(out_dir / "results.md")
     print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'results.md'}")
+    return 0
 
 
 def _cmd_eval(args):
-    spec = _experiment_spec(args, _load_json(args.config))
-    _write_table(run_experiment(spec), args.out)
-    return 0
+    return _write_table(run_experiment(_experiment_spec(args)), args.out)
 
 
 def _cmd_sweep(args):
-    spec = _experiment_spec(args, _load_json(args.config))
     grid = [float(v) for v in args.grid.split(",") if v]
-    _write_table(sweep(args.param, grid, spec), args.out)
-    return 0
+    return _write_table(sweep(args.param, grid, _experiment_spec(args)), args.out)
 
 
 def _cmd_noise(args):
-    spec = _experiment_spec(args, _load_json(args.config))
     levels = [float(v) for v in args.levels.split(",") if v]
-    _write_table(noise_robustness(levels, spec), args.out)
-    return 0
+    return _write_table(noise_robustness(levels, _experiment_spec(args)), args.out)
 
 
 def _cmd_verify_theory(args):
@@ -189,7 +188,7 @@ def _cmd_make_sbm(args):
 
 
 def _cmd_inspect(args):
-    graph = _resolve_dataset(args)
+    graph = _resolve_dataset(args, args.dataset)
     hom = edge_homophily(graph)
     hom_text = "n/a" if np.isnan(hom) else f"{hom:.2f}"
     line = (f"{graph.num_nodes} {graph.num_undirected_edges} "
@@ -204,14 +203,18 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="uniprompt")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--data-dir", default=None)
+    def common(p, *flags, out_required=False):
+        """--out plus each of the shared ``flags`` the verb reads."""
+        p.add_argument("--out", required=out_required, default=None)
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=0)
+        if "jobs" in flags:
+            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        if "data-dir" in flags:
+            p.add_argument("--data-dir", default=None)
 
     p = sub.add_parser("pretrain", help="train a self-supervised encoder")
-    common(p)
+    common(p, "seed", "data-dir", out_required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--objective", required=True, choices=OBJECTIVES)
     p.add_argument("--epochs", type=int, default=300)
@@ -221,7 +224,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_pretrain)
 
     p = sub.add_parser("tune", help="run one downstream tuning run")
-    common(p)
+    common(p, "seed", "data-dir")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--encoder", required=True)
     p.add_argument("--dataset", required=True)
@@ -241,41 +244,41 @@ def build_parser():
     p.set_defaults(handler=_cmd_tune)
 
     p = sub.add_parser("ablate", help="run one component-replacement run")
-    common(p)
+    common(p, "seed", "data-dir")
     p.add_argument("--variant", required=True, choices=ABLATION_VARIANTS)
     p.add_argument("--encoder", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--shot", type=int, required=True)
     p.add_argument("--run", type=int, default=0)
     p.add_argument("--config", default=None)
-    p.set_defaults(handler=lambda a: _cmd_tune(_as_ablate(a)))
+    p.set_defaults(handler=_cmd_ablate)
 
     p = sub.add_parser("eval", help="full repeated-run experiment")
-    common(p)
+    common(p, "jobs", "data-dir", out_required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep")
-    common(p)
+    common(p, "jobs", "data-dir", out_required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--param", required=True, choices=("tau", "k", "alpha"))
     p.add_argument("--grid", required=True)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("noise", help="feature-noise robustness experiment")
-    common(p)
+    common(p, "jobs", "data-dir", out_required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--levels", required=True)
     p.set_defaults(handler=_cmd_noise)
 
     p = sub.add_parser("verify-theory", help="prompt/classifier equivalence checks")
-    common(p)
+    common(p, "seed")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--eta", type=float, default=1e-4)
     p.set_defaults(handler=_cmd_verify_theory)
 
     p = sub.add_parser("make-sbm", help="write a synthetic SBM bundle")
-    common(p)
+    common(p, "seed", out_required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--p-in", dest="p_in", type=float, required=True)
@@ -286,19 +289,11 @@ def build_parser():
     p.set_defaults(handler=_cmd_make_sbm)
 
     p = sub.add_parser("inspect", help="print dataset statistics")
-    common(p)
+    common(p, "data-dir")
     p.add_argument("--dataset", required=True)
     p.set_defaults(handler=_cmd_inspect)
 
     return parser
-
-
-def _as_ablate(args):
-    args.method = f"ablate:{args.variant}"
-    for name in TUNE_FLAG_FIELDS:
-        if not hasattr(args, name):
-            setattr(args, name, None)
-    return args
 
 
 def dispatch(argv):

@@ -1,5 +1,10 @@
-"""Graph representation, bundle I/O, normalization, kNN prompt construction,
-homophily and noise utilities."""
+"""Graph representation, bundle I/O, the GCN operator, kNN prompt
+construction, homophily and noise utilities.
+
+``NormContext`` is the one symmetric normalization: it runs on the autodiff
+tape for learned prompt values, and ``symmetric_normalize`` runs it on the
+constant values of a fixed graph, so tau=1 uniprompt equals the linear probe.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import autodiff as ad
+
+DEG_EPS = 1e-12  # degree floor when normalizing without self-loops
 
 
 class SparseAdj:
@@ -67,7 +76,8 @@ class Graph:
     invariant is that (i, j) is present iff (j, i) is, with equal weight.
     """
 
-    __slots__ = ("num_nodes", "src", "dst", "weight", "features", "labels", "num_classes", "name", "_adj")
+    __slots__ = ("num_nodes", "src", "dst", "weight", "features", "labels", "num_classes", "name",
+                 "_adj", "_norm_adj")
 
     def __init__(self, num_nodes, src, dst, weight, features, labels, num_classes, name="graph"):
         self.num_nodes = int(num_nodes)
@@ -79,6 +89,7 @@ class Graph:
         self.num_classes = int(num_classes)
         self.name = name
         self._adj = None
+        self._norm_adj = None
 
         order = np.lexsort((self.dst, self.src))
         self.src = self.src[order]
@@ -131,6 +142,12 @@ class Graph:
         if self._adj is None:
             self._adj = SparseAdj.from_coo(self.num_nodes, self.src, self.dst, self.weight)
         return self._adj
+
+    def normalized_adjacency(self):
+        """The GCN operator D^(-1/2) (A + I) D^(-1/2) of ``adjacency()``."""
+        if self._norm_adj is None:
+            self._norm_adj = symmetric_normalize(self.adjacency())
+        return self._norm_adj
 
     def with_features(self, features):
         return Graph(self.num_nodes, self.src, self.dst, self.weight, features,
@@ -250,40 +267,61 @@ def save_graph_bundle(graph, path):
 # ---------------------------------------------------------------------------
 
 
-def symmetric_normalize(adj, add_self_loops=True):
-    """D^(-1/2) (A + I) D^(-1/2) (or without the +I). Zero-degree rows map to
-    zero rows. Mirrors the arithmetic of the differentiable path bit for bit:
-    degrees via bincount over stored entries, dinv = deg**-0.5, products
-    associated as (v * dinv_i) * dinv_j."""
+class NormContext:
+    """D^(-1/2) (V + I) D^(-1/2) over a fixed support whose values V live on
+    the autodiff tape. Without ``add_self_loops`` the diagonal is left out
+    and degrees are floored at ``DEG_EPS``, so an empty row stays zero."""
+
+    def __init__(self, pattern, add_self_loops):
+        self.pattern = pattern
+        self.rows = pattern.row_ids()
+        self.cols = pattern.indices
+        self.add_self_loops = add_self_loops
+        n = pattern.n
+        if add_self_loops:
+            # a CSR pattern holds no duplicates, so a clash with the appended
+            # diagonal can only be a stored self-loop
+            if (self.rows == self.cols).any():
+                raise ValueError("support already contains self-loops")
+            diag = np.arange(n)
+            all_rows = np.concatenate([self.rows, diag])
+            all_cols = np.concatenate([self.cols, diag])
+            self.order = np.argsort(all_rows * n + all_cols, kind="stable")
+            self.norm_pattern = SparseAdj.from_coo(
+                n, all_rows, all_cols, np.zeros(all_rows.size)
+            )
+        else:
+            self.order = None
+            self.norm_pattern = pattern
+
+    def normalize(self, values):
+        """The normalized operator as a SparseTensor over ``norm_pattern``;
+        ``values`` is the (nnz, 1) tensor of the support's values."""
+        n = self.pattern.n
+        floor = 1.0 if self.add_self_loops else DEG_EPS
+        deg = ad.add(ad.segment_sum(values, self.rows, n), ad.constant(np.full((n, 1), floor)))
+        dinv = ad.power(deg, -0.5)
+        edge = ad.hadamard(
+            ad.hadamard(values, ad.gather_rows(dinv, self.rows)),
+            ad.gather_rows(dinv, self.cols),
+        )
+        if not self.add_self_loops:
+            return ad.SparseTensor(self.norm_pattern, edge)
+        diag = ad.hadamard(dinv, dinv)
+        ordered = ad.gather_rows(ad.concat_rows(edge, diag), self.order)
+        return ad.SparseTensor(self.norm_pattern, ordered)
+
+
+def symmetric_normalize(adj):
+    """D^(-1/2) (A + I) D^(-1/2) as a constant SparseAdj: ``NormContext``
+    with self-loops, run on the fixed values of ``adj``. A zero-degree node
+    keeps a unit diagonal. ``adj`` must hold no self-loops and no negative
+    weight."""
     if (adj.data < 0).any():
         raise ValueError("negative weight")
-    rows = adj.row_ids()
-    deg = np.bincount(rows, weights=adj.data, minlength=adj.n)
-    if add_self_loops:
-        deg = deg + 1.0
-    with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, deg**-0.5, 0.0)
-    vals = (adj.data * dinv[rows]) * dinv[adj.indices]
-    if not add_self_loops:
-        return adj.with_values(vals)
-    diag = np.arange(adj.n)
-    all_rows = np.concatenate([rows, diag])
-    all_cols = np.concatenate([adj.indices, diag])
-    all_vals = np.concatenate([vals, dinv * dinv])
-    return SparseAdj.from_coo(adj.n, all_rows, all_cols, all_vals)
-
-
-def cosine_similarity(x_i, x_j):
-    """x.y / (|x||y|), 0 when either norm is 0."""
-    x_i = np.asarray(x_i, dtype=np.float64).reshape(-1)
-    x_j = np.asarray(x_j, dtype=np.float64).reshape(-1)
-    if x_i.shape != x_j.shape:
-        raise ValueError(f"length mismatch: {x_i.shape[0]} vs {x_j.shape[0]}")
-    ni = np.linalg.norm(x_i)
-    nj = np.linalg.norm(x_j)
-    if ni == 0.0 or nj == 0.0:
-        return 0.0
-    return float(x_i @ x_j / (ni * nj))
+    ctx = NormContext(adj, add_self_loops=True)
+    out = ctx.normalize(ad.constant(adj.data.reshape(-1, 1)))
+    return out.pattern.with_values(out.values.data.reshape(-1))
 
 
 def _normalized_rows(x):
@@ -294,25 +332,18 @@ def _normalized_rows(x):
 
 
 def _topk_per_row(sims, k, col_ids, self_col):
-    """Indices of the k largest entries per row; ties broken by the smaller
-    column id (stable sort on descending value)."""
-    picked_rows, picked_cols, picked_vals = [], [], []
-    for local, row in enumerate(sims):
-        row = row.copy()
-        if self_col[local] >= 0:
-            row[self_col[local]] = -np.inf
-        order = np.argsort(-row, kind="stable")
-        avail = row.size - (1 if self_col[local] >= 0 else 0)
-        if avail < k:
-            raise ValueError("k out of range")
-        top = order[:k]
-        picked_rows.append(np.full(k, local))
-        picked_cols.append(col_ids[top])
-        picked_vals.append(row[top])
+    """Indices of the k largest entries per row, self column excluded; ties
+    broken by the smaller column id (stable sort on descending value)."""
+    has_self = self_col >= 0
+    if (sims.shape[1] - has_self).min() < k:
+        raise ValueError("k out of range")
+    neg = -sims
+    neg[has_self, self_col[has_self]] = np.inf
+    top = np.argsort(neg, axis=1, kind="stable")[:, :k]
     return (
-        np.concatenate(picked_rows),
-        np.concatenate(picked_cols),
-        np.concatenate(picked_vals),
+        np.repeat(np.arange(sims.shape[0]), k),
+        col_ids[top].reshape(-1),
+        np.take_along_axis(sims, top, axis=1).reshape(-1),
     )
 
 

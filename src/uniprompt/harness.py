@@ -21,7 +21,6 @@ class FewShotTask:
     shot: int
     train_ids: np.ndarray
     test_ids: np.ndarray
-    train_labels: np.ndarray
     test_labels: np.ndarray
     seed: int
     run: int
@@ -47,7 +46,6 @@ def sample_k_shot(graph, k, seed, run):
         shot=k,
         train_ids=train,
         test_ids=test,
-        train_labels=graph.labels[train],
         test_labels=graph.labels[test],
         seed=seed,
         run=run,
@@ -111,23 +109,12 @@ class ResultTable:
 
     def aggregate(self):
         """Rows of (key..., count, mean, population std), sorted."""
+        cells = self.cells()
         rows = []
-        for key in sorted(self.cells(), key=lambda k: (str(k[0]), k[1:])):
-            accs = np.asarray(self.cells()[key])
+        for key in sorted(cells, key=lambda k: (str(k[0]), k[1:])):
+            accs = np.asarray(cells[key])
             rows.append(key + (accs.size, float(accs.mean()), float(accs.std())))
         return rows
-
-    def mean_accuracy(self, method, shot, param=None):
-        accs = self.cells().get((param, *self._single_scope(), method, shot))
-        if accs is None:
-            raise KeyError(f"no records for method={method} shot={shot} param={param}")
-        return float(np.mean(accs))
-
-    def _single_scope(self):
-        scopes = {(r.dataset, r.pretrain) for r in self.records}
-        if len(scopes) != 1:
-            raise ValueError("table spans multiple dataset/pretrain scopes")
-        return next(iter(scopes))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -207,7 +194,8 @@ class ExperimentSpec:
         raise KeyError(f"no tune config for method '{method}'")
 
 
-def _run_seed(seed, run):
+def run_seed(seed, run):
+    """The TuneConfig seed of run ``run`` under harness seed ``seed``."""
     return seed * 100000 + run
 
 
@@ -219,19 +207,10 @@ def _run_one(spec, method, shot, seed, run):
                                    int(noise_rng.integers(2**31)))
         graph = graph.with_features(noisy)
     task = sample_k_shot(graph, shot, seed, run)
-    cfg = replace(spec.config_for(method), seed=_run_seed(seed, run))
+    cfg = replace(spec.config_for(method), seed=run_seed(seed, run))
     result = run_method(method, graph, spec.encoder, task.train_ids, cfg)
-    acc = evaluate(result.predictions, task)
-    return RunRecord(
-        dataset=spec.dataset,
-        pretrain=spec.pretrain,
-        method=method,
-        shot=shot,
-        seed=seed,
-        run=run,
-        accuracy=acc,
-        param=None,
-    )
+    return RunRecord(spec.dataset, spec.pretrain, method, shot, seed, run,
+                     evaluate(result.predictions, task))
 
 
 _WORKER_SPEC = None

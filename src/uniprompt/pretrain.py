@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import encode, freeze, init_encoder
+from .encoder import _glorot, encode, freeze, init_encoder
 from .graphs import SparseAdj, symmetric_normalize
 from .seeds import rng_stream
 
@@ -77,11 +77,6 @@ def pretrain_with_history(graph, cfg, probe_seed=None):
     return _TRAINERS[cfg.objective](graph, cfg, probe_seed)
 
 
-def _check_finite(value, epoch):
-    if not np.isfinite(value):
-        raise RuntimeError(f"non-finite pretraining loss at epoch {epoch}")
-
-
 def _train(cfg, loss_fn, params, epoch_rng, probe_seed):
     """Shared loop: per-epoch fresh-instance loss, Adam step, optional fixed
     -instance probes (before training and after each epoch)."""
@@ -95,7 +90,8 @@ def _train(cfg, loss_fn, params, epoch_rng, probe_seed):
     probe()
     for epoch in range(cfg.epochs):
         loss = loss_fn(epoch_rng)
-        _check_finite(loss.item(), epoch)
+        if not np.isfinite(loss.item()):
+            raise RuntimeError(f"non-finite pretraining loss at epoch {epoch}")
         history.append(loss.item())
         ad.backward(loss)
         ad.adam_step(opt)
@@ -108,18 +104,8 @@ def _train(cfg, loss_fn, params, epoch_rng, probe_seed):
 # ---------------------------------------------------------------------------
 
 
-def dgi_loss_at_scores(score_pos, score_neg):
-    """Binary cross-entropy on discriminator logits (positives label 1)."""
-    sp = ad.constant(np.asarray(score_pos, dtype=np.float64).reshape(-1, 1))
-    sn = ad.constant(np.asarray(score_neg, dtype=np.float64).reshape(-1, 1))
-    return 0.5 * (
-        ad.row_mean(ad.softplus(ad.scalar_scale(sp, -1.0))).item()
-        + ad.row_mean(ad.softplus(sn)).item()
-    )
-
-
 def _dgi(graph, cfg, probe_seed=None):
-    adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
+    adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
     enc = init_encoder(graph.num_features, cfg.hidden_dim, cfg.embed_dim,
                        cfg.activation, rng_stream("encoder-init", cfg.seed))
@@ -192,11 +178,10 @@ def _grace(graph, cfg, probe_seed=None):
                        cfg.activation, rng_stream("encoder-init", cfg.seed))
     init_rng = rng_stream("encoder-init", cfg.seed, 1)
     d = cfg.embed_dim
-    limit = np.sqrt(6.0 / (2 * d))
     head = [
-        ad.parameter(init_rng.uniform(-limit, limit, size=(d, d)), name="grace.proj.w1"),
+        ad.parameter(_glorot(init_rng, d, d), name="grace.proj.w1"),
         ad.parameter(np.zeros((1, d)), name="grace.proj.b1"),
-        ad.parameter(init_rng.uniform(-limit, limit, size=(d, d)), name="grace.proj.w2"),
+        ad.parameter(_glorot(init_rng, d, d), name="grace.proj.w2"),
         ad.parameter(np.zeros((1, d)), name="grace.proj.b2"),
     ]
 
@@ -235,15 +220,13 @@ def scaled_cosine_error(x_true, x_hat, gamma):
 def _graphmae(graph, cfg, probe_seed=None):
     if cfg.mask_rate == 0:
         raise ValueError("mask rate 0 gives no training signal")
-    adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
+    adj = graph.normalized_adjacency()
     n, f = graph.features.shape
     enc = init_encoder(f, cfg.hidden_dim, cfg.embed_dim, cfg.activation,
                        rng_stream("encoder-init", cfg.seed))
     init_rng = rng_stream("encoder-init", cfg.seed, 1)
     mask_token = ad.parameter(np.zeros((1, f)), name="graphmae.mask_token")
-    limit = np.sqrt(6.0 / (cfg.embed_dim + f))
-    dec_w = ad.parameter(init_rng.uniform(-limit, limit, size=(cfg.embed_dim, f)),
-                         name="graphmae.decoder.weight")
+    dec_w = ad.parameter(_glorot(init_rng, cfg.embed_dim, f), name="graphmae.decoder.weight")
     dec_b = ad.parameter(np.zeros((1, f)), name="graphmae.decoder.bias")
     n_mask = max(1, int(round(cfg.mask_rate * n)))
 

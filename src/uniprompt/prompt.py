@@ -8,6 +8,10 @@ weights of a kNN prompt topology fused into the graph by bootstrapping
 (uniprompt) and of its three component-replacement ablations, one vector
 added to every feature row (gpf), the weights of a thawed encoder clone
 (fine-tune), or nothing (linear probe). ``run_method`` owns everything else.
+
+Every method encodes through the one symmetric normalization of ``graphs``:
+the graph-prompt rows run ``NormContext`` on their learned values, the other
+rows use the graph's cached ``normalized_adjacency()``.
 """
 
 from __future__ import annotations
@@ -28,10 +32,8 @@ from .encoder import (
     predictions_from_logits,
     thaw,
 )
-from .graphs import SparseAdj, knn_prompt_init, symmetric_normalize
+from .graphs import NormContext, SparseAdj, knn_prompt_init
 from .seeds import rng_stream
-
-DEG_EPS = 1e-12  # degree floor when normalizing without self-loops
 
 
 @dataclass
@@ -76,51 +78,6 @@ def gate_values(w, alpha):
     """Tape version of the gate for a (nnz, 1) weight tensor."""
     z = ad.add(ad.scalar_scale(w, alpha), ad.constant(np.array([[-alpha]])))
     return ad.add(ad.elu(z), ad.constant(np.array([[1.0]])))
-
-
-class _NormContext:
-    """Precomputed structure for differentiable symmetric normalization over
-    a fixed support (optionally with self-loops appended)."""
-
-    def __init__(self, pattern, add_self_loops):
-        self.pattern = pattern
-        self.rows = pattern.row_ids()
-        self.cols = pattern.indices
-        self.add_self_loops = add_self_loops
-        n = pattern.n
-        if add_self_loops:
-            diag = np.arange(n)
-            all_rows = np.concatenate([self.rows, diag])
-            all_cols = np.concatenate([self.cols, diag])
-            keys = all_rows * n + all_cols
-            if np.unique(keys).size != keys.size:
-                raise ValueError("support already contains self-loops")
-            self.order = np.argsort(keys, kind="stable")
-            self.norm_pattern = SparseAdj.from_coo(
-                n, all_rows, all_cols, np.zeros(all_rows.size)
-            )
-        else:
-            self.order = None
-            self.norm_pattern = pattern
-
-    def normalize(self, values):
-        """D^(-1/2) (V [+ I]) D^(-1/2) over the fixed support, on the tape."""
-        n = self.pattern.n
-        deg = ad.segment_sum(values, self.rows, n)
-        if self.add_self_loops:
-            deg = ad.add(deg, ad.constant(np.ones((n, 1))))
-        else:
-            deg = ad.add(deg, ad.constant(np.full((n, 1), DEG_EPS)))
-        dinv = ad.power(deg, -0.5)
-        edge = ad.hadamard(
-            ad.hadamard(values, ad.gather_rows(dinv, self.rows)),
-            ad.gather_rows(dinv, self.cols),
-        )
-        if not self.add_self_loops:
-            return ad.SparseTensor(self.norm_pattern, edge)
-        diag = ad.hadamard(dinv, dinv)
-        ordered = ad.gather_rows(ad.concat_rows(edge, diag), self.order)
-        return ad.SparseTensor(self.norm_pattern, ordered)
 
 
 def _union_with_graph(adj, support):
@@ -188,7 +145,7 @@ class TuneResult:
 
     @property
     def final_loss(self):
-        return self.loss_history[-1] if self.loss_history else math.nan
+        return self.loss_history[-1] if self.loss_history else None
 
 
 def _validate_labeled(graph, train_ids):
@@ -247,9 +204,9 @@ def _graph_prompt(topology, integration):
         union, positions = _union_with_graph(graph.adjacency(), support)
         w = ad.parameter(np.ones((support.nnz, 1)), name="prompt.gate_weights")
         if integration == "discard":
-            ctx = _NormContext(support, add_self_loops=False)
+            ctx = NormContext(support, add_self_loops=False)
         else:
-            ctx = _NormContext(union, add_self_loops=True)
+            ctx = NormContext(union, add_self_loops=True)
         a_union = ad.constant(union.data.reshape(-1, 1))
         x = ad.constant(graph.features)
         fused = union.data.reshape(-1, 1)  # A_hat^(t) of the bootstrap path
@@ -278,8 +235,7 @@ def _graph_prompt(topology, integration):
 def _linear_probe(graph, encoder, cfg):
     """Representations from a single encoder forward on the original
     normalized adjacency; only the classifier trains."""
-    adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
-    h = encode(encoder, adj, ad.constant(graph.features))
+    h = encode(encoder, graph.normalized_adjacency(), ad.constant(graph.features))
     return [], lambda training: h
 
 
@@ -287,7 +243,7 @@ def _thawed_encoder(graph, encoder, cfg):
     """The weights of a thawed clone of the encoder train; the shared encoder
     is left as it was."""
     clone = thaw(clone_encoder(encoder))
-    adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
+    adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
     return clone.parameters(), lambda training: encode(clone, adj, x)
 
@@ -295,7 +251,7 @@ def _thawed_encoder(graph, encoder, cfg):
 def _feature_prompt(graph, encoder, cfg):
     """One learnable vector added to every feature row (gpf), on the original
     normalized adjacency."""
-    adj = symmetric_normalize(graph.adjacency(), add_self_loops=True)
+    adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
     p = ad.parameter(np.zeros((1, graph.num_features)), name="gpf.prompt")
     return [p], lambda training: encode(encoder, adj, ad.add(x, p if training else p.detach()))

@@ -115,10 +115,6 @@ def _case_sigmoid(rng):
     return [rng.uniform(-3, 3, size=(3, 4))], ad.sigmoid
 
 
-def _case_softmax_rows(rng):
-    return [rng.normal(size=(3, 4))], ad.softmax_rows
-
-
 def _case_softplus(rng):
     return [rng.uniform(-3, 3, size=(3, 4))], ad.softplus
 
@@ -166,7 +162,6 @@ OP_CASES = {
     "scalar_scale": _case_scalar_scale,
     "segment_sum": _case_segment_sum,
     "sigmoid": _case_sigmoid,
-    "softmax_rows": _case_softmax_rows,
     "softplus": _case_softplus,
     "spmm": _case_spmm,
     "sum_all": _case_sum_all,

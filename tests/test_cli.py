@@ -1,14 +1,16 @@
-"""CLI smoke tests: make-sbm -> pretrain -> tune / ablate through dispatch."""
+"""CLI smoke tests: make-sbm -> pretrain -> tune / ablate / eval through dispatch."""
 
+import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from uniprompt.cli import dispatch
 from uniprompt.encoder import load_encoder
 from uniprompt.graphs import load_graph_bundle
-from uniprompt.harness import sample_k_shot
+from uniprompt.harness import run_seed, sample_k_shot
 from uniprompt.hyperparams import get_tuning_config
 from uniprompt.prompt import ABLATION_VARIANTS, METHODS, run_method
 
@@ -29,20 +31,25 @@ def workspace(tmp_path_factory):
     return bundle, checkpoint, config
 
 
+def strict_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def run_json(argv, capsys):
     capsys.readouterr()
     assert dispatch(argv) == 0
-    return json.loads(capsys.readouterr().out)
+    return json.loads(capsys.readouterr().out, parse_constant=strict_constant)
 
 
 def direct_run(workspace, method, shot, seed):
-    """epochs and final loss of run_method on what the CLI loads."""
+    """epochs and final loss of run_method on what the CLI loads, seeded as
+    the harness seeds run 0."""
     bundle, checkpoint, _ = workspace
     graph = load_graph_bundle(bundle)
     enc, meta = load_encoder(checkpoint)
     cfg = get_tuning_config(meta["pretrain"], graph.name, shot, **TUNE_OVERRIDES)
     task = sample_k_shot(graph, shot, seed, 0)
-    result = run_method(method, graph, enc, task.train_ids, replace(cfg, seed=seed))
+    result = run_method(method, graph, enc, task.train_ids, replace(cfg, seed=run_seed(seed, 0)))
     return result.epochs_run, result.final_loss
 
 
@@ -71,3 +78,75 @@ def test_unknown_method_exits_one(workspace):
     bundle, checkpoint, _ = workspace
     assert dispatch(["tune", "--method", "prompting", "--encoder", str(checkpoint),
                      "--dataset", str(bundle), "--shot", "1"]) == 1
+
+
+def test_tune_reproduces_eval_rows(workspace, capsys, tmp_path):
+    bundle, checkpoint, config = workspace
+    spec = tmp_path / "eval.json"
+    spec.write_text(json.dumps({
+        "dataset": str(bundle), "encoder": str(checkpoint),
+        "methods": ["uniprompt", "gpf"], "shots": [1], "seeds": [3], "runs": 2,
+        "tune": {"default": TUNE_OVERRIDES},
+    }))
+    assert dispatch(["eval", "--config", str(spec), "--jobs", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        record = run_json(["tune", "--method", row["method"], "--encoder", str(checkpoint),
+                           "--dataset", str(bundle), "--shot", row["shot"],
+                           "--seed", row["seed"], "--run", row["run"],
+                           "--config", str(config)], capsys)
+        assert record["accuracy"] == float(row["accuracy"])
+
+
+def test_zero_epochs_writes_null_loss(workspace, capsys):
+    bundle, checkpoint, config = workspace
+    record = run_json(["tune", "--method", "gpf", "--encoder", str(checkpoint),
+                       "--dataset", str(bundle), "--shot", "1", "--config", str(config),
+                       "--max-epochs", "0"], capsys)
+    assert record["epochs"] == 0
+    assert record["final_loss"] is None
+
+
+def misuses(bundle, checkpoint, config):
+    """Argument lists each verb must reject: a missing --out where the verb
+    writes a file, and shared flags the verb does not read."""
+    graph = ["--dataset", str(bundle)]
+    tune = graph + ["--encoder", str(checkpoint), "--shot", "1"]
+    experiment = ["--config", str(config)]
+    sbm = ["--n", "24", "--classes", "3", "--p-in", "0.4", "--p-out", "0.05"]
+    out = ["--out", str(bundle.parent / "unused")]
+    return {
+        "pretrain-no-out": ["pretrain", *graph, "--objective", "dgi"],
+        "make-sbm-no-out": ["make-sbm", *sbm],
+        "eval-no-out": ["eval", *experiment],
+        "sweep-no-out": ["sweep", *experiment, "--param", "tau", "--grid", "0.5"],
+        "noise-no-out": ["noise", *experiment, "--levels", "0"],
+        "eval-seed": ["eval", *experiment, *out, "--seed", "7"],
+        "sweep-seed": ["sweep", *experiment, *out, "--param", "tau", "--grid", "0.5",
+                       "--seed", "7"],
+        "noise-seed": ["noise", *experiment, *out, "--levels", "0", "--seed", "7"],
+        "pretrain-jobs": ["pretrain", *graph, "--objective", "dgi", *out, "--jobs", "2"],
+        "tune-jobs": ["tune", *tune, "--method", "gpf", "--jobs", "2"],
+        "ablate-jobs": ["ablate", *tune, "--variant", "simple_add", "--jobs", "2"],
+        "verify-theory-jobs": ["verify-theory", "--jobs", "2"],
+        "make-sbm-jobs": ["make-sbm", *sbm, *out, "--jobs", "2"],
+        "inspect-jobs": ["inspect", *graph, "--jobs", "2"],
+        "inspect-seed": ["inspect", *graph, "--seed", "7"],
+        "make-sbm-data-dir": ["make-sbm", *sbm, *out, "--data-dir", str(bundle.parent)],
+        "verify-theory-data-dir": ["verify-theory", "--data-dir", str(bundle.parent)],
+    }
+
+
+MISUSES = tuple(misuses(Path("."), Path("."), Path(".")))  # the case names
+
+
+@pytest.mark.parametrize("case", MISUSES)
+def test_misuse_exits_one_without_traceback(workspace, capsys, case):
+    capsys.readouterr()
+    assert dispatch(misuses(*workspace)[case]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uniprompt import autodiff as ad
 from uniprompt.graphs import (
     Graph,
+    NormContext,
     SparseAdj,
     add_gaussian_noise,
-    cosine_similarity,
     edge_homophily,
     graph_from_pairs,
     knn_prompt_init,
@@ -124,22 +125,25 @@ class TestGraphInvariants:
 class TestSymmetricNormalize:
     def test_two_node_single_edge_with_self_loops(self):
         adj = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
-        out = symmetric_normalize(adj, add_self_loops=True).to_scipy().toarray()
+        out = symmetric_normalize(adj).to_scipy().toarray()
         assert np.allclose(out, 0.5)
 
     def test_isolated_node_diagonal_one(self):
         adj = SparseAdj.from_coo(3, [0, 1], [1, 0], [1.0, 1.0])
-        out = symmetric_normalize(adj, add_self_loops=True).to_scipy().toarray()
+        out = symmetric_normalize(adj).to_scipy().toarray()
         assert out[2, 2] == pytest.approx(1.0)
 
     def test_zero_degree_rows_stay_zero_without_self_loops(self):
         adj = SparseAdj.from_coo(3, [0, 1], [1, 0], [1.0, 1.0])
-        out = symmetric_normalize(adj, add_self_loops=False).to_scipy().toarray()
-        assert np.all(out[2] == 0.0)
+        ctx = NormContext(adj, add_self_loops=False)
+        out = ctx.normalize(ad.constant(adj.data.reshape(-1, 1)))
+        dense = out.pattern.to_scipy(out.values.data.reshape(-1)).toarray()
+        assert np.all(dense[2] == 0.0)
+        assert dense[0, 1] == pytest.approx(1.0)
 
     def test_path_graph_matches_dense_oracle(self):
         adj = SparseAdj.from_coo(3, [0, 1, 1, 2], [1, 0, 2, 1], np.ones(4))
-        out = symmetric_normalize(adj, add_self_loops=True).to_scipy().toarray()
+        out = symmetric_normalize(adj).to_scipy().toarray()
         dense = adj.to_scipy().toarray() + np.eye(3)
         d = dense.sum(axis=1)
         oracle = dense / np.sqrt(np.outer(d, d))
@@ -151,6 +155,20 @@ class TestSymmetricNormalize:
         with pytest.raises(ValueError, match="negative"):
             symmetric_normalize(bad)
 
+    def test_self_loops_rejected(self):
+        adj = SparseAdj.from_coo(2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="already contains self-loops"):
+            symmetric_normalize(adj)
+        g = Graph(2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0], np.zeros((2, 2)), None, 2)
+        with pytest.raises(ValueError, match="already contains self-loops"):
+            g.normalized_adjacency()
+
+    def test_graph_operator_built_once(self):
+        g = graph_from_pairs(4, [(0, 1), (1, 2)], np.zeros((4, 2)), None, 2)
+        op = g.normalized_adjacency()
+        assert g.normalized_adjacency() is op
+        assert op.data.tobytes() == symmetric_normalize(g.adjacency()).data.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=50), st.integers(min_value=0, max_value=10**6))
     def test_random_graphs_match_dense_oracle(self, n, seed):
@@ -158,32 +176,35 @@ class TestSymmetricNormalize:
         mask = np.triu(rng.random((n, n)) < 0.3, k=1)
         rows, cols = np.nonzero(mask | mask.T)
         adj = SparseAdj.from_coo(n, rows, cols, np.ones(rows.size))
-        out = symmetric_normalize(adj, add_self_loops=True).to_scipy().toarray()
+        out = symmetric_normalize(adj).to_scipy().toarray()
         dense = adj.to_scipy().toarray() + np.eye(n)
         d = dense.sum(axis=1)
         oracle = dense / np.sqrt(np.outer(d, d))
         assert np.abs(out - oracle).max() < 1e-12
 
 
+def knn_similarity(a, b):
+    """The cosine similarity the kNN support stores for a two-node graph."""
+    adj = knn_prompt_init(np.array([a, b], dtype=np.float64), 1)
+    assert adj.data[0] == adj.data[1]
+    return adj.data[0]
+
+
 class TestCosineSimilarity:
     def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
+        assert knn_similarity([1, 0], [0, 1]) == 0.0
 
     def test_parallel(self):
-        assert cosine_similarity([1, 1], [2, 2]) == pytest.approx(1.0)
+        assert knn_similarity([1, 1], [2, 2]) == pytest.approx(1.0)
 
     def test_hand_computed(self):
         # (1,2,0).(0,1,1) = 2; norms sqrt(5), sqrt(2)
         expected = 2.0 / np.sqrt(10.0)
-        assert cosine_similarity([1, 2, 0], [0, 1, 1]) == pytest.approx(expected, abs=1e-12)
+        assert knn_similarity([1, 2, 0], [0, 1, 1]) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.6325, abs=1e-4)
 
     def test_zero_norm_returns_zero(self):
-        assert cosine_similarity([0, 0], [1, 2]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            cosine_similarity([1, 2], [1, 2, 3])
+        assert knn_similarity([0, 0], [1, 2]) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6),
@@ -191,8 +212,8 @@ class TestCosineSimilarity:
     def test_symmetric_and_bounded(self, a, b):
         size = min(len(a), len(b))
         a, b = a[:size], b[:size]
-        s1 = cosine_similarity(a, b)
-        s2 = cosine_similarity(b, a)
+        s1 = knn_similarity(a, b)
+        s2 = knn_similarity(b, a)
         assert s1 == pytest.approx(s2, abs=1e-12)
         assert -1.0 - 1e-12 <= s1 <= 1.0 + 1e-12
 

@@ -1,6 +1,7 @@
 """Few-shot sampling, evaluation, result tables, experiments, SBM tests."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -174,6 +175,9 @@ class TestResultTable:
         assert "**30.00" not in text
 
 
+PINNED_CSV_SHA256 = "e288ecf00c9a78f653eb2e328f8fb76dd4ac3aac369536974364416642779e84"
+
+
 class TestRunExperiment:
     def test_record_count_is_seeds_times_runs(self, sbm, encoder):
         table = run_experiment(tiny_spec(sbm, encoder))
@@ -201,6 +205,15 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment(tiny_spec(sbm, encoder, methods=("magic",)))
+
+    def test_csv_bytes_pinned(self, sbm, encoder, tmp_path):
+        # sha256 of results.csv, recorded before the numpy normalization was
+        # folded into the tape normalizer; any change to a method's numbers
+        # on this spec changes it
+        spec = tiny_spec(sbm, encoder, methods=("uniprompt", "gpf", "linear-probe"))
+        path = tmp_path / "results.csv"
+        run_experiment(spec).to_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
 
     def test_default_protocol_constants(self):
         assert DEFAULT_SEEDS == (42, 12345, 23344, 38108, 39788)

@@ -18,7 +18,7 @@ from uniprompt.encoder import (
     init_classifier,
     thaw,
 )
-from uniprompt.graphs import knn_prompt_init, symmetric_normalize
+from uniprompt.graphs import Graph, NormContext, knn_prompt_init
 from uniprompt.harness import evaluate, generate_sbm, sample_k_shot
 from uniprompt.pretrain import PretrainConfig, pretrain
 from uniprompt.prompt import (
@@ -26,7 +26,6 @@ from uniprompt.prompt import (
     METHOD_TABLE,
     METHODS,
     TuneConfig,
-    _NormContext,
     _union_with_graph,
     bootstrap_fuse,
     gate,
@@ -311,7 +310,7 @@ class TestLinearProbe:
         # reproduce linear probing exactly
         probe = run_method("linear-probe", sbm, encoder, train_ids(sbm), cfg)
 
-        adj = symmetric_normalize(sbm.adjacency(), add_self_loops=True)
+        adj = sbm.normalized_adjacency()
         x = ad.constant(sbm.features)
         clf = init_classifier(encoder.out_dim, cfg.clf_hidden, sbm.num_classes,
                               rng_stream("classifier-init", cfg.seed))
@@ -376,7 +375,7 @@ class TestFeaturePrompt:
         assert gpf.loss_history[0] == probe.loss_history[0]
 
     def test_prompt_gradient_matches_fd(self, sbm, encoder):
-        adj = symmetric_normalize(sbm.adjacency(), add_self_loops=True)
+        adj = sbm.normalized_adjacency()
         clf = init_classifier(encoder.out_dim, 8, sbm.num_classes,
                               rng_stream("classifier-init", 3))
         ids = train_ids(sbm)
@@ -422,7 +421,7 @@ class TestAblations:
     def test_discard_with_saturated_gates_collapses_to_chance(self, sbm, encoder):
         support = knn_prompt_init(sbm.features, 4)
         w = ad.parameter(np.full((support.nnz, 1), -5.0))  # gates ~ exp(-60)
-        ctx = _NormContext(support, add_self_loops=False)
+        ctx = NormContext(support, add_self_loops=False)
         adj = ctx.normalize(gate_values(w, 10.0))
         assert np.abs(adj.values.data).max() < 1e-12
         h = encode(encoder, adj, ad.constant(sbm.features))
@@ -458,6 +457,15 @@ class TestRunMethod:
     def test_unknown_method(self, sbm, encoder, cfg):
         with pytest.raises(ValueError, match="unknown method"):
             run_method("prompting", sbm, encoder, train_ids(sbm), cfg)
+
+    # discard_topo normalizes the kNN support alone, never the graph
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "ablate:discard_topo"])
+    def test_graph_self_loop_rejected(self, sbm, encoder, cfg, method):
+        looped = Graph(sbm.num_nodes, np.append(sbm.src, 0), np.append(sbm.dst, 0),
+                       np.append(sbm.weight, 1.0), sbm.features, sbm.labels,
+                       sbm.num_classes)
+        with pytest.raises(ValueError, match="already contains self-loops"):
+            run_method(method, looped, encoder, train_ids(sbm), cfg)
 
 
 # sha256 of float64 loss_history bytes then int64 predictions bytes, per
