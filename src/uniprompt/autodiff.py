@@ -6,6 +6,13 @@ so a fresh tape is built on every training step. Gradients flow only into
 subgraphs reachable from tensors created with ``requires_grad=True``;
 constant subgraphs are pruned at construction time and cost nothing at
 backward.
+
+``backward`` consumes its tape. A tape whose forward values reach
+``RELEASE_TAPE_BYTES`` is released while it is walked: each node's gradient,
+rule and parent links are dropped as soon as its rule has run, so every
+forward activation and gradient is freed once no remaining rule needs it.
+Smaller tapes are kept whole, because freeing many small buffers makes the
+allocator trim and refault its heap on every step.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import struct
 import numpy as np
 
 LOG_EPS = 1e-12  # additive floor inside log / l2-normalize
+RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
 
 # Ops with a registered backward rule. The finite-difference test sweep is
 # keyed off this tuple, so adding an op here without coverage fails the suite.
@@ -111,20 +119,25 @@ def backward(root, params=None):
     """Accumulate d(root)/d(leaf) through the tape in reverse topological order.
 
     Returns a dict mapping each tensor in ``params`` (if given) to its
-    gradient; tensors disconnected from ``root`` map to zeros. All visited
-    gradient accumulators are zero-initialized, and each node's rule runs
-    exactly once.
+    gradient; tensors disconnected from ``root`` map to zeros. Each node's
+    rule runs exactly once, and a gradient buffer is allocated as zeros on
+    the first contribution to it. The tape is consumed: when its forward
+    values total at least ``RELEASE_TAPE_BYTES``, every non-leaf node not in
+    ``params`` loses its gradient, rule and parent links once its rule has
+    run. Leaves and ``params`` entries keep their gradients either way.
     """
     if root.data.shape != (1, 1):
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
 
     topo = []
+    tape_bytes = 0
     visited = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
+            tape_bytes += node.data.nbytes
             continue
         if id(node) in visited:
             continue
@@ -135,12 +148,21 @@ def backward(root, params=None):
                 stack.append((parent, False))
 
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     root.grad = np.ones((1, 1))
+    release = tape_bytes >= RELEASE_TAPE_BYTES
+    named = {id(p) for p in params or ()}
 
-    for node in reversed(topo):
-        if node._backward_fn is not None:
-            node._backward_fn(node.grad)
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            continue
+        node._backward_fn(node.grad)
+        if release:
+            if id(node) not in named:
+                node.grad = None
+            node._backward_fn = None
+            node._parents = ()
 
     if params is None:
         return None

@@ -77,7 +77,7 @@ class Graph:
     """
 
     __slots__ = ("num_nodes", "src", "dst", "weight", "features", "labels", "num_classes", "name",
-                 "_adj", "_norm_adj")
+                 "_adj", "_norm_adj", "_knn")
 
     def __init__(self, num_nodes, src, dst, weight, features, labels, num_classes, name="graph"):
         self.num_nodes = int(num_nodes)
@@ -90,6 +90,7 @@ class Graph:
         self.name = name
         self._adj = None
         self._norm_adj = None
+        self._knn = {}
 
         order = np.lexsort((self.dst, self.src))
         self.src = self.src[order]
@@ -149,9 +150,19 @@ class Graph:
             self._norm_adj = symmetric_normalize(self.adjacency())
         return self._norm_adj
 
+    def knn_support(self, k):
+        """The exact kNN prompt support ``knn_prompt_init(features, k)``,
+        built once per ``k``."""
+        if k not in self._knn:
+            self._knn[k] = knn_prompt_init(self.features, k)
+        return self._knn[k]
+
     def with_features(self, features):
-        return Graph(self.num_nodes, self.src, self.dst, self.weight, features,
-                     self.labels, self.num_classes, name=self.name)
+        """The same edges with new features; the edge caches are shared."""
+        out = Graph(self.num_nodes, self.src, self.dst, self.weight, features,
+                    self.labels, self.num_classes, name=self.name)
+        out._adj, out._norm_adj = self._adj, self._norm_adj
+        return out
 
 
 def graph_from_pairs(num_nodes, pairs, features, labels, num_classes, name="graph"):
@@ -325,6 +336,13 @@ def symmetric_normalize(adj):
 
 
 def _normalized_rows(x):
+    """Rows scaled to unit norm; zero rows stay zero. A row whose largest
+    magnitude lies outside [2**-500, 2**500] is first divided by it, so its
+    squares neither underflow nor overflow inside the norm."""
+    peak = np.abs(x).max(axis=1, keepdims=True)
+    extreme = (peak > 0) & ((peak < 2.0**-500) | (peak > 2.0**500))
+    if extreme.any():
+        x = np.where(extreme, x / np.where(extreme, peak, 1.0), x)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     out = np.zeros_like(x)
     np.divide(x, norms, out=out, where=norms > 0)
@@ -332,19 +350,20 @@ def _normalized_rows(x):
 
 
 def _topk_per_row(sims, k, col_ids, self_col):
-    """Indices of the k largest entries per row, self column excluded; ties
-    broken by the smaller column id (stable sort on descending value)."""
+    """Row, column and value of the k largest entries per row, self column
+    excluded: every entry above the k-th largest value, then the entries
+    equal to it with the smallest column ids."""
     has_self = self_col >= 0
     if (sims.shape[1] - has_self).min() < k:
         raise ValueError("k out of range")
     neg = -sims
     neg[has_self, self_col[has_self]] = np.inf
-    top = np.argsort(neg, axis=1, kind="stable")[:, :k]
-    return (
-        np.repeat(np.arange(sims.shape[0]), k),
-        col_ids[top].reshape(-1),
-        np.take_along_axis(sims, top, axis=1).reshape(-1),
-    )
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    above = neg < kth
+    ties = neg == kth
+    ties &= np.cumsum(ties, axis=1) <= k - above.sum(axis=1, keepdims=True)
+    rows, top = np.nonzero(above | ties)
+    return rows, col_ids[top], sims[rows, top]
 
 
 def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):

@@ -66,16 +66,12 @@ class TuneConfig:
         return self
 
 
-def gate(w, alpha):
-    """ELU(w * alpha - alpha) + 1: smooth, positive, monotone in w."""
+def gate_values(w, alpha):
+    """ELU(w * alpha - alpha) + 1 per entry of a (nnz, 1) weight tensor:
+    smooth, non-negative and non-decreasing in w, exactly 1 at w = 1.
+    Deeply negative weights give exactly 0.0 (expm1 rounds to -1)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    z = w * alpha - alpha
-    return z + 1.0 if z > 0 else math.exp(z)
-
-
-def gate_values(w, alpha):
-    """Tape version of the gate for a (nnz, 1) weight tensor."""
     z = ad.add(ad.scalar_scale(w, alpha), ad.constant(np.array([[-alpha]])))
     return ad.add(ad.elu(z), ad.constant(np.array([[1.0]])))
 
@@ -183,15 +179,18 @@ def _train_loop(cfg, step_fn):
 
 
 def _prompt_support(graph, cfg, topology):
+    """The run's prompt support: the graph's cached exact kNN support, a
+    sampled kNN drawn for this run, or a random support with as many entries
+    as the exact kNN."""
     if topology == "random":
-        knn = knn_prompt_init(graph.features, cfg.k)
+        knn = graph.knn_support(cfg.k)
         return random_support_like(knn, graph.num_nodes, rng_stream("prompt-init", cfg.seed))
     if cfg.knn_sample is not None:
         sample_seed = int(rng_stream("prompt-init", cfg.seed).integers(2**31))
         return knn_prompt_init(
             graph.features, cfg.k, sample_size=cfg.knn_sample, seed=sample_seed
         )
-    return knn_prompt_init(graph.features, cfg.k)
+    return graph.knn_support(cfg.k)
 
 
 def _graph_prompt(topology, integration):

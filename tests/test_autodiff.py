@@ -71,6 +71,30 @@ class TestBackward:
 
         assert np.array_equal(run(), run())
 
+    def test_large_tape_is_released_small_tape_kept(self, monkeypatch):
+        def run():
+            w = ad.parameter(np.linspace(-1, 1, 6).reshape(2, 3))
+            x = ad.parameter(np.ones((3, 2)))
+            h = ad.matmul(w, x)
+            mid = ad.tanh(h)
+            loss = ad.sum_all(mid)
+            grads = ad.backward(loss, params=[w, mid])
+            return w, x, h, mid, loss, grads
+
+        w, x, h, mid, loss, kept = run()
+        assert all(t.grad is not None for t in (w, x, h, mid, loss))
+        assert h._backward_fn is not None and h._parents == (w, x)
+
+        monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", 0)
+        w, x, h, mid, loss, released = run()
+        for node in (h, mid, loss):
+            assert node._backward_fn is None and node._parents == ()
+        assert h.grad is None and loss.grad is None
+        # the leaves and the tensors named in params keep their gradients
+        assert x.grad is not None
+        assert released[mid] is mid.grad and released[w] is w.grad
+        assert all(np.array_equal(a, b) for a, b in zip(kept.values(), released.values()))
+
 
 class TestFiniteDifferences:
     def test_every_registered_op_has_a_case(self):

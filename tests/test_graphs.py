@@ -217,6 +217,12 @@ class TestCosineSimilarity:
         assert s1 == pytest.approx(s2, abs=1e-12)
         assert -1.0 - 1e-12 <= s1 <= 1.0 + 1e-12
 
+    def test_extreme_magnitudes_keep_unit_similarity(self):
+        # squares of 1e-159 underflow and of 1e300 overflow inside the norm;
+        # unrescaled, these pairs read 1.00000093 and 0.0
+        assert knn_similarity([1.0551537179735328e-159, 0.0], [1.0, 0.0]) == 1.0
+        assert knn_similarity([1e300, 0.0], [1.0, 0.0]) == 1.0
+
 
 class TestKnnPromptInit:
     def test_three_node_example(self):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from uniprompt import autodiff as ad
 from uniprompt.graphs import edge_homophily
 from uniprompt.harness import (
     DEFAULT_RUNS,
@@ -206,14 +207,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment(tiny_spec(sbm, encoder, methods=("magic",)))
 
-    def test_csv_bytes_pinned(self, sbm, encoder, tmp_path):
+    def test_csv_bytes_pinned(self, sbm, encoder, tmp_path, monkeypatch):
         # sha256 of results.csv, recorded before the numpy normalization was
         # folded into the tape normalizer; any change to a method's numbers
-        # on this spec changes it
+        # on this spec changes it, on the kept and on the released tape
         spec = tiny_spec(sbm, encoder, methods=("uniprompt", "gpf", "linear-probe"))
         path = tmp_path / "results.csv"
-        run_experiment(spec).to_csv(path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
+        for limit in (ad.RELEASE_TAPE_BYTES, 0):
+            monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+            run_experiment(spec).to_csv(path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256, limit
 
     def test_default_protocol_constants(self):
         assert DEFAULT_SEEDS == (42, 12345, 23344, 38108, 39788)
@@ -260,6 +263,17 @@ class TestNoiseRobustness:
     def test_three_levels_three_sections(self, sbm, encoder):
         table = noise_robustness([0.0, 0.01, 0.2], tiny_spec(sbm, encoder))
         assert {r.param for r in table.records} == {0.0, 0.01, 0.2}
+
+    def test_noisy_graphs_share_the_graph_operator(self, sbm, encoder, monkeypatch):
+        import uniprompt.graphs as graphs_mod
+
+        sbm.normalized_adjacency()
+        calls = []
+        real = graphs_mod.symmetric_normalize
+        monkeypatch.setattr(graphs_mod, "symmetric_normalize",
+                            lambda adj: calls.append(1) or real(adj))
+        noise_robustness([0.1], tiny_spec(sbm, encoder))
+        assert calls == []
 
     def test_negative_level_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="non-negative"):
