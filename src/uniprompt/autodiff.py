@@ -13,6 +13,10 @@ rule and parent links are dropped as soon as its rule has run, so every
 forward activation and gradient is freed once no remaining rule needs it.
 Smaller tapes are kept whole, because freeing many small buffers makes the
 allocator trim and refault its heap on every step.
+
+``info_nce`` is GRACE's contrastive loss fused into one node. Built from the
+small ops, its n x n similarity and exp matrices would sit on the tape until
+backward; the fused node holds three of them and gives the same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ REGISTERED_OPS = (
     "exp",
     "gather_rows",
     "hadamard",
+    "info_nce",
     "l2_normalize_rows",
     "log",
     "matmul",
@@ -48,9 +53,7 @@ REGISTERED_OPS = (
     "sigmoid",
     "softplus",
     "spmm",
-    "sum_all",
     "take_diag",
-    "tanh",
     "transpose",
 )
 
@@ -267,14 +270,6 @@ def row_sum(a):
     return _node(a.data.sum(axis=1, keepdims=True), (a,), bw)
 
 
-def sum_all(a):
-    def bw(go):
-        if a.requires_grad:
-            _accum(a, np.full_like(a.data, go[0, 0]))
-
-    return _node(a.data.sum().reshape(1, 1), (a,), bw)
-
-
 def concat_rows(a, b):
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"concat_rows width mismatch: {a.shape} vs {b.shape}")
@@ -402,16 +397,6 @@ def sigmoid(a):
     return _node(out_data, (a,), bw)
 
 
-def tanh(a):
-    out_data = np.tanh(a.data)
-
-    def bw(go):
-        if a.requires_grad:
-            _accum(a, go * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), bw)
-
-
 def exp(a):
     out_data = np.exp(a.data)
 
@@ -499,6 +484,90 @@ def cross_entropy(logits, targets):
             _accum(logits, go[0, 0] * g / n)
 
     return _node(out_data, (logits,), bw)
+
+
+def info_nce(z1, z2, temperature):
+    """Symmetric InfoNCE of two (n, d) views as one tape node.
+
+    With s_ab = z_a z_b^T / t, direction 1 scores row i by
+    log(sum_j exp(s12_ij) + sum_{j != i} exp(s11_ij) + 1e-12) - s12_ii,
+    direction 2 likewise with s12^T and s22, and the loss is half the sum of
+    the two row means. Views should be row-normalized, as GRACE's are: the
+    intra term subtracts exp(s_ii) from its row sum, which cancels when
+    s_ii dominates the row.
+
+    Composed from exp, log, take_diag and the other ops, this loss leaves ten
+    n x n matrices on the tape. This node keeps three, exp(s12), exp(s11) and
+    exp(s22), computed in place and freed as backward uses them. Forward and
+    backward run the composed tape's numpy calls on arrays of the same layout
+    and accumulate in the order it does, so values and gradients are the same
+    bits as the composition (pinned in tests against it). ``+ 0.0`` stands
+    for a first accumulation ``zeros + g``, which turns -0.0 into +0.0.
+    """
+    if z1.shape != z2.shape:
+        raise ValueError(f"info_nce views differ in shape: {z1.shape} vs {z2.shape}")
+    n = z1.shape[0]
+    inv_t = 1.0 / temperature
+    e12 = z1.data @ z2.data.T
+    e11 = z1.data @ z1.data.T
+    e22 = z2.data @ z2.data.T
+    for m in (e12, e11, e22):
+        np.multiply(m, inv_t, out=m)
+    # the diagonal terms read the scaled products before the in-place exp
+    neg_pos = np.diag(e12).reshape(-1, 1) * -1.0
+    exp_diag = [np.exp(np.diag(m).reshape(-1, 1)) for m in (e11, e22)]
+    for m in (e12, e11, e22):
+        np.exp(m, out=m)
+    # exp(s12^T) is exp(s12).T bit for bit, with the same strides
+    shifted, halves = [], []
+    for cross, intra, ed in ((e12, e11, exp_diag[0]), (e12.T, e22, exp_diag[1])):
+        denom = cross.sum(axis=1, keepdims=True) + (
+            intra.sum(axis=1, keepdims=True) + ed * -1.0)
+        shifted.append(denom + LOG_EPS)
+        halves.append((np.log(shifted[-1]) + neg_pos).mean(axis=0, keepdims=True))
+    out_data = (halves[0] + halves[1]) * 0.5
+    saved = [e12, e11, e22]
+
+    def bw(go):
+        e12, e11, e22 = saved
+        saved.clear()
+        diagonal = lambda m: m.reshape(-1)[:: n + 1]  # a view of a C-order n x n
+        g_diff = np.repeat(go * 0.5 + 0.0, n, axis=0) / n + 0.0
+        g_pos = (g_diff * -1.0 + 0.0)[:, 0]
+        g_denom = [g_diff / sh + 0.0 for sh in shifted]
+        acc = [None, None]
+        # intra terms: s_zz gets its exp term, then its diagonal term
+        for k, (z, g) in enumerate(((z1, e11), (z2, e22))):
+            if z.requires_grad:
+                np.multiply(g, g_denom[k], out=g)
+                g += 0.0
+                diagonal(g)[:] += ((g_denom[k] * -1.0 + 0.0) * exp_diag[k] + 0.0)[:, 0]
+                np.multiply(g, inv_t, out=g)
+                g += 0.0
+                acc[k] = g @ z.data + 0.0
+                acc[k] += (z.data.T @ g).T
+        del e11, e22, g
+        # cross term: s12 gets direction 1's exp and diagonal terms, then the
+        # transpose of what direction 2 gave s12^T
+        g = e12 * g_denom[0]
+        g += 0.0
+        diag = diagonal(g) + g_pos
+        np.multiply(e12, g_denom[1].T, out=e12)
+        e12 += 0.0
+        diag += diagonal(e12) + g_pos
+        g += e12
+        del e12
+        diagonal(g)[:] = diag
+        np.multiply(g, inv_t, out=g)
+        g += 0.0
+        if z1.requires_grad:
+            acc[0] += g @ z2.data
+            _accum(z1, acc[0])
+        if z2.requires_grad:
+            acc[1] += (z1.data.T @ g).T
+            _accum(z2, acc[1])
+
+    return _node(out_data, (z1, z2), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -630,4 +699,6 @@ def load_checkpoint(path):
             if len(payload) != count * 8:
                 raise ValueError(f"truncated checkpoint payload for '{name}'")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError("trailing bytes after the checkpoint payload")
     return out

@@ -123,23 +123,27 @@ def _activate(x, layer, frozen):
     return x
 
 
-def encode(encoder, adj_norm, x):
+def encode(encoder, adj_norm, x, xw1=None):
     """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2).
 
     ``adj_norm`` is a symmetric-normalized SparseAdj (constant) or a
     SparseTensor whose values carry prompt gradients. A frozen encoder's
     parameters enter the tape as detached constants, so gradients still flow
-    through the adjacency values but never into the weights.
+    through the adjacency values but never into the weights. ``xw1``, if
+    given, stands in for layer 1's ``X @ W1``: a caller with a frozen encoder
+    and constant features computes that product once for many forwards.
     """
     if not isinstance(x, ad.Tensor):
         x = ad.constant(x)
     if x.shape[1] != encoder.in_dim:
         raise ValueError(f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
     h = x
-    for layer in (encoder.layer1, encoder.layer2):
+    for layer, hw in ((encoder.layer1, xw1), (encoder.layer2, None)):
         weight = layer.weight.detach() if encoder.frozen else layer.weight
         bias = layer.bias.detach() if encoder.frozen else layer.bias
-        h = ad.add(ad.spmm(adj_norm, ad.matmul(h, weight)), bias)
+        if hw is None:
+            hw = ad.matmul(h, weight)
+        h = ad.add(ad.spmm(adj_norm, hw), bias)
         h = _activate(h, layer, encoder.frozen)
     return h
 
@@ -249,4 +253,7 @@ def load_encoder(path):
         )
 
     enc = Encoder(build_layer("layer1"), build_layer("layer2"), frozen=True)
+    for key in ("in_dim", "hidden_dim", "out_dim"):
+        if meta.get(key) != getattr(enc, key):
+            raise ValueError(f"sidecar {key} {meta.get(key)} != checkpoint {getattr(enc, key)}")
     return enc, meta

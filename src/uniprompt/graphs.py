@@ -69,6 +69,17 @@ class SparseAdj:
         return SparseAdj(self.n, self.indptr, self.indices, values)
 
 
+class _EdgeCache:
+    """Operators built from one edge set, filled on first use and shared by
+    every ``Graph`` that ``with_features`` derives from the same edges."""
+
+    __slots__ = ("adj", "norm_adj")
+
+    def __init__(self):
+        self.adj = None
+        self.norm_adj = None
+
+
 class Graph:
     """An immutable node-attributed graph with a symmetric adjacency.
 
@@ -77,7 +88,7 @@ class Graph:
     """
 
     __slots__ = ("num_nodes", "src", "dst", "weight", "features", "labels", "num_classes", "name",
-                 "_adj", "_norm_adj", "_knn")
+                 "_edges", "_knn")
 
     def __init__(self, num_nodes, src, dst, weight, features, labels, num_classes, name="graph"):
         self.num_nodes = int(num_nodes)
@@ -88,8 +99,7 @@ class Graph:
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
         self.name = name
-        self._adj = None
-        self._norm_adj = None
+        self._edges = _EdgeCache()
         self._knn = {}
 
         order = np.lexsort((self.dst, self.src))
@@ -140,15 +150,17 @@ class Graph:
         return offdiag + int((self.src == self.dst).sum())
 
     def adjacency(self):
-        if self._adj is None:
-            self._adj = SparseAdj.from_coo(self.num_nodes, self.src, self.dst, self.weight)
-        return self._adj
+        edges = self._edges
+        if edges.adj is None:
+            edges.adj = SparseAdj.from_coo(self.num_nodes, self.src, self.dst, self.weight)
+        return edges.adj
 
     def normalized_adjacency(self):
         """The GCN operator D^(-1/2) (A + I) D^(-1/2) of ``adjacency()``."""
-        if self._norm_adj is None:
-            self._norm_adj = symmetric_normalize(self.adjacency())
-        return self._norm_adj
+        edges = self._edges
+        if edges.norm_adj is None:
+            edges.norm_adj = symmetric_normalize(self.adjacency())
+        return edges.norm_adj
 
     def knn_support(self, k):
         """The exact kNN prompt support ``knn_prompt_init(features, k)``,
@@ -158,10 +170,12 @@ class Graph:
         return self._knn[k]
 
     def with_features(self, features):
-        """The same edges with new features; the edge caches are shared."""
+        """The same edges with new features. The edge operators are shared
+        both ways: whichever graph builds one first builds it for all. The
+        kNN support depends on the features and stays per graph."""
         out = Graph(self.num_nodes, self.src, self.dst, self.weight, features,
                     self.labels, self.num_classes, name=self.name)
-        out._adj, out._norm_adj = self._adj, self._norm_adj
+        out._edges = self._edges
         return out
 
 

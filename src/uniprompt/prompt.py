@@ -208,6 +208,8 @@ def _graph_prompt(topology, integration):
             ctx = NormContext(union, add_self_loops=True)
         a_union = ad.constant(union.data.reshape(-1, 1))
         x = ad.constant(graph.features)
+        # X and the frozen W1 never change, so layer 1's product is built once
+        xw1 = ad.matmul(x, encoder.layer1.weight.detach())
         fused = union.data.reshape(-1, 1)  # A_hat^(t) of the bootstrap path
 
         def represent(training):
@@ -224,7 +226,7 @@ def _graph_prompt(topology, integration):
                     values = ad.add(a_union, ad.segment_sum(gates, positions, union.nnz))
                 else:
                     values = gates
-            return encode(encoder, ctx.normalize(values), x)
+            return encode(encoder, ctx.normalize(values), x, xw1=xw1)
 
         return [w], represent
 

@@ -8,7 +8,7 @@ import pytest
 from uniprompt import autodiff as ad
 from uniprompt.graphs import SparseAdj
 
-from fd_utils import OP_CASES, fd_check_op
+from fd_utils import OP_CASES, fd_check_op, total
 
 
 class TestTensor:
@@ -39,21 +39,21 @@ class TestBackward:
         # root = sum(W @ h): grad of W is h broadcast across rows
         w = ad.parameter(np.zeros((3, 4)))
         h = np.arange(4.0).reshape(4, 1)
-        loss = ad.sum_all(ad.matmul(w, ad.constant(h)))
+        loss = total(ad.matmul(w, ad.constant(h)))
         ad.backward(loss)
         assert np.allclose(w.grad, np.tile(h.T, (3, 1)))
 
     def test_disconnected_parameter_gets_zero_gradient(self):
         p = ad.parameter(np.ones((2, 2)))
         q = ad.parameter(np.ones((2, 2)))
-        loss = ad.sum_all(p)
+        loss = total(p)
         grads = ad.backward(loss, params=[p, q])
         assert np.allclose(grads[q], 0.0)
         assert np.allclose(grads[p], 1.0)
 
     def test_reused_node_accumulates_once_per_path(self):
         p = ad.parameter(np.full((1, 1), 3.0))
-        loss = ad.sum_all(ad.add(p, p))  # d/dp (2p) = 2
+        loss = total(ad.add(p, p))  # d/dp (2p) = 2
         ad.backward(loss)
         assert p.grad[0, 0] == pytest.approx(2.0)
 
@@ -65,7 +65,7 @@ class TestBackward:
     def test_repeated_backward_on_fresh_tapes_is_deterministic(self):
         def run():
             p = ad.parameter(np.linspace(-1, 1, 6).reshape(2, 3))
-            loss = ad.sum_all(ad.tanh(ad.matmul(p, ad.constant(np.ones((3, 2))))))
+            loss = total(ad.sigmoid(ad.matmul(p, ad.constant(np.ones((3, 2))))))
             ad.backward(loss)
             return p.grad.copy()
 
@@ -76,8 +76,8 @@ class TestBackward:
             w = ad.parameter(np.linspace(-1, 1, 6).reshape(2, 3))
             x = ad.parameter(np.ones((3, 2)))
             h = ad.matmul(w, x)
-            mid = ad.tanh(h)
-            loss = ad.sum_all(mid)
+            mid = ad.sigmoid(h)
+            loss = total(mid)
             grads = ad.backward(loss, params=[w, mid])
             return w, x, h, mid, loss, grads
 
@@ -103,6 +103,63 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("name", sorted(ad.REGISTERED_OPS))
     def test_analytic_matches_central_differences(self, name):
         assert fd_check_op(name, instances=5) <= 0.0
+
+
+def composed_info_nce(z1, z2, temperature):
+    """The symmetric InfoNCE as GRACE built it from small ops before the
+    fused ``ad.info_nce``: the oracle that op must match bit for bit."""
+    inv_t = 1.0 / temperature
+    s12 = ad.scalar_scale(ad.matmul(z1, ad.transpose(z2)), inv_t)
+    s11 = ad.scalar_scale(ad.matmul(z1, ad.transpose(z1)), inv_t)
+    s22 = ad.scalar_scale(ad.matmul(z2, ad.transpose(z2)), inv_t)
+
+    def directed(cross, intra):
+        pos = ad.take_diag(cross)
+        denom = ad.add(
+            ad.row_sum(ad.exp(cross)),
+            ad.sub(ad.row_sum(ad.exp(intra)), ad.exp(ad.take_diag(intra))),
+        )
+        return ad.row_mean(ad.sub(ad.log(denom), pos))
+
+    return ad.scalar_scale(
+        ad.add(directed(s12, s11), directed(ad.transpose(s12), s22)), 0.5
+    )
+
+
+class TestInfoNce:
+    @staticmethod
+    def loss_and_grads(loss_fn, a, b, temperature, normalize, requires=(True, True)):
+        leaves = [ad.Tensor(x, requires_grad=r) for x, r in zip((a, b), requires)]
+        views = [ad.l2_normalize_rows(t) if normalize else t for t in leaves]
+        loss = loss_fn(*views, temperature)
+        ad.backward(loss)
+        return [loss.data] + [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("limit", [ad.RELEASE_TAPE_BYTES, 0])
+    @pytest.mark.parametrize("n, d", [(2, 3), (7, 4), (60, 16)])
+    def test_bit_identical_to_composed_ops(self, monkeypatch, n, d, limit):
+        monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+        rng = np.random.default_rng([n, d])
+        for temperature in (0.2, 0.5, 1.0):
+            for normalize in (True, False):
+                a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+                fused = self.loss_and_grads(ad.info_nce, a, b, temperature, normalize)
+                oracle = self.loss_and_grads(composed_info_nce, a, b, temperature, normalize)
+                for got, want in zip(fused, oracle):
+                    assert np.array_equal(got, want), (temperature, normalize)
+
+    @pytest.mark.parametrize("requires", [(True, False), (False, True)])
+    def test_one_sided_gradient_matches_composed_ops(self, requires):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+        fused = self.loss_and_grads(ad.info_nce, a, b, 0.5, False, requires)
+        oracle = self.loss_and_grads(composed_info_nce, a, b, 0.5, False, requires)
+        for got, want in zip(fused, oracle):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            ad.info_nce(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 2))), 0.5)
 
 
 class TestOpValues:
@@ -200,7 +257,7 @@ class TestAdam:
         state = ad.AdamState([p], lr=0.1)
         for _ in range(100):
             diff = ad.add(p, ad.constant(np.array([[-3.0]])))
-            loss = ad.sum_all(ad.hadamard(diff, diff))
+            loss = total(ad.hadamard(diff, diff))
             ad.backward(loss)
             ad.adam_step(state)
             p.grad = None
@@ -246,4 +303,11 @@ class TestCheckpoints:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            ad.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        ad.save_checkpoint(path, {"x": np.ones((2, 2))})
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ValueError, match="trailing"):
             ad.load_checkpoint(path)

@@ -110,6 +110,25 @@ def test_zero_epochs_writes_null_loss(workspace, capsys):
     assert record["final_loss"] is None
 
 
+@pytest.mark.parametrize("damage, message", [("trailing-bytes", "trailing bytes"),
+                                             ("sidecar-dims", "sidecar hidden_dim")])
+def test_damaged_checkpoint_exits_one(workspace, capsys, tmp_path, damage, message):
+    bundle, checkpoint, config = workspace
+    copy = tmp_path / "enc.ckpt"
+    payload = checkpoint.read_bytes()
+    sidecar = json.loads(Path(str(checkpoint) + ".json").read_text())
+    if damage == "trailing-bytes":
+        payload += b"garbage"
+    else:
+        sidecar["hidden_dim"] += 1
+    copy.write_bytes(payload)
+    Path(str(copy) + ".json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert dispatch(["tune", "--method", "gpf", "--encoder", str(copy), "--dataset",
+                     str(bundle), "--shot", "1", "--config", str(config)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def misuses(bundle, checkpoint, config):
     """Argument lists each verb must reject: a missing --out where the verb
     writes a file, and shared flags the verb does not read."""

@@ -275,6 +275,19 @@ class TestNoiseRobustness:
         noise_robustness([0.1], tiny_spec(sbm, encoder))
         assert calls == []
 
+    def test_fresh_graph_builds_the_operator_once_per_cell(self, encoder, monkeypatch):
+        # the first noisy run builds the operator for every graph on these edges
+        import uniprompt.graphs as graphs_mod
+
+        fresh = generate_sbm(60, 3, 0.3, 0.05, 8, 3.0, seed=4)
+        calls = []
+        real = graphs_mod.symmetric_normalize
+        monkeypatch.setattr(graphs_mod, "symmetric_normalize",
+                            lambda adj: calls.append(1) or real(adj))
+        noise_robustness([0.1, 0.2], tiny_spec(fresh, encoder))
+        fresh.normalized_adjacency()  # built by the noisy runs for the base graph too
+        assert len(calls) == 1
+
     def test_negative_level_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="non-negative"):
             noise_robustness([-0.1], tiny_spec(sbm, encoder))

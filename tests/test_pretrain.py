@@ -207,18 +207,36 @@ class TestPretrainPin:
             assert (digest, encoder_checkpoint_hash(enc)) == PINNED_PRETRAIN[objective], limit
 
 
-def test_released_tape_lowers_grace_peak_memory(monkeypatch):
-    # one GRACE epoch on a 600-node SBM: the released tape peaked at 0.61x
-    # the kept tape's traced bytes (39.3 vs 64.4 MiB)
-    g = generate_sbm(600, 3, 0.05, 0.01, 32, 3.0, seed=0)
-    cfg = small_cfg("grace", epochs=1, hidden_dim=16, embed_dim=16)
+def traced_peak(graph, cfg):
+    """Peak bytes traced by tracemalloc over one ``pretrain`` call."""
+    tracemalloc.start()
+    try:
+        pretrain(graph, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sbm600():
+    return generate_sbm(600, 3, 0.05, 0.01, 32, 3.0, seed=0)
+
+
+def test_released_tape_lowers_graphmae_peak_memory(sbm600, monkeypatch):
+    # one GraphMAE epoch: the released tape peaked at 0.61x the kept tape's
+    # traced bytes (2.65 vs 4.39 MiB)
+    cfg = small_cfg("graphmae", epochs=1, hidden_dim=16, embed_dim=16)
     peaks = {}
     for limit in (2**62, 0):
         monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
-        tracemalloc.start()
-        try:
-            pretrain(g, cfg)
-            peaks[limit] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[limit] = traced_peak(sbm600, cfg)
     assert peaks[0] < 0.75 * peaks[2**62]
+
+
+def test_fused_infonce_bounds_grace_peak_memory(sbm600):
+    # one GRACE epoch peaked at 12.0 MiB traced, about 4.4 n x n float64
+    # matrices: the loss node holds three. Composed from small ops, the loss
+    # peaked at 64.4 MiB with the tape kept and 39.3 MiB released.
+    cfg = small_cfg("grace", epochs=1, hidden_dim=16, embed_dim=16)
+    n = sbm600.num_nodes
+    assert traced_peak(sbm600, cfg) < 5 * n * n * 8

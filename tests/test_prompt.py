@@ -34,6 +34,8 @@ from uniprompt.prompt import (
 )
 from uniprompt.seeds import rng_stream
 
+from fd_utils import total
+
 
 @pytest.fixture(scope="module")
 def sbm():
@@ -131,7 +133,7 @@ class TestBuildPromptAdj:
             w = ad.Tensor(wdata.reshape(-1, 1), requires_grad=with_tape)
             vals = gate_values(w, cfg.alpha)
             out = ad.spmm(ad.SparseTensor(support, vals), ad.constant(x))
-            return ad.sum_all(ad.tanh(out)), w
+            return total(ad.sigmoid(out)), w
 
         w0 = np.linspace(0.5, 1.5, support.nnz)
         loss, w = loss_of(w0, True)
@@ -477,6 +479,18 @@ class TestRunMethod:
         for method in ("uniprompt", "ablate:random_topo", "ablate:simple_add", "uniprompt"):
             run_method(method, g, encoder, train_ids(g), replace(cfg, max_epochs=2))
         assert calls == [cfg.k]
+
+    def test_first_layer_product_built_once_per_run(self, sbm, encoder, cfg, monkeypatch):
+        features = []
+        real = ad.matmul
+        monkeypatch.setattr(ad, "matmul",
+                            lambda a, b: features.append(a.data is sbm.features) or real(a, b))
+        for method in ("uniprompt", *(f"ablate:{v}" for v in ABLATION_VARIANTS)):
+            features.clear()
+            result = run_method(method, sbm, encoder, train_ids(sbm),
+                                replace(cfg, max_epochs=4, patience=10))
+            assert result.epochs_run == 4
+            assert features.count(True) == 1, method
 
     def test_unknown_method(self, sbm, encoder, cfg):
         with pytest.raises(ValueError, match="unknown method"):
