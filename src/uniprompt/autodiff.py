@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-LOG_EPS = 1e-12  # additive floor inside log / l2-normalize
+LOG_EPS = 1e-12  # additive floor inside info_nce's log / l2-normalize
 RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
 
 # Ops with a registered backward rule. The finite-difference test sweep is
@@ -36,12 +36,10 @@ REGISTERED_OPS = (
     "concat_rows",
     "cross_entropy",
     "elu",
-    "exp",
     "gather_rows",
     "hadamard",
     "info_nce",
     "l2_normalize_rows",
-    "log",
     "matmul",
     "power",
     "prelu",
@@ -53,7 +51,6 @@ REGISTERED_OPS = (
     "sigmoid",
     "softplus",
     "spmm",
-    "take_diag",
     "transpose",
 )
 
@@ -325,20 +322,6 @@ def segment_sum(a, seg_ids, num_segments):
     return _node(out_data, (a,), bw)
 
 
-def take_diag(a):
-    n, c = a.shape
-    if n != c:
-        raise ValueError(f"take_diag needs a square tensor, got {a.shape}")
-
-    def bw(go):
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.fill_diagonal(g, go[:, 0])
-            _accum(a, g)
-
-    return _node(np.diag(a.data).reshape(-1, 1), (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -395,27 +378,6 @@ def sigmoid(a):
             _accum(a, go * out_data * (1.0 - out_data))
 
     return _node(out_data, (a,), bw)
-
-
-def exp(a):
-    out_data = np.exp(a.data)
-
-    def bw(go):
-        if a.requires_grad:
-            _accum(a, go * out_data)
-
-    return _node(out_data, (a,), bw)
-
-
-def log(a):
-    """log(x + 1e-12); the floor keeps zero inputs finite."""
-    shifted = a.data + LOG_EPS
-
-    def bw(go):
-        if a.requires_grad:
-            _accum(a, go / shifted)
-
-    return _node(np.log(shifted), (a,), bw)
 
 
 def softplus(a):
@@ -496,8 +458,8 @@ def info_nce(z1, z2, temperature):
     intra term subtracts exp(s_ii) from its row sum, which cancels when
     s_ii dominates the row.
 
-    Composed from exp, log, take_diag and the other ops, this loss leaves ten
-    n x n matrices on the tape. This node keeps three, exp(s12), exp(s11) and
+    Composed from elementwise exp and log, a diagonal pick and the other ops,
+    this loss leaves ten n x n matrices on the tape. This node keeps three, exp(s12), exp(s11) and
     exp(s22), computed in place and freed as backward uses them. Forward and
     backward run the composed tape's numpy calls on arrays of the same layout
     and accumulate in the order it does, so values and gradients are the same

@@ -83,18 +83,17 @@ class _EdgeCache:
 class Graph:
     """An immutable node-attributed graph with a symmetric adjacency.
 
-    Edges are stored as directed entries in canonical (src, dst) order; the
-    invariant is that (i, j) is present iff (j, i) is, with equal weight.
+    Edges are unweighted directed entries in canonical (src, dst) order; the
+    invariant is that (i, j) is present iff (j, i) is.
     """
 
-    __slots__ = ("num_nodes", "src", "dst", "weight", "features", "labels", "num_classes", "name",
+    __slots__ = ("num_nodes", "src", "dst", "features", "labels", "num_classes", "name",
                  "_edges", "_knn")
 
-    def __init__(self, num_nodes, src, dst, weight, features, labels, num_classes, name="graph"):
+    def __init__(self, num_nodes, src, dst, features, labels, num_classes, name="graph"):
         self.num_nodes = int(num_nodes)
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
-        self.weight = np.asarray(weight, dtype=np.float64)
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
@@ -105,31 +104,26 @@ class Graph:
         order = np.lexsort((self.dst, self.src))
         self.src = self.src[order]
         self.dst = self.dst[order]
-        self.weight = self.weight[order]
         self._validate()
-        for arr in (self.src, self.dst, self.weight, self.features):
+        for arr in (self.src, self.dst, self.features):
             arr.flags.writeable = False
         if self.labels is not None:
             self.labels.flags.writeable = False
 
     def _validate(self):
         n = self.num_nodes
-        if self.src.shape != self.dst.shape or self.src.shape != self.weight.shape:
+        if self.src.shape != self.dst.shape:
             raise ValueError("edge arrays must be parallel")
         if self.src.size:
             if self.src.min() < 0 or self.src.max() >= n or self.dst.min() < 0 or self.dst.max() >= n:
                 raise ValueError("edge index out of range")
-        if not np.isfinite(self.weight).all() or (self.weight < 0).any():
-            raise ValueError("edge weights must be finite and non-negative")
         pairs = self.src * n + self.dst
         if np.unique(pairs).size != pairs.size:
             raise ValueError("duplicate edges")
-        # symmetry: the transposed pair set must match with equal weights
+        # symmetry: the transposed pair set must match
         rev = np.lexsort((self.src, self.dst))
         if not np.array_equal(self.dst[rev], self.src) or not np.array_equal(self.src[rev], self.dst):
             raise ValueError("adjacency must be symmetric")
-        if not np.array_equal(self.weight[rev], self.weight):
-            raise ValueError("adjacency must be symmetric in weights")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError("features must be an N x F matrix")
         if not np.isfinite(self.features).all():
@@ -152,7 +146,8 @@ class Graph:
     def adjacency(self):
         edges = self._edges
         if edges.adj is None:
-            edges.adj = SparseAdj.from_coo(self.num_nodes, self.src, self.dst, self.weight)
+            edges.adj = SparseAdj.from_coo(self.num_nodes, self.src, self.dst,
+                                           np.ones(self.src.size))
         return edges.adj
 
     def normalized_adjacency(self):
@@ -173,15 +168,15 @@ class Graph:
         """The same edges with new features. The edge operators are shared
         both ways: whichever graph builds one first builds it for all. The
         kNN support depends on the features and stays per graph."""
-        out = Graph(self.num_nodes, self.src, self.dst, self.weight, features,
+        out = Graph(self.num_nodes, self.src, self.dst, features,
                     self.labels, self.num_classes, name=self.name)
         out._edges = self._edges
         return out
 
 
 def graph_from_pairs(num_nodes, pairs, features, labels, num_classes, name="graph"):
-    """Build a Graph from directed (src, dst) pairs, symmetrized by union
-    with unit weights; self-loops dropped."""
+    """Build a Graph from directed (src, dst) pairs, symmetrized by union;
+    self-loops dropped."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.size:
         if pairs.min() < 0 or pairs.max() >= num_nodes:
@@ -193,8 +188,7 @@ def graph_from_pairs(num_nodes, pairs, features, labels, num_classes, name="grap
         src, dst = uniq // num_nodes, uniq % num_nodes
     else:
         src = dst = np.zeros(0, dtype=np.int64)
-    weight = np.ones_like(src, dtype=np.float64)
-    return Graph(num_nodes, src, dst, weight, features, labels, num_classes, name=name)
+    return Graph(num_nodes, src, dst, features, labels, num_classes, name=name)
 
 
 # ---------------------------------------------------------------------------

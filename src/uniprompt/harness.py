@@ -312,4 +312,4 @@ def generate_sbm(n, classes, p_in, p_out, feature_dim, feature_sep, seed, name="
     means[np.arange(classes), np.arange(classes)] = feature_sep / np.sqrt(2.0)
     features = means[labels] + rng.standard_normal((n, feature_dim))
 
-    return Graph(n, src, dst, np.ones(src.size), features, labels, classes, name=name)
+    return Graph(n, src, dst, features, labels, classes, name=name)

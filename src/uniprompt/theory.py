@@ -2,7 +2,8 @@
 with a linear classifier collapses to a single linear classifier, both in
 function space and along gradient-update paths.
 
-The function-space identity is exact algebra. For gradient updates, each
+The function-space identity is exact algebra on numpy logits. The gradient
+steps come from the autodiff tape the tuning engine trains with. Each
 single-parameter update path of the composed system induces exactly the
 direct classifier step (checked to rounding); updating both composed
 parameters simultaneously moves the merged classifier by twice the direct
@@ -16,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+
 ORTHO_TOL = 1e-10
+FUNCTION_TOL = 1e-12   # composed vs direct logits
+REMAINDER_RATIO = 4.0  # remainder(eta) / remainder(eta / 2) for an eta^2 term
+RATIO_SLACK = 0.8      # +- 20%
 
 
 @dataclass
@@ -29,7 +35,6 @@ class EquivalenceCase:
     clf_weight: np.ndarray      # (d_out, C)
     samples: np.ndarray         # (n, d_in)
     labels: np.ndarray          # (n,)
-    eta: float = 1e-4
 
     def __post_init__(self):
         d_out, d_in = self.prompt_weight.shape
@@ -47,7 +52,7 @@ class EquivalenceCase:
         return self.clf_weight.shape[1]
 
 
-def random_case(in_dim, out_dim, num_classes, num_samples=8, rng=None, eta=1e-4):
+def random_case(in_dim, out_dim, num_classes, num_samples=8, rng=None):
     rng = np.random.default_rng(rng)
     return EquivalenceCase(
         prompt_weight=rng.normal(size=(out_dim, in_dim)),
@@ -55,11 +60,10 @@ def random_case(in_dim, out_dim, num_classes, num_samples=8, rng=None, eta=1e-4)
         clf_weight=rng.normal(size=(out_dim, num_classes)),
         samples=rng.normal(size=(num_samples, in_dim)),
         labels=rng.integers(0, num_classes, size=num_samples),
-        eta=eta,
     )
 
 
-def orthogonal_case(dim, num_classes, num_samples=8, rng=None, eta=1e-4):
+def orthogonal_case(dim, num_classes, num_samples=8, rng=None):
     """Square orthogonal prompt (QR of a seeded Gaussian), orthonormal-column
     classifier, zero prompt bias."""
     if num_classes > dim:
@@ -73,7 +77,6 @@ def orthogonal_case(dim, num_classes, num_samples=8, rng=None, eta=1e-4):
         clf_weight=q2[:, :num_classes],
         samples=rng.normal(size=(num_samples, dim)),
         labels=rng.integers(0, num_classes, size=num_samples),
-        eta=eta,
     )
 
 
@@ -112,17 +115,25 @@ def prediction_agreement(case, trials, rng=None):
     return float((a == b).mean())
 
 
-def _softmax(z):
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy_output_grad(logits, labels):
-    """d(mean CE)/d(logits) = (softmax - onehot) / n."""
-    n = logits.shape[0]
-    g = _softmax(logits)
-    g[np.arange(n), labels] -= 1.0
-    return g / n
+def gradient_steps(case, eta):
+    """One descent step of mean cross-entropy at rate eta, from ``ad.backward``:
+    (dWp, dbp, dWc) on the composed loss CE((h Wp^T + bp) Wc) and (dW', db')
+    on the direct loss CE(h W' + b'). Biases are (1, width) rows."""
+    h = ad.constant(case.samples)
+    wp = ad.parameter(case.prompt_weight)
+    bp = ad.parameter(case.prompt_bias[None, :])
+    wc = ad.parameter(case.clf_weight)
+    prompted = ad.add(ad.matmul(h, ad.transpose(wp)), bp)
+    composed = ad.cross_entropy(ad.matmul(prompted, wc), case.labels)
+    merged_w, merged_b = compose(case)
+    w = ad.parameter(merged_w)
+    b = ad.parameter(merged_b[None, :])
+    direct = ad.cross_entropy(ad.add(ad.matmul(h, w), b), case.labels)
+    # the two losses share no parameter: one backward of their sum gives each
+    # parameter the gradient of its own loss
+    params = [wp, bp, wc, w, b]
+    grads = ad.backward(ad.add(composed, direct), params=params)
+    return [-eta * grads[p] for p in params]
 
 
 @dataclass
@@ -145,14 +156,12 @@ class GradientPathReport:
         return max(self.max_path_deviation, self.second_order_remainder)
 
 
-def verify_gradient_equivalence(case, eta=None):
-    """One gradient-descent step of mean cross-entropy at rate eta on the
-    composed parameters; compare every induced merged-classifier change
-    against the direct classifier step."""
-    eta = case.eta if eta is None else float(eta)
-    wp, bp, wc = case.prompt_weight, case.prompt_bias, case.clf_weight
-    d = wp.shape[1]
-    c = wc.shape[1]
+def verify_gradient_equivalence(case, eta):
+    """One gradient-descent step at rate eta on the composed parameters;
+    compare every induced merged-classifier change against the direct
+    classifier step."""
+    wp, bp, wc = case.prompt_weight, case.prompt_bias[None, :], case.clf_weight
+    d, c = wp.shape[1], wc.shape[1]
     if wp.shape[0] != d:
         raise ValueError("gradient check needs a square prompt weight")
     if np.abs(wp.T @ wp - np.eye(d)).max() > ORTHO_TOL:
@@ -162,28 +171,13 @@ def verify_gradient_equivalence(case, eta=None):
     if np.abs(bp).max() > ORTHO_TOL:
         raise ValueError("gradient check requires zero prompt bias")
 
-    h = case.samples
-    u = h @ wp.T + bp                       # (n, d) prompted representations
-    g = cross_entropy_output_grad(u @ wc, case.labels)  # (n, C)
-
-    grad_wc = u.T @ g                        # (d, C)
-    grad_wp = wc @ g.T @ h                   # (d, d)
-    grad_bp = wc @ g.sum(axis=0)             # (d,)
-    grad_merged_w = h.T @ g                  # (d, C) direct classifier gradient
-    grad_merged_b = g.sum(axis=0)            # (C,)
-
-    d_wc = -eta * grad_wc
-    d_wp = -eta * grad_wp
-    d_bp = -eta * grad_bp
-    direct_w = -eta * grad_merged_w
-    direct_b = -eta * grad_merged_b
-
+    d_wp, d_bp, d_wc, direct_w, direct_b = gradient_steps(case, eta)
     first_order = wp.T @ d_wc + d_wp.T @ wc
     true_change = (wp + d_wp).T @ (wc + d_wc) - wp.T @ wc
-    induced_bias = wc.T @ d_bp + d_wc.T @ bp
+    induced_bias = d_bp @ wc + bp @ d_wc
 
     return GradientPathReport(
-        eta=eta,
+        eta=float(eta),
         clf_path_deviation=float(np.abs(wp.T @ d_wc - direct_w).max()),
         prompt_path_deviation=float(np.abs(d_wp.T @ wc - direct_w).max()),
         bias_path_deviation=float(np.abs(induced_bias - direct_b).max()),
@@ -194,65 +188,70 @@ def verify_gradient_equivalence(case, eta=None):
 
 @dataclass
 class VerificationSummary:
+    """Sweep maxima, and the one place that decides PASS or FAIL."""
+
     trials: int
     eta: float
     max_function_deviation: float
     prediction_agreement: float
     max_path_deviation: float
     max_remainder: float
-    max_remainder_half_eta: float
     remainder_ratio: float
     max_simultaneous_gap: float
 
     @property
+    def gradient_tol(self):
+        return 50.0 * self.eta**2
+
+    @property
+    def verdicts(self):
+        """Pass/fail of each checked report line, in report order."""
+        return {
+            "function": self.max_function_deviation <= FUNCTION_TOL,
+            "agreement": self.prediction_agreement == 1.0,
+            "paths": self.max_path_deviation <= self.gradient_tol,
+            "remainder": (self.max_remainder <= self.gradient_tol
+                          and abs(self.remainder_ratio - REMAINDER_RATIO) <= RATIO_SLACK),
+        }
+
+    @property
     def function_ok(self):
-        return self.max_function_deviation <= 1e-12 and self.prediction_agreement == 1.0
+        return self.verdicts["function"] and self.verdicts["agreement"]
 
     @property
     def gradient_ok(self):
-        tol = 50.0 * self.eta**2
-        scaling_ok = abs(self.remainder_ratio - 4.0) <= 0.8  # 4x +- 20%
-        return (
-            self.max_path_deviation <= tol
-            and self.max_remainder <= tol
-            and scaling_ok
-        )
+        return self.verdicts["paths"] and self.verdicts["remainder"]
 
     @property
     def passed(self):
-        return self.function_ok and self.gradient_ok
+        return all(self.verdicts.values())
 
 
 def run_verification(trials=1000, eta=1e-4, seed=0, max_dim=16, max_classes=8):
     """Random-case sweep used by the CLI and the acceptance gate."""
     rng = np.random.default_rng(seed)
-    max_fn_dev = 0.0
+    max_fn_dev = max_path = max_rem = max_sim = 0.0
     min_agree = 1.0
-    max_path = 0.0
-    max_rem = 0.0
-    max_rem_half = 0.0
-    max_sim = 0.0
     ratios = []
     for _ in range(trials):
         d_in = int(rng.integers(2, max_dim + 1))
         d_out = int(rng.integers(2, max_dim + 1))
         classes = int(rng.integers(2, max_classes + 1))
-        case = random_case(d_in, d_out, classes, rng=rng, eta=eta)
+        case = random_case(d_in, d_out, classes, rng=rng)
         max_fn_dev = max(max_fn_dev, verify_function_equivalence(case, 10, rng=rng))
         min_agree = min(min_agree, prediction_agreement(case, 10, rng=rng))
 
         dim = max(2, d_in)
         classes = min(classes, dim)
-        ocase = orthogonal_case(dim, classes, rng=rng, eta=eta)
+        ocase = orthogonal_case(dim, classes, rng=rng)
         full = verify_gradient_equivalence(ocase, eta)
         half = verify_gradient_equivalence(ocase, eta / 2.0)
         max_path = max(max_path, full.max_path_deviation)
         max_rem = max(max_rem, full.second_order_remainder)
-        max_rem_half = max(max_rem_half, half.second_order_remainder)
         max_sim = max(max_sim, full.simultaneous_vs_direct)
         if half.second_order_remainder > 0:
             ratios.append(full.second_order_remainder / half.second_order_remainder)
-    ratio = float(np.median(ratios)) if ratios else 4.0
+    ratio = float(np.median(ratios)) if ratios else REMAINDER_RATIO
     return VerificationSummary(
         trials=trials,
         eta=eta,
@@ -260,30 +259,27 @@ def run_verification(trials=1000, eta=1e-4, seed=0, max_dim=16, max_classes=8):
         prediction_agreement=min_agree,
         max_path_deviation=max_path,
         max_remainder=max_rem,
-        max_remainder_half_eta=max_rem_half,
         remainder_ratio=ratio,
         max_simultaneous_gap=max_sim,
     )
 
 
 def format_report(summary):
-    tol = 50.0 * summary.eta**2
+    s, tol = summary, summary.gradient_tol
+    verdict = {name: "PASS" if ok else "FAIL" for name, ok in s.verdicts.items()}
     lines = [
-        f"cases: {summary.trials}, eta: {summary.eta:g}",
-        f"function equivalence: max deviation {summary.max_function_deviation:.3e} "
-        f"(tol 1e-12) -> {'PASS' if summary.max_function_deviation <= 1e-12 else 'FAIL'}",
-        f"prediction agreement: {summary.prediction_agreement * 100:.2f}% "
-        f"-> {'PASS' if summary.prediction_agreement == 1.0 else 'FAIL'}",
+        f"cases: {s.trials}, eta: {s.eta:g}",
+        f"function equivalence: max deviation {s.max_function_deviation:.3e} "
+        f"(tol {FUNCTION_TOL:g}) -> {verdict['function']}",
+        f"prediction agreement: {s.prediction_agreement * 100:.2f}% -> {verdict['agreement']}",
         f"gradient paths (per-parameter vs direct step): max deviation "
-        f"{summary.max_path_deviation:.3e} (tol {tol:.3e}) -> "
-        f"{'PASS' if summary.max_path_deviation <= tol else 'FAIL'}",
-        f"second-order remainder: {summary.max_remainder:.3e} (tol {tol:.3e}), "
-        f"eta/2 ratio {summary.remainder_ratio:.3f} (expect 4 +- 0.8) -> "
-        f"{'PASS' if summary.max_remainder <= tol and abs(summary.remainder_ratio - 4) <= 0.8 else 'FAIL'}",
+        f"{s.max_path_deviation:.3e} (tol {tol:.3e}) -> {verdict['paths']}",
+        f"second-order remainder: {s.max_remainder:.3e} (tol {tol:.3e}), "
+        f"eta/2 ratio {s.remainder_ratio:.3f} "
+        f"(expect {REMAINDER_RATIO:g} +- {RATIO_SLACK:g}) -> {verdict['remainder']}",
         f"note: simultaneous two-parameter step moves the merged classifier by "
-        f"~2x the direct step (max gap {summary.max_simultaneous_gap:.3e}); each "
+        f"~2x the direct step (max gap {s.max_simultaneous_gap:.3e}); each "
         f"single-parameter path matches exactly.",
-        f"overall: {'PASS' if summary.passed else 'FAIL'}",
+        f"overall: {'PASS' if s.passed else 'FAIL'}",
     ]
     return "\n".join(lines)
-

@@ -7,6 +7,8 @@ the suite.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from uniprompt import autodiff as ad
@@ -52,10 +54,6 @@ def _case_elu(rng):
     return [_away_from_zero(rng, (3, 4))], ad.elu
 
 
-def _case_exp(rng):
-    return [rng.uniform(-2, 2, size=(3, 4))], ad.exp
-
-
 def _case_gather_rows(rng):
     ids = rng.integers(0, 5, size=6)
     return [rng.normal(size=(5, 3))], lambda a: ad.gather_rows(a, ids)
@@ -76,10 +74,6 @@ def _case_info_nce(rng):
 
 def _case_l2_normalize_rows(rng):
     return [_away_from_zero(rng, (3, 4))], ad.l2_normalize_rows
-
-
-def _case_log(rng):
-    return [rng.uniform(0.1, 3.0, size=(3, 4))], ad.log
 
 
 def _case_matmul(rng):
@@ -136,10 +130,6 @@ def _case_spmm(rng):
     ], lambda v, x: ad.spmm(ad.SparseTensor(pattern, v), x)
 
 
-def _case_take_diag(rng):
-    return [rng.normal(size=(4, 4))], ad.take_diag
-
-
 def _case_transpose(rng):
     return [rng.normal(size=(3, 4))], ad.transpose
 
@@ -149,12 +139,10 @@ OP_CASES = {
     "concat_rows": _case_concat_rows,
     "cross_entropy": _case_cross_entropy,
     "elu": _case_elu,
-    "exp": _case_exp,
     "gather_rows": _case_gather_rows,
     "hadamard": _case_hadamard,
     "info_nce": _case_info_nce,
     "l2_normalize_rows": _case_l2_normalize_rows,
-    "log": _case_log,
     "matmul": _case_matmul,
     "power": _case_power,
     "prelu": _case_prelu,
@@ -166,7 +154,6 @@ OP_CASES = {
     "sigmoid": _case_sigmoid,
     "softplus": _case_softplus,
     "spmm": _case_spmm,
-    "take_diag": _case_take_diag,
     "transpose": _case_transpose,
 }
 
@@ -216,7 +203,7 @@ def fd_check_case(arrays, fn, rng):
 
 
 def fd_check_op(name, instances=20, seed=0):
-    rng = np.random.default_rng([seed, hash(name) & 0xFFFF])
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode()) & 0xFFFF])
     worst = -np.inf
     for _ in range(instances):
         arrays, fn = OP_CASES[name](rng)

@@ -1,4 +1,5 @@
-"""CLI smoke tests: make-sbm -> pretrain -> tune / ablate / eval through dispatch."""
+"""CLI smoke tests: make-sbm -> pretrain -> tune / ablate / eval / sweep / noise,
+plus inspect and verify-theory, through dispatch."""
 
 import csv
 import json
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from uniprompt import cli
 from uniprompt.cli import dispatch
 from uniprompt.encoder import load_encoder
-from uniprompt.graphs import load_graph_bundle
+from uniprompt.graphs import edge_homophily, load_graph_bundle
 from uniprompt.harness import run_seed, sample_k_shot
 from uniprompt.hyperparams import get_tuning_config
 from uniprompt.prompt import ABLATION_VARIANTS, METHODS, run_method
@@ -127,6 +129,88 @@ def test_damaged_checkpoint_exits_one(workspace, capsys, tmp_path, damage, messa
     assert dispatch(["tune", "--method", "gpf", "--encoder", str(copy), "--dataset",
                      str(bundle), "--shot", "1", "--config", str(config)]) == 1
     assert message in capsys.readouterr().err
+
+
+# The report's line prefixes, in order; only the printed digits may vary.
+VERIFY_REPORT_PREFIXES = (
+    "cases: 20, eta: 0.0001",
+    "function equivalence: max deviation ",
+    "prediction agreement: ",
+    "gradient paths (per-parameter vs direct step): max deviation ",
+    "second-order remainder: ",
+    "note: simultaneous two-parameter step moves the merged classifier by ~2x",
+    "overall: ",
+)
+
+
+def verify_theory_report(argv, capsys, code):
+    capsys.readouterr()
+    assert dispatch(["verify-theory", "--trials", "20", *argv]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(VERIFY_REPORT_PREFIXES)
+    for line, prefix in zip(lines, VERIFY_REPORT_PREFIXES):
+        assert line.startswith(prefix), (line, prefix)
+    return lines
+
+
+def test_verify_theory_passes(capsys, tmp_path):
+    report = tmp_path / "report.txt"
+    lines = verify_theory_report(["--out", str(report)], capsys, 0)
+    assert all(line.endswith("-> PASS") for line in lines[1:5])
+    assert lines[-1] == "overall: PASS"
+    assert report.read_text().splitlines() == lines
+
+
+def test_verify_theory_failure_exits_two(capsys, monkeypatch):
+    real = cli.run_verification
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda **kw: replace(real(**kw), prediction_agreement=0.5))
+    lines = verify_theory_report([], capsys, 2)
+    assert lines[2] == "prediction agreement: 50.00% -> FAIL"
+    assert lines[-1] == "overall: FAIL"
+
+
+def test_inspect_prints_statistics(workspace, capsys, tmp_path):
+    bundle, _, _ = workspace
+    out = tmp_path / "stats.txt"
+    capsys.readouterr()
+    assert dispatch(["inspect", "--dataset", str(bundle), "--out", str(out)]) == 0
+    graph = load_graph_bundle(bundle)
+    line = (f"{graph.num_nodes} {graph.num_undirected_edges} {graph.num_features} "
+            f"{graph.num_classes} {edge_homophily(graph):.2f}")
+    assert capsys.readouterr().out == line + "\n"
+    assert out.read_text() == line + "\n"
+
+
+def experiment_rows(workspace, tmp_path, verb, *argv, methods=("uniprompt",)):
+    """The results.csv rows a sweep or noise run writes from a one-seed spec."""
+    bundle, checkpoint, _ = workspace
+    spec = tmp_path / f"{verb}.json"
+    spec.write_text(json.dumps({
+        "dataset": str(bundle), "encoder": str(checkpoint), "methods": list(methods),
+        "shots": [1], "seeds": [3], "runs": 2, "tune": {"default": TUNE_OVERRIDES},
+    }))
+    out = tmp_path / verb
+    assert dispatch([verb, "--config", str(spec), "--jobs", "1", "--out", str(out), *argv]) == 0
+    assert (out / "results.md").exists()
+    with open(out / "results.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_tau_writes_rows(workspace, tmp_path):
+    rows = experiment_rows(workspace, tmp_path, "sweep", "--param", "tau", "--grid", "0.5,1")
+    assert [(r["tau"], r["method"], r["seed"], r["run"]) for r in rows] == [
+        (tau, "uniprompt", "3", run) for tau in ("0.5", "1.0") for run in ("0", "1")]
+    assert all(0.0 <= float(r["accuracy"]) <= 1.0 for r in rows)
+
+
+def test_noise_levels_write_rows(workspace, tmp_path):
+    rows = experiment_rows(workspace, tmp_path, "noise", "--levels", "0,0.1",
+                           methods=("linear-probe",))
+    assert [(r["noise"], r["method"], r["seed"], r["run"]) for r in rows] == [
+        (level, "linear-probe", "3", run) for level in ("0.0", "0.1") for run in ("0", "1")]
+    plain = experiment_rows(workspace, tmp_path, "eval", methods=("linear-probe",))
+    assert [r["accuracy"] for r in rows[:2]] == [r["accuracy"] for r in plain]
 
 
 def misuses(bundle, checkpoint, config):

@@ -100,21 +100,17 @@ class TestLoadBundle:
 class TestGraphInvariants:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            Graph(3, [0], [1], [1.0], np.zeros((3, 2)), None, 2)
+            Graph(3, [0], [1], np.zeros((3, 2)), None, 2)
 
     def test_rejects_nan_features(self):
         feats = np.zeros((2, 2))
         feats[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            Graph(2, [0, 1], [1, 0], [1.0, 1.0], feats, None, 2)
+            Graph(2, [0, 1], [1, 0], feats, None, 2)
 
     def test_rejects_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
-            Graph(2, [0, 1], [1, 0], [1.0, 1.0], np.zeros((2, 2)), [0, 5], 2)
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Graph(2, [0, 1], [1, 0], [-1.0, -1.0], np.zeros((2, 2)), None, 2)
+            Graph(2, [0, 1], [1, 0], np.zeros((2, 2)), [0, 5], 2)
 
     def test_arrays_immutable(self):
         g = graph_from_pairs(3, [(0, 1)], np.zeros((3, 2)), [0, 0, 1], 2)
@@ -159,7 +155,7 @@ class TestSymmetricNormalize:
         adj = SparseAdj.from_coo(2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="already contains self-loops"):
             symmetric_normalize(adj)
-        g = Graph(2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0], np.zeros((2, 2)), None, 2)
+        g = Graph(2, [0, 0, 1], [0, 1, 0], np.zeros((2, 2)), None, 2)
         with pytest.raises(ValueError, match="already contains self-loops"):
             g.normalized_adjacency()
 

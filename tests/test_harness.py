@@ -207,6 +207,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment(tiny_spec(sbm, encoder, methods=("magic",)))
 
+    def test_large_seed_runs(self, sbm, encoder):
+        # run_seed(50000, run) passes 2**32; every seed the harness has
+        # accepted must keep giving its records
+        table = run_experiment(tiny_spec(sbm, encoder, seeds=(50000,)))
+        assert [(r.seed, r.run) for r in table.records] == [(50000, 0), (50000, 1)]
+        assert all(0.0 <= r.accuracy <= 1.0 for r in table.records)
+
     def test_csv_bytes_pinned(self, sbm, encoder, tmp_path, monkeypatch):
         # sha256 of results.csv, recorded before the numpy normalization was
         # folded into the tape normalizer; any change to a method's numbers

@@ -500,8 +500,7 @@ class TestRunMethod:
     @pytest.mark.parametrize("method", [m for m in METHODS if m != "ablate:discard_topo"])
     def test_graph_self_loop_rejected(self, sbm, encoder, cfg, method):
         looped = Graph(sbm.num_nodes, np.append(sbm.src, 0), np.append(sbm.dst, 0),
-                       np.append(sbm.weight, 1.0), sbm.features, sbm.labels,
-                       sbm.num_classes)
+                       sbm.features, sbm.labels, sbm.num_classes)
         with pytest.raises(ValueError, match="already contains self-loops"):
             run_method(method, looped, encoder, train_ids(sbm), cfg)
 

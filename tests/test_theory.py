@@ -8,7 +8,7 @@ from uniprompt.theory import (
     compose,
     composed_logits,
     direct_logits,
-    cross_entropy_output_grad,
+    gradient_steps,
     orthogonal_case,
     prediction_agreement,
     random_case,
@@ -16,6 +16,15 @@ from uniprompt.theory import (
     verify_function_equivalence,
     verify_gradient_equivalence,
 )
+
+
+def cross_entropy_output_grad(logits, labels):
+    """Closed-form oracle: d(mean CE)/d(logits) = (softmax - onehot) / n."""
+    n = logits.shape[0]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    g = e / e.sum(axis=1, keepdims=True)
+    g[np.arange(n), labels] -= 1.0
+    return g / n
 
 
 class TestCompose:
@@ -97,8 +106,8 @@ class TestGradientEquivalence:
 
     def test_paths_match_direct_step_within_tolerance(self):
         for seed in range(10):
-            case = orthogonal_case(6, 3, rng=seed, eta=1e-4)
-            report = verify_gradient_equivalence(case)
+            case = orthogonal_case(6, 3, rng=seed)
+            report = verify_gradient_equivalence(case, eta=1e-4)
             assert report.max_path_deviation <= 50 * 1e-4**2
             assert report.second_order_remainder <= 50 * 1e-4**2
 
@@ -126,30 +135,29 @@ class TestGradientEquivalence:
         case = orthogonal_case(5, 3, rng=9)
         case.prompt_weight[0, 0] += 1e-3
         with pytest.raises(ValueError, match="orthogonal"):
-            verify_gradient_equivalence(case)
+            verify_gradient_equivalence(case, eta=1e-4)
 
     def test_rejects_nonzero_bias(self):
         case = orthogonal_case(5, 3, rng=10)
         case.prompt_bias[0] = 0.5
         with pytest.raises(ValueError, match="bias"):
-            verify_gradient_equivalence(case)
+            verify_gradient_equivalence(case, eta=1e-4)
 
     def test_matches_tape_gradients(self):
-        # independent cross-check of the closed-form gradients with the tape
-        from uniprompt import autodiff as ad
-
+        # the verifier's tape steps against the closed-form gradients; at
+        # eta = 1 each step is exactly minus its gradient
         case = orthogonal_case(5, 3, rng=11)
-        wp = ad.parameter(case.prompt_weight)
-        wc = ad.parameter(case.clf_weight)
-        h = ad.constant(case.samples)
-        logits = ad.matmul(ad.matmul(h, ad.transpose(wp)), wc)
-        loss = ad.cross_entropy(logits, case.labels)
-        grads = ad.backward(loss, params=[wp, wc])
-
-        u = case.samples @ case.prompt_weight.T
-        g = cross_entropy_output_grad(u @ case.clf_weight, case.labels)
-        assert np.abs(grads[wc] - u.T @ g).max() < 1e-12
-        assert np.abs(grads[wp] - case.clf_weight @ g.T @ case.samples).max() < 1e-12
+        d_wp, d_bp, d_wc, d_w, d_b = gradient_steps(case, eta=1.0)
+        h, wc = case.samples, case.clf_weight
+        u = h @ case.prompt_weight.T
+        g = cross_entropy_output_grad(u @ wc, case.labels)
+        assert np.abs(-d_wc - u.T @ g).max() < 1e-12
+        assert np.abs(-d_wp - wc @ g.T @ h).max() < 1e-12
+        assert np.abs(-d_bp - (wc @ g.sum(axis=0))[None, :]).max() < 1e-12
+        merged_w, merged_b = compose(case)
+        g_direct = cross_entropy_output_grad(h @ merged_w + merged_b, case.labels)
+        assert np.abs(-d_w - h.T @ g_direct).max() < 1e-12
+        assert np.abs(-d_b - g_direct.sum(axis=0)[None, :]).max() < 1e-12
 
 
 class TestRunVerification:
