@@ -26,7 +26,7 @@ from .harness import (
     sweep,
 )
 from .hyperparams import get_tuning_config
-from .prompt import ABLATION_VARIANTS, METHODS, TuneConfig, run_method
+from .prompt import ABLATION_VARIANTS, METHODS, run_method
 from .pretrain import OBJECTIVES, PretrainConfig, pretrain
 from .theory import format_report, run_verification
 
@@ -52,10 +52,7 @@ def _load_json(path):
 def _tune_config(args, pretrain_name, dataset_name):
     """Shipped table < config file < explicit flags, seeded as the harness
     seeds run ``args.run`` of seed ``args.seed``."""
-    overrides = {}
-    if args.config:
-        cfg_file = _load_json(args.config)
-        overrides.update({k: v for k, v in cfg_file.items() if k in TuneConfig.__dataclass_fields__})
+    overrides = _load_json(args.config) if args.config else {}
     for name in TUNE_FLAG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -120,9 +117,9 @@ def _experiment_spec(args):
     methods = tuple(config["methods"])
     shots = tuple(config.get("shots", (1,)))
     overrides = config.get("tune", {})
-    tune = {m: get_tuning_config(pretrain_name, graph.name, shots[0],
-                                 **overrides.get(m, overrides.get("default", {})))
-            for m in methods}
+    tune = {(m, shot): get_tuning_config(pretrain_name, graph.name, shot,
+                                         **overrides.get(m, overrides.get("default", {})))
+            for m in methods for shot in shots}
     return ExperimentSpec(
         dataset=graph.name,
         pretrain=pretrain_name,

@@ -33,16 +33,19 @@ class GcnLayer:
 
 
 class Encoder:
-    """Frozen-or-trainable 2-layer GCN."""
+    """2-layer GCN; frozen exactly when none of its tensors requires grad."""
 
-    __slots__ = ("layer1", "layer2", "frozen")
+    __slots__ = ("layer1", "layer2")
 
-    def __init__(self, layer1, layer2, frozen=False):
+    def __init__(self, layer1, layer2):
         if layer1.weight.shape[1] != layer2.weight.shape[0]:
             raise ValueError("layer-1 output width must match layer-2 input width")
         self.layer1 = layer1
         self.layer2 = layer2
-        self.frozen = bool(frozen)
+
+    @property
+    def frozen(self):
+        return not any(p.requires_grad for p in self.parameters())
 
     @property
     def in_dim(self):
@@ -89,37 +92,37 @@ def init_encoder(in_dim, hidden_dim, out_dim, activation="prelu", rng=None):
 
 
 def freeze(encoder):
-    encoder.frozen = True
+    """Make every parameter a tape constant; ``encode`` then records no path
+    into the weights."""
+    for p in encoder.parameters():
+        p.requires_grad = False
     return encoder
 
 
 def thaw(encoder):
-    encoder.frozen = False
+    for p in encoder.parameters():
+        p.requires_grad = True
     return encoder
 
 
 def clone_encoder(encoder):
-    """Deep copy (independent parameter arrays, same frozen flag)."""
+    """Deep copy: independent parameter arrays, each with its source tensor's
+    ``requires_grad``."""
+    def copy_tensor(t):
+        return None if t is None else ad.Tensor(t.data.copy(), t.requires_grad, t.name)
+
     def copy_layer(layer):
-        return GcnLayer(
-            ad.Tensor(layer.weight.data.copy(), requires_grad=True, name=layer.weight.name),
-            ad.Tensor(layer.bias.data.copy(), requires_grad=True, name=layer.bias.name),
-            layer.activation,
-            None
-            if layer.prelu_slope is None
-            else ad.Tensor(layer.prelu_slope.data.copy(), requires_grad=True,
-                           name=layer.prelu_slope.name),
-        )
+        return GcnLayer(copy_tensor(layer.weight), copy_tensor(layer.bias),
+                        layer.activation, copy_tensor(layer.prelu_slope))
 
-    return Encoder(copy_layer(encoder.layer1), copy_layer(encoder.layer2), frozen=encoder.frozen)
+    return Encoder(copy_layer(encoder.layer1), copy_layer(encoder.layer2))
 
 
-def _activate(x, layer, frozen):
+def _activate(x, layer):
     if layer.activation == "relu":
         return ad.relu(x)
     if layer.activation == "prelu":
-        slope = layer.prelu_slope.detach() if frozen else layer.prelu_slope
-        return ad.prelu(x, slope)
+        return ad.prelu(x, layer.prelu_slope)
     return x
 
 
@@ -127,11 +130,12 @@ def encode(encoder, adj_norm, x, xw1=None):
     """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2).
 
     ``adj_norm`` is a symmetric-normalized SparseAdj (constant) or a
-    SparseTensor whose values carry prompt gradients. A frozen encoder's
-    parameters enter the tape as detached constants, so gradients still flow
-    through the adjacency values but never into the weights. ``xw1``, if
-    given, stands in for layer 1's ``X @ W1``: a caller with a frozen encoder
-    and constant features computes that product once for many forwards.
+    SparseTensor whose values carry prompt gradients. The parameters enter the
+    tape as they are: a frozen encoder's tensors do not require grad, so the
+    tape prunes every path into the weights while gradients still flow through
+    the adjacency values and the features. ``xw1``, if given, stands in for
+    layer 1's ``X @ W1``: a caller with a frozen encoder and constant features
+    computes that product once for many forwards.
     """
     if not isinstance(x, ad.Tensor):
         x = ad.constant(x)
@@ -139,12 +143,9 @@ def encode(encoder, adj_norm, x, xw1=None):
         raise ValueError(f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
     h = x
     for layer, hw in ((encoder.layer1, xw1), (encoder.layer2, None)):
-        weight = layer.weight.detach() if encoder.frozen else layer.weight
-        bias = layer.bias.detach() if encoder.frozen else layer.bias
         if hw is None:
-            hw = ad.matmul(h, weight)
-        h = ad.add(ad.spmm(adj_norm, hw), bias)
-        h = _activate(h, layer, encoder.frozen)
+            hw = ad.matmul(h, layer.weight)
+        h = _activate(ad.add(ad.spmm(adj_norm, hw), layer.bias), layer)
     return h
 
 
@@ -252,7 +253,7 @@ def load_encoder(path):
             slope,
         )
 
-    enc = Encoder(build_layer("layer1"), build_layer("layer2"), frozen=True)
+    enc = freeze(Encoder(build_layer("layer1"), build_layer("layer2")))
     for key in ("in_dim", "hidden_dim", "out_dim"):
         if meta.get(key) != getattr(enc, key):
             raise ValueError(f"sidecar {key} {meta.get(key)} != checkpoint {getattr(enc, key)}")

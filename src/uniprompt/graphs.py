@@ -207,9 +207,11 @@ def load_graph_bundle(path):
 
     with open(path / "meta.json") as fh:
         meta = json.load(fh)
-    n = int(meta["num_nodes"])
-    num_features = int(meta["num_features"])
-    num_classes = int(meta["num_classes"])
+    try:
+        n, num_features, num_classes = (
+            int(meta[key]) for key in ("num_nodes", "num_features", "num_classes"))
+    except KeyError as exc:
+        raise ValueError(f"meta.json: missing key {exc}") from exc
     name = str(meta.get("name", path.name))
 
     with open(path / "edges.csv", newline="") as fh:

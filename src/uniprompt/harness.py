@@ -180,18 +180,19 @@ class ExperimentSpec:
     encoder: object
     methods: tuple
     shots: tuple
-    tune: dict                      # method -> TuneConfig
+    tune: dict                      # (method, shot), method or "default" -> TuneConfig
     seeds: tuple = DEFAULT_SEEDS
     runs: int = DEFAULT_RUNS
     noise_sigma: float = 0.0
     workers: int = 1
 
-    def config_for(self, method):
-        if method in self.tune:
-            return self.tune[method]
-        if "default" in self.tune:
-            return self.tune["default"]
-        raise KeyError(f"no tune config for method '{method}'")
+    def config_for(self, method, shot):
+        """The most specific entry: (method, shot), then method, then
+        "default"."""
+        for key in ((method, shot), method, "default"):
+            if key in self.tune:
+                return self.tune[key]
+        raise KeyError(f"no tune config for method '{method}' at {shot} shots")
 
 
 def run_seed(seed, run):
@@ -207,7 +208,7 @@ def _run_one(spec, method, shot, seed, run):
                                    int(noise_rng.integers(2**31)))
         graph = graph.with_features(noisy)
     task = sample_k_shot(graph, shot, seed, run)
-    cfg = replace(spec.config_for(method), seed=run_seed(seed, run))
+    cfg = replace(spec.config_for(method, shot), seed=run_seed(seed, run))
     result = run_method(method, graph, spec.encoder, task.train_ids, cfg)
     return RunRecord(spec.dataset, spec.pretrain, method, shot, seed, run,
                      evaluate(result.predictions, task))
@@ -260,7 +261,7 @@ def sweep(param, grid, base_spec):
     table = ResultTable(param_name=param)
     for value in grid:
         value = int(value) if param == "k" else float(value)
-        tune = {m: replace(c, **{param: value}) for m, c in base_spec.tune.items()}
+        tune = {key: replace(c, **{param: value}) for key, c in base_spec.tune.items()}
         spec = replace(base_spec, tune=tune)
         table.extend(run_experiment(spec, param=value, param_name=param).records)
     return table

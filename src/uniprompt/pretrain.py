@@ -1,15 +1,20 @@
-"""Self-supervised pretraining objectives that produce frozen encoders.
+"""Self-supervised pretraining: one engine, three objective builders.
 
-Three objectives are provided: local-global mutual information with a
-corrupted negative graph (dgi), two-view InfoNCE contrast with edge dropping
-and feature masking (grace), and masked-feature reconstruction with a scaled
-cosine error (graphmae). Each returns the trained encoder with its frozen
-flag set.
+``pretrain_with_history`` owns everything the objectives share: it validates
+the config, initializes the encoder from the ``encoder-init`` stream, runs the
+Adam loop over the encoder and the objective's own parameters, and returns
+the encoder frozen. ``OBJECTIVE_TABLE`` maps each ``OBJECTIVES`` name to a
+builder ``(graph, cfg, encoder) -> (loss_fn, extra parameters, epoch stream
+name)``: local-global mutual information with a corrupted negative graph
+(dgi), two-view InfoNCE contrast with edge dropping and feature masking
+(grace), or masked-feature reconstruction with a scaled cosine error
+(graphmae). ``loss_fn(rng)`` draws one corruption/view/mask instance from
+``rng`` and returns the objective on it.
 
 Per-epoch training losses are noisy because every epoch draws a fresh
-corruption/view/mask instance. The ``probe_seed`` paths therefore evaluate
-the live objective on one fixed instance; a probe that fails to shrink over
-the first epochs flags a bad configuration.
+instance. With a ``probe_seed`` the engine also evaluates the live objective
+on one fixed instance before training and after every epoch; a probe that
+fails to shrink over the first epochs flags a bad configuration.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from . import autodiff as ad
 from .encoder import _glorot, encode, freeze, init_encoder
 from .graphs import SparseAdj, symmetric_normalize
 from .seeds import rng_stream
-
-OBJECTIVES = ("dgi", "grace", "graphmae")
 
 
 @dataclass
@@ -58,29 +61,29 @@ class PretrainConfig:
             raise ValueError("temperature must be positive")
         if self.sce_gamma < 1.0:
             raise ValueError("sce_gamma must be >= 1")
+        if self.objective == "graphmae" and self.mask_rate == 0:
+            raise ValueError("mask rate 0 gives no training signal")
         return self
 
 
 def pretrain(graph, cfg):
-    cfg.validate()
-    return _TRAINERS[cfg.objective](graph, cfg)[0]
+    return pretrain_with_history(graph, cfg)[0]
 
 
 def pretrain_with_history(graph, cfg, probe_seed=None):
     """Returns (frozen encoder, per-epoch training losses, probe losses).
 
-    The probe list (empty unless ``probe_seed`` is given) holds the objective
-    evaluated on one fixed stochasticity instance before training and after
-    every epoch.
+    Each epoch evaluates the objective on a fresh instance from its epoch
+    stream and takes one Adam step. The probe list (empty unless
+    ``probe_seed`` is given) holds the objective evaluated on one fixed
+    instance before training and after every epoch.
     """
     cfg.validate()
-    return _TRAINERS[cfg.objective](graph, cfg, probe_seed)
-
-
-def _train(cfg, loss_fn, params, epoch_rng, probe_seed):
-    """Shared loop: per-epoch fresh-instance loss, Adam step, optional fixed
-    -instance probes (before training and after each epoch)."""
-    opt = ad.AdamState(params, lr=cfg.lr)
+    enc = init_encoder(graph.num_features, cfg.hidden_dim, cfg.embed_dim,
+                       cfg.activation, rng_stream("encoder-init", cfg.seed))
+    loss_fn, extra, stream = OBJECTIVE_TABLE[cfg.objective](graph, cfg, enc)
+    opt = ad.AdamState(enc.parameters() + extra, lr=cfg.lr)
+    epoch_rng = rng_stream(stream, cfg.seed)
     history, probes = [], []
 
     def probe():
@@ -96,7 +99,7 @@ def _train(cfg, loss_fn, params, epoch_rng, probe_seed):
         ad.backward(loss)
         ad.adam_step(opt)
         probe()
-    return history, probes
+    return freeze(enc), history, probes
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +107,9 @@ def _train(cfg, loss_fn, params, epoch_rng, probe_seed):
 # ---------------------------------------------------------------------------
 
 
-def _dgi(graph, cfg, probe_seed=None):
+def _dgi(graph, cfg, enc):
     adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
-    enc = init_encoder(graph.num_features, cfg.hidden_dim, cfg.embed_dim,
-                       cfg.activation, rng_stream("encoder-init", cfg.seed))
     disc = ad.parameter(np.eye(cfg.embed_dim), name="dgi.discriminator")
 
     def loss_fn(rng):
@@ -125,9 +126,7 @@ def _dgi(graph, cfg, probe_seed=None):
             0.5,
         )
 
-    history, probes = _train(cfg, loss_fn, enc.parameters() + [disc],
-                             rng_stream("corruption", cfg.seed), probe_seed)
-    return freeze(enc), history, probes
+    return loss_fn, [disc], "corruption"
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +159,7 @@ def infonce_loss(z1, z2, temperature):
     return ad.info_nce(z1, z2, temperature)
 
 
-def _grace(graph, cfg, probe_seed=None):
-    enc = init_encoder(graph.num_features, cfg.hidden_dim, cfg.embed_dim,
-                       cfg.activation, rng_stream("encoder-init", cfg.seed))
+def _grace(graph, cfg, enc):
     init_rng = rng_stream("encoder-init", cfg.seed, 1)
     d = cfg.embed_dim
     head = [
@@ -185,9 +182,7 @@ def _grace(graph, cfg, probe_seed=None):
         z2 = project(encode(enc, adj2, x2))
         return infonce_loss(z1, z2, cfg.temperature)
 
-    history, probes = _train(cfg, loss_fn, enc.parameters() + head,
-                             rng_stream("views", cfg.seed), probe_seed)
-    return freeze(enc), history, probes
+    return loss_fn, head, "views"
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +199,9 @@ def scaled_cosine_error(x_true, x_hat, gamma):
     return ad.row_mean(ad.power(ad.sub(one, cos), gamma))
 
 
-def _graphmae(graph, cfg, probe_seed=None):
-    if cfg.mask_rate == 0:
-        raise ValueError("mask rate 0 gives no training signal")
+def _graphmae(graph, cfg, enc):
     adj = graph.normalized_adjacency()
     n, f = graph.features.shape
-    enc = init_encoder(f, cfg.hidden_dim, cfg.embed_dim, cfg.activation,
-                       rng_stream("encoder-init", cfg.seed))
     init_rng = rng_stream("encoder-init", cfg.seed, 1)
     mask_token = ad.parameter(np.zeros((1, f)), name="graphmae.mask_token")
     dec_w = ad.parameter(_glorot(init_rng, cfg.embed_dim, f), name="graphmae.decoder.weight")
@@ -238,9 +229,10 @@ def _graphmae(graph, cfg, probe_seed=None):
             cfg.sce_gamma,
         )
 
-    history, probes = _train(cfg, loss_fn, enc.parameters() + [mask_token, dec_w, dec_b],
-                             rng_stream("mask", cfg.seed), probe_seed)
-    return freeze(enc), history, probes
+    return loss_fn, [mask_token, dec_w, dec_b], "mask"
 
 
-_TRAINERS = {"dgi": _dgi, "grace": _grace, "graphmae": _graphmae}
+# objective name -> builder(graph, cfg, encoder) -> (loss_fn(rng), the
+# objective's own parameters, the name of its epoch stream)
+OBJECTIVE_TABLE = {"dgi": _dgi, "grace": _grace, "graphmae": _graphmae}
+OBJECTIVES = tuple(OBJECTIVE_TABLE)

@@ -209,7 +209,7 @@ def _graph_prompt(topology, integration):
         a_union = ad.constant(union.data.reshape(-1, 1))
         x = ad.constant(graph.features)
         # X and the frozen W1 never change, so layer 1's product is built once
-        xw1 = ad.matmul(x, encoder.layer1.weight.detach())
+        xw1 = ad.matmul(x, encoder.layer1.weight)
         fused = union.data.reshape(-1, 1)  # A_hat^(t) of the bootstrap path
 
         def represent(training):

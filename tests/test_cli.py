@@ -3,17 +3,18 @@ plus inspect and verify-theory, through dispatch."""
 
 import csv
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from uniprompt import cli
+from uniprompt import cli, harness
 from uniprompt.cli import dispatch
 from uniprompt.encoder import load_encoder
 from uniprompt.graphs import edge_homophily, load_graph_bundle
 from uniprompt.harness import run_seed, sample_k_shot
-from uniprompt.hyperparams import get_tuning_config
+from uniprompt.hyperparams import TUNING_TABLE, get_tuning_config
 from uniprompt.prompt import ABLATION_VARIANTS, METHODS, run_method
 
 TUNE_OVERRIDES = {"k": 3, "max_epochs": 5, "clf_hidden": 6}
@@ -30,6 +31,12 @@ def workspace(tmp_path_factory):
                      "--epochs", "2", "--hidden", "6", "--embed", "6",
                      "--out", str(checkpoint)]) == 0
     config.write_text(json.dumps(TUNE_OVERRIDES))
+    # a misspelled tune key, in a tune config and in an experiment spec
+    (root / "typo-tune.json").write_text(json.dumps({"tua": 0.5}))
+    (root / "typo-eval.json").write_text(json.dumps({
+        "dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
+        "tune": {"default": {"tua": 0.5}},
+    }))
     return bundle, checkpoint, config
 
 
@@ -131,6 +138,75 @@ def test_damaged_checkpoint_exits_one(workspace, capsys, tmp_path, damage, messa
     assert message in capsys.readouterr().err
 
 
+def exit_code_and_err(argv, capsys):
+    capsys.readouterr()
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("damage, message", [("features-cell", "features.csv: non-numeric"),
+                                             ("meta-num-nodes", "missing key 'num_nodes'")])
+def test_malformed_bundle_exits_one(workspace, capsys, tmp_path, damage, message):
+    bundle, _, _ = workspace
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    if damage == "features-cell":
+        lines = (copy / "features.csv").read_text().splitlines()
+        lines[1] = "abc" + lines[1][lines[1].index(","):]
+        (copy / "features.csv").write_text("\n".join(lines) + "\n")
+    else:
+        meta = json.loads((copy / "meta.json").read_text())
+        del meta["num_nodes"]
+        (copy / "meta.json").write_text(json.dumps(meta))
+    code, err = exit_code_and_err(["inspect", "--dataset", str(copy)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+
+
+def test_runtime_abort_exits_two(workspace, capsys, monkeypatch):
+    bundle, checkpoint, config = workspace
+
+    def abort(*args, **kwargs):
+        raise RuntimeError("non-finite training loss at epoch 0")
+
+    monkeypatch.setattr(cli, "run_method", abort)
+    code, err = exit_code_and_err(["tune", "--method", "gpf", "--encoder", str(checkpoint),
+                                   "--dataset", str(bundle), "--shot", "1",
+                                   "--config", str(config)], capsys)
+    assert code == 2
+    assert err == "aborted: non-finite training loss at epoch 0\n"
+
+
+def test_eval_tunes_each_shot_with_its_table_row(tmp_path, monkeypatch):
+    bundle, checkpoint, spec = tmp_path / "cora", tmp_path / "enc.ckpt", tmp_path / "eval.json"
+    assert dispatch(["make-sbm", "--n", "60", "--classes", "3", "--p-in", "0.3",
+                     "--p-out", "0.05", "--name", "cora", "--out", str(bundle)]) == 0
+    assert dispatch(["pretrain", "--dataset", str(bundle), "--objective", "dgi",
+                     "--epochs", "1", "--hidden", "6", "--embed", "6",
+                     "--out", str(checkpoint)]) == 0
+    spec.write_text(json.dumps({
+        "dataset": str(bundle), "encoder": str(checkpoint), "methods": ["linear-probe"],
+        "shots": [1, 3], "seeds": [3], "runs": 1, "tune": {"default": {"max_epochs": 2}},
+    }))
+    seen = {}
+    real = harness.run_method
+
+    def recording(method, graph, encoder, train_ids, cfg):
+        seen[len(train_ids) // graph.num_classes] = cfg
+        return real(method, graph, encoder, train_ids, cfg)
+
+    monkeypatch.setattr(harness, "run_method", recording)
+    assert dispatch(["eval", "--config", str(spec), "--jobs", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert TUNING_TABLE["dgi"]["cora"][3][:3] == (0.0005, 0.05, 10)
+    for shot in (1, 3):
+        cfg = seen[shot]
+        assert (cfg.up_lr, cfg.down_lr, cfg.k, cfg.tau) == TUNING_TABLE["dgi"]["cora"][shot]
+        assert cfg.max_epochs == 2
+
+
 # The report's line prefixes, in order; only the printed digits may vary.
 VERIFY_REPORT_PREFIXES = (
     "cases: 20, eta: 0.0001",
@@ -215,7 +291,8 @@ def test_noise_levels_write_rows(workspace, tmp_path):
 
 def misuses(bundle, checkpoint, config):
     """Argument lists each verb must reject: a missing --out where the verb
-    writes a file, and shared flags the verb does not read."""
+    writes a file, shared flags the verb does not read, and tune keys that
+    name no TuneConfig field."""
     graph = ["--dataset", str(bundle)]
     tune = graph + ["--encoder", str(checkpoint), "--shot", "1"]
     experiment = ["--config", str(config)]
@@ -240,6 +317,10 @@ def misuses(bundle, checkpoint, config):
         "inspect-seed": ["inspect", *graph, "--seed", "7"],
         "make-sbm-data-dir": ["make-sbm", *sbm, *out, "--data-dir", str(bundle.parent)],
         "verify-theory-data-dir": ["verify-theory", "--data-dir", str(bundle.parent)],
+        "tune-unknown-config-key": ["tune", *tune, "--method", "gpf",
+                                    "--config", str(config.parent / "typo-tune.json")],
+        "eval-unknown-tune-key": ["eval", "--config", str(config.parent / "typo-eval.json"),
+                                  *out],
     }
 
 

@@ -166,6 +166,40 @@ class TestFreezeThaw:
         dup.layer1.weight.data[0, 0] += 1.0
         assert enc.layer1.weight.data[0, 0] != dup.layer1.weight.data[0, 0]
 
+    def test_freeze_and_thaw_set_every_tensor(self):
+        enc = init_encoder(3, 4, 4, activation="prelu", rng=0)
+        assert len(enc.parameters()) == 6
+        assert all(p.requires_grad for p in enc.parameters())
+        assert not any(p.requires_grad for p in freeze(enc).parameters())
+        assert all(p.requires_grad for p in thaw(enc).parameters())
+
+    def test_one_trainable_tensor_means_not_frozen(self):
+        enc = freeze(init_encoder(3, 4, 4, rng=0))
+        enc.layer2.prelu_slope.requires_grad = True
+        assert not enc.frozen
+
+    def test_clone_keeps_each_tensors_flag(self):
+        enc = freeze(init_encoder(3, 4, 4, rng=0))
+        enc.layer2.bias.requires_grad = True
+        dup = clone_encoder(enc)
+        assert ({n: p.requires_grad for n, p in dup.named_parameters().items()}
+                == {n: p.requires_grad for n, p in enc.named_parameters().items()})
+
+    def test_thawed_clone_trains_while_source_stays_frozen(self):
+        enc = freeze(init_encoder(3, 4, 4, rng=0))
+        before = encoder_checkpoint_hash(enc)
+        dup = thaw(clone_encoder(enc))
+        opt = ad.AdamState(dup.parameters(), lr=0.1)
+        adj = identity_adj(5)
+        x = ad.constant(np.random.default_rng(1).normal(size=(5, 3)))
+        for _ in range(3):
+            assert not encode(enc, adj, x).requires_grad
+            ad.backward(total(encode(dup, adj, x)))
+            ad.adam_step(opt)
+        assert encoder_checkpoint_hash(dup) != before
+        assert enc.frozen and encoder_checkpoint_hash(enc) == before
+        assert all(p.grad is None for p in enc.parameters())
+
 
 class TestCheckpoints:
     def test_save_load_roundtrip(self, tmp_path):
@@ -174,6 +208,7 @@ class TestCheckpoints:
                      meta={"pretrain": "dgi", "dataset": "toy", "seed": 7})
         loaded, meta = load_encoder(tmp_path / "enc.ckpt")
         assert loaded.frozen
+        assert not any(p.requires_grad for p in loaded.parameters())
         assert meta["pretrain"] == "dgi" and meta["seed"] == 7
         assert encoder_checkpoint_hash(loaded) == encoder_checkpoint_hash(enc)
 

@@ -43,6 +43,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="sce_gamma"):
             PretrainConfig("graphmae", sce_gamma=0.5).validate()
 
+    def test_rejects_graphmae_zero_mask_rate(self):
+        with pytest.raises(ValueError, match="mask rate"):
+            PretrainConfig("graphmae", mask_rate=0.0).validate()
+        PretrainConfig("dgi", mask_rate=0.0).validate()  # only graphmae masks
+
 
 class TestDgi:
     def test_loss_at_half_scores_is_ln2(self, sbm):

@@ -505,6 +505,37 @@ class TestRunMethod:
             run_method(method, looped, encoder, train_ids(sbm), cfg)
 
 
+KNN_METHODS = ("uniprompt", "ablate:simple_add", "ablate:discard_topo")
+
+
+@pytest.fixture(scope="module")
+def sbm80():
+    return generate_sbm(80, 3, 0.25, 0.05, 8, 3.0, seed=3)
+
+
+class TestSampledKnn:
+    """``TuneConfig.knn_sample`` restricts each node's kNN candidates to a
+    sample drawn from the run's prompt-init stream."""
+
+    @staticmethod
+    def outcome(graph, encoder, cfg, method):
+        res = run_method(method, graph, encoder, train_ids(graph), cfg)
+        return res.loss_history, res.predictions.tolist()
+
+    @pytest.mark.parametrize("method", KNN_METHODS)
+    def test_full_sample_equals_exact_support(self, sbm80, encoder, cfg, method):
+        sampled = replace(cfg, knn_sample=sbm80.num_nodes)
+        assert (self.outcome(sbm80, encoder, sampled, method)
+                == self.outcome(sbm80, encoder, cfg, method))
+
+    @pytest.mark.parametrize("method", KNN_METHODS)
+    def test_smaller_sample_is_deterministic_per_seed(self, sbm80, encoder, cfg, method):
+        sampled = replace(cfg, knn_sample=20)
+        first = self.outcome(sbm80, encoder, sampled, method)
+        assert self.outcome(sbm80, encoder, sampled, method) == first
+        assert first != self.outcome(sbm80, encoder, cfg, method)
+
+
 # sha256 of float64 loss_history bytes then int64 predictions bytes, per
 # method, on the module fixture with the ``cfg`` fixture and the 1-shot task
 # of seed 42, run 0. Recorded before the tuning loops were merged into one
