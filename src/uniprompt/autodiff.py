@@ -25,6 +25,7 @@ import json
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 
 LOG_EPS = 1e-12  # additive floor inside info_nce's log / l2-normalize
 RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
@@ -295,7 +296,12 @@ def gather_rows(a, ids):
                 _accum(a, g.reshape(-1, 1))
             else:
                 g = np.zeros_like(a.data)
-                np.add.at(g, ids, go)
+                if np.unique(ids).size == ids.size:
+                    # distinct ids scatter by assignment: the same bits once
+                    # _accum adds g to zeros, which turns -0.0 into +0.0
+                    g[ids] = go
+                else:
+                    np.add.at(g, ids, go)
                 _accum(a, g)
 
     return _node(a.data[ids], (a,), bw)
@@ -555,29 +561,49 @@ class SparseTensor:
         return self.pattern.n
 
 
-def spmm(adj, x):
-    """Sparse @ dense. ``adj`` is a SparseAdj (constant) or SparseTensor."""
+def spmm(adj, x, rows=None):
+    """Sparse @ dense, ``A @ x``, or ``A[rows] @ x`` from a row slice of the
+    CSR. ``adj`` is a SparseAdj (constant) or SparseTensor.
+
+    With ``rows``, ``x`` holds either one row per node or one row per column
+    the slice stores, in ascending order (``pattern.columns_of(rows)``); the
+    slice's columns are then relabelled into those rows. The gradient of the
+    values is computed at the slice's entries only and is exactly zero
+    elsewhere. ``rows=None`` is every row, in order.
+    """
     if isinstance(adj, SparseTensor):
         pattern, values = adj.pattern, adj.values
     else:
         pattern, values = adj, constant(adj.data.reshape(-1, 1))
-    if pattern.n != x.shape[0]:
-        raise ValueError(f"spmm shape mismatch: adjacency {pattern.n} vs dense {x.shape}")
-    mat = pattern.to_scipy(values.data.reshape(-1))
+    if rows is None:
+        if pattern.n != x.shape[0]:
+            raise ValueError(f"spmm shape mismatch: adjacency {pattern.n} vs dense {x.shape}")
+        mat = pattern.to_scipy(values.data.reshape(-1))
+        pos, out_rows, cols = None, pattern.row_ids(), pattern.indices
+    else:
+        pos, indptr = pattern.row_slice(rows)
+        cols = pattern.indices[pos]
+        if x.shape[0] != pattern.n:
+            support = np.unique(cols)
+            if support.size != x.shape[0]:
+                raise ValueError(f"spmm shape mismatch: row slice reaches {support.size} "
+                                 f"columns vs dense {x.shape}")
+            cols = np.searchsorted(support, cols)
+        mat = sp.csr_matrix((values.data[pos, 0], cols, indptr),
+                            shape=(indptr.size - 1, x.shape[0]))
+        out_rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
     out_data = np.asarray(mat @ x.data)
-    rows = pattern.row_ids()
-    cols = pattern.indices
 
     def edge_grads(go):
-        # d(loss)/d(value at (i, j)) = go[i] . x[j]; below ~4k nodes the dense
+        # d(loss)/d(value at (i, j)) = go[i] . x[j]; up to ~4k x 4k the dense
         # product is far cheaper than per-edge gathers
-        if pattern.n * pattern.n <= 16_777_216:
-            return (go @ x.data.T)[rows, cols]
-        out = np.empty(rows.size)
-        for start in range(0, rows.size, 65536):
-            stop = min(start + 65536, rows.size)
+        if go.shape[0] * x.shape[0] <= 16_777_216:
+            return (go @ x.data.T)[out_rows, cols]
+        out = np.empty(out_rows.size)
+        for start in range(0, out_rows.size, 65536):
+            stop = min(start + 65536, out_rows.size)
             out[start:stop] = np.einsum(
-                "ij,ij->i", go[rows[start:stop]], x.data[cols[start:stop]]
+                "ij,ij->i", go[out_rows[start:stop]], x.data[cols[start:stop]]
             )
         return out
 
@@ -585,7 +611,10 @@ def spmm(adj, x):
         if x.requires_grad:
             _accum(x, np.asarray(mat.T @ go))
         if values.requires_grad:
-            _accum(values, edge_grads(go).reshape(-1, 1))
+            g = edge_grads(go)
+            if pos is not None:
+                g = np.bincount(pos, weights=g, minlength=pattern.nnz)
+            _accum(values, g.reshape(-1, 1))
 
     return _node(out_data, (values, x), bw)
 

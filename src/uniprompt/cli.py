@@ -49,10 +49,19 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _json_object(value, what):
+    """``value`` if it is a JSON object, else a ValueError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _tune_config(args, pretrain_name, dataset_name):
     """Shipped table < config file < explicit flags, seeded as the harness
     seeds run ``args.run`` of seed ``args.seed``."""
-    overrides = _load_json(args.config) if args.config else {}
+    overrides = {}
+    if args.config:
+        overrides = _json_object(_load_json(args.config), f"tune config {args.config}")
     for name in TUNE_FLAG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -110,13 +119,21 @@ def _cmd_ablate(args):
 
 
 def _experiment_spec(args):
-    config = _load_json(args.config)
+    config = _json_object(_load_json(args.config), f"experiment config {args.config}")
+    methods = tuple(config["methods"])
+    shots = config.get("shots", [1])
+    if not isinstance(shots, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shots):
+        raise ValueError(f"shots must be a list of positive integers, got {shots!r}")
+    shots = tuple(shots)
+    overrides = _json_object(config.get("tune", {}), "the tune section")
+    for key, section in overrides.items():
+        if key != "default" and key not in methods:
+            raise ValueError(f"tune section '{key}' is neither a listed method nor 'default'")
+        _json_object(section, f"tune section '{key}'")
     graph = _resolve_dataset(args, config["dataset"])
     enc, meta = load_encoder(config["encoder"])
     pretrain_name = meta.get("pretrain", "unknown")
-    methods = tuple(config["methods"])
-    shots = tuple(config.get("shots", (1,)))
-    overrides = config.get("tune", {})
     tune = {(m, shot): get_tuning_config(pretrain_name, graph.name, shot,
                                          **overrides.get(m, overrides.get("default", {})))
             for m in methods for shot in shots}

@@ -126,8 +126,8 @@ def _activate(x, layer):
     return x
 
 
-def encode(encoder, adj_norm, x, xw1=None):
-    """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2).
+def encode(encoder, adj_norm, x, xw1=None, rows=None):
+    """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2), or its ``rows``.
 
     ``adj_norm`` is a symmetric-normalized SparseAdj (constant) or a
     SparseTensor whose values carry prompt gradients. The parameters enter the
@@ -136,16 +136,32 @@ def encode(encoder, adj_norm, x, xw1=None):
     the adjacency values and the features. ``xw1``, if given, stands in for
     layer 1's ``X @ W1``: a caller with a frozen encoder and constant features
     computes that product once for many forwards.
+
+    A node's output reads only its 2-hop receptive field, so ``rows`` computes
+    just those nodes' rows: layer 2 at ``rows``, layer 1 at S1, the columns
+    of ``rows`` in the operator, and ``X @ W1`` (or the rows of ``xw1``) at
+    S2, the columns of S1's rows. Tuning trains this way on its labeled rows;
+    without ``rows`` every node is computed, as prediction and pretraining do.
     """
     if not isinstance(x, ad.Tensor):
         x = ad.constant(x)
     if x.shape[1] != encoder.in_dim:
         raise ValueError(f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
+    layer_rows = (None, None)
+    if rows is not None:
+        pattern = adj_norm.pattern if isinstance(adj_norm, ad.SparseTensor) else adj_norm
+        s1 = pattern.columns_of(rows)
+        s2 = pattern.columns_of(s1)
+        layer_rows = (s1, rows)
+        if xw1 is None:
+            x = ad.gather_rows(x, s2)
+        else:
+            xw1 = ad.gather_rows(xw1, s2)
     h = x
-    for layer, hw in ((encoder.layer1, xw1), (encoder.layer2, None)):
+    for layer, hw, out_rows in zip((encoder.layer1, encoder.layer2), (xw1, None), layer_rows):
         if hw is None:
             hw = ad.matmul(h, layer.weight)
-        h = _activate(ad.add(ad.spmm(adj_norm, hw), layer.bias), layer)
+        h = _activate(ad.add(ad.spmm(adj_norm, hw, rows=out_rows), layer.bias), layer)
     return h
 
 

@@ -61,6 +61,25 @@ class SparseAdj:
         """Row index of every stored entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
+    def row_slice(self, rows):
+        """Positions in ``indices`` of the stored entries of ``rows``, row
+        after row in the given order, and the row offsets of that slice."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1:
+            raise ValueError("row ids must be a 1-D index array")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+            raise ValueError("row index out of range")
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts), offsets
+
+    def columns_of(self, rows):
+        """The distinct columns stored in ``rows``, ascending: the nodes an
+        operator's output at ``rows`` reads."""
+        return np.unique(self.indices[self.row_slice(rows)[0]])
+
     def to_scipy(self, values=None):
         data = self.data if values is None else np.asarray(values, dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))

@@ -3,11 +3,17 @@
 Every method here trains a set of "upstream" parameters jointly with a
 downstream MLP classifier on a pretrained encoder. ``METHOD_TABLE`` maps each
 ``METHODS`` name to a builder returning those parameters and a
-``represent(training)`` function for the node representations: the gate
-weights of a kNN prompt topology fused into the graph by bootstrapping
-(uniprompt) and of its three component-replacement ablations, one vector
-added to every feature row (gpf), the weights of a thawed encoder clone
-(fine-tune), or nothing (linear probe). ``run_method`` owns everything else.
+``represent(training, rows=None)`` function for the node representations:
+the gate weights of a kNN prompt topology fused into the graph by
+bootstrapping (uniprompt) and of its three component-replacement ablations,
+one vector added to every feature row (gpf), the weights of a thawed encoder
+clone (fine-tune), or nothing (linear probe). ``run_method`` owns everything
+else.
+
+The loss reads only the labeled rows, so each training epoch computes the
+representations of those rows alone, from their 2-hop receptive field
+(``encode(..., rows=)``); the linear probe indexes its constant
+representations. Prediction computes every row.
 
 Every method encodes through the one symmetric normalization of ``graphs``:
 the graph-prompt rows run ``NormContext`` on their learned values, the other
@@ -212,7 +218,7 @@ def _graph_prompt(topology, integration):
         xw1 = ad.matmul(x, encoder.layer1.weight)
         fused = union.data.reshape(-1, 1)  # A_hat^(t) of the bootstrap path
 
-        def represent(training):
+        def represent(training, rows=None):
             nonlocal fused
             if integration == "bootstrap" and not training:
                 # predict with the last fused adjacency of training
@@ -226,7 +232,7 @@ def _graph_prompt(topology, integration):
                     values = ad.add(a_union, ad.segment_sum(gates, positions, union.nnz))
                 else:
                     values = gates
-            return encode(encoder, ctx.normalize(values), x, xw1=xw1)
+            return encode(encoder, ctx.normalize(values), x, xw1=xw1, rows=rows)
 
         return [w], represent
 
@@ -237,7 +243,7 @@ def _linear_probe(graph, encoder, cfg):
     """Representations from a single encoder forward on the original
     normalized adjacency; only the classifier trains."""
     h = encode(encoder, graph.normalized_adjacency(), ad.constant(graph.features))
-    return [], lambda training: h
+    return [], lambda training, rows=None: h if rows is None else ad.gather_rows(h, rows)
 
 
 def _thawed_encoder(graph, encoder, cfg):
@@ -246,7 +252,7 @@ def _thawed_encoder(graph, encoder, cfg):
     clone = thaw(clone_encoder(encoder))
     adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
-    return clone.parameters(), lambda training: encode(clone, adj, x)
+    return clone.parameters(), lambda training, rows=None: encode(clone, adj, x, rows=rows)
 
 
 def _feature_prompt(graph, encoder, cfg):
@@ -255,7 +261,11 @@ def _feature_prompt(graph, encoder, cfg):
     adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
     p = ad.parameter(np.zeros((1, graph.num_features)), name="gpf.prompt")
-    return [p], lambda training: encode(encoder, adj, ad.add(x, p if training else p.detach()))
+
+    def represent(training, rows=None):
+        return encode(encoder, adj, ad.add(x, p if training else p.detach()), rows=rows)
+
+    return [p], represent
 
 
 # (topology, integration) row of each component-replacement ablation
@@ -267,7 +277,8 @@ _ABLATIONS = {
 ABLATION_VARIANTS = tuple(_ABLATIONS)
 
 # method name -> builder(graph, encoder, cfg) -> (upstream parameters,
-# represent(training) -> node representations)
+# represent(training, rows=None) -> node representations, of ``rows`` only
+# when given)
 METHOD_TABLE = {
     "uniprompt": _graph_prompt("knn", "bootstrap"),
     "linear-probe": _linear_probe,
@@ -282,12 +293,14 @@ def run_method(method, graph, encoder, train_ids, cfg):
     """Tune one ``METHODS`` entry on the labeled ``train_ids``.
 
     ``METHOD_TABLE[method]`` gives the method's upstream parameters and its
-    ``represent(training)``, the node representations that feed a fresh MLP
-    classifier. Each epoch runs one forward and backward pass, then steps one
-    Adam state for the upstream parameters at ``cfg.up_lr`` (when there are
-    any) and one for the classifier at ``cfg.down_lr``. Training stops at
-    ``cfg.max_epochs`` or after ``cfg.patience`` epochs without improvement;
-    predictions use ``represent(False)``. The shared ``encoder`` must be
+    ``represent(training, rows)``, the node representations that feed a fresh
+    MLP classifier. Each epoch runs one forward and backward pass over
+    ``represent(True, train_ids)``, which reads only the labeled rows'
+    receptive field, then steps one Adam state for the upstream parameters at
+    ``cfg.up_lr`` (when there are any) and one for the classifier at
+    ``cfg.down_lr``. Training stops at ``cfg.max_epochs`` or after
+    ``cfg.patience`` epochs without improvement; predictions use
+    ``represent(False)`` over every node. The shared ``encoder`` must be
     frozen, and its checkpoint hash is asserted unchanged at the end.
     """
     if method not in METHOD_TABLE:
@@ -306,8 +319,7 @@ def run_method(method, graph, encoder, train_ids, cfg):
     optimizers.append(ad.AdamState(clf.parameters(), lr=cfg.down_lr))
 
     def step(epoch):
-        logits = classify(clf, represent(True))
-        loss = ad.cross_entropy(ad.gather_rows(logits, ids), targets)
+        loss = ad.cross_entropy(classify(clf, represent(True, ids)), targets)
         ad.backward(loss)
         for opt in optimizers:
             ad.adam_step(opt)

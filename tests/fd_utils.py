@@ -123,11 +123,23 @@ def _case_softplus(rng):
 
 
 def _case_spmm(rng):
+    """The full product stacked over two products of a row slice in
+    descending (unsorted) row order: against x, and against x's rows at the
+    columns the slice reaches."""
     pattern = _random_pattern(rng)
+    rows = np.sort(rng.choice(pattern.n, size=3, replace=False))[::-1]
+    support = pattern.columns_of(rows)
+
+    def products(v, x):
+        adj = ad.SparseTensor(pattern, v)
+        sliced = ad.concat_rows(ad.spmm(adj, x, rows=rows),
+                                ad.spmm(adj, ad.gather_rows(x, support), rows=rows))
+        return ad.concat_rows(ad.spmm(adj, x), sliced)
+
     return [
         rng.uniform(0.2, 1.5, size=(pattern.nnz, 1)),
         rng.normal(size=(pattern.n, 3)),
-    ], lambda v, x: ad.spmm(ad.SparseTensor(pattern, v), x)
+    ], products
 
 
 def _case_transpose(rng):

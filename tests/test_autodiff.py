@@ -222,6 +222,53 @@ class TestOpValues:
         adj = SparseAdj.from_coo(2, [0], [1], [1.0])
         with pytest.raises(ValueError):
             ad.spmm(adj, ad.constant(np.ones((3, 2))))
+        with pytest.raises(ValueError, match="reaches 1 columns"):
+            ad.spmm(adj, ad.constant(np.ones((3, 2))), rows=[0])
+        with pytest.raises(ValueError, match="out of range"):
+            ad.spmm(adj, ad.constant(np.ones((2, 2))), rows=[2])
+
+    @staticmethod
+    def sliced_operator(taped):
+        rng = np.random.default_rng(11)
+        mask = rng.random((40, 40)) < 0.15
+        rows, cols = np.nonzero(mask)
+        pattern = SparseAdj.from_coo(40, rows, cols, np.ones(rows.size))
+        values = ad.Tensor(rng.uniform(0.1, 1.0, size=(pattern.nnz, 1)), requires_grad=taped)
+        x = ad.Tensor(rng.normal(size=(40, 5)), requires_grad=taped)
+        return pattern, values, x, np.array([31, 2, 17, 30, 5])
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_spmm_row_slice_is_those_rows_bit_for_bit(self, taped):
+        pattern, values, x, rows = self.sliced_operator(taped)
+        adj = ad.SparseTensor(pattern, values) if taped else pattern.with_values(values.data[:, 0])
+        full = ad.spmm(adj, x).data[rows]
+        assert np.array_equal(ad.spmm(adj, x, rows=rows).data, full)
+        compact = ad.constant(x.data[pattern.columns_of(rows)])
+        assert np.array_equal(ad.spmm(adj, compact, rows=rows).data, full)
+
+    def test_spmm_row_slice_gradients_match_the_full_product(self):
+        pattern, values, x, rows = self.sliced_operator(True)
+        adj = ad.SparseTensor(pattern, values)
+        proj = ad.constant(np.random.default_rng(2).normal(size=(rows.size, 5)))
+        full = ad.backward(total(ad.hadamard(ad.gather_rows(ad.spmm(adj, x), rows), proj)),
+                           params=[values, x])
+        sliced = ad.backward(total(ad.hadamard(ad.spmm(adj, x, rows=rows), proj)),
+                             params=[values, x])
+        for t in (values, x):
+            np.testing.assert_allclose(sliced[t], full[t], rtol=1e-12, atol=1e-12)
+        outside = np.ones(pattern.nnz, dtype=bool)
+        outside[pattern.row_slice(rows)[0]] = False
+        assert outside.any() and (sliced[values][outside] == 0.0).all()
+
+    def test_gather_rows_distinct_ids_scatter_with_add_at_bits(self):
+        go = np.random.default_rng(4).normal(size=(3, 2))
+        go[0, 0] = -0.0
+        for ids in ([4, 0, 2], [4, 0, 4]):
+            a = ad.parameter(np.ones((6, 2)))
+            ad.gather_rows(a, ids)._backward_fn(go)
+            expected = np.zeros((6, 2))
+            np.add.at(expected, ids, go)
+            assert a.grad.tobytes() == (np.zeros((6, 2)) + expected).tobytes(), ids
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

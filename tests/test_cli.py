@@ -37,6 +37,16 @@ def workspace(tmp_path_factory):
         "dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
         "tune": {"default": {"tua": 0.5}},
     }))
+    # malformed experiment specs: a tune config that is not a JSON object, a
+    # shot given as a string and a misspelled tune section
+    (root / "list-tune.json").write_text(json.dumps([1, 2]))
+    experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"]}
+    for name, extra in (("list-eval", {"tune": [1, 2]}),
+                        ("section-list-eval", {"tune": {"gpf": [1, 2]}}),
+                        ("shots-eval", {"shots": ["1"]}),
+                        ("zero-shots-eval", {"shots": [0]}),
+                        ("section-eval", {"tune": {"dfault": {"max_epochs": 2}}})):
+        (root / f"{name}.json").write_text(json.dumps({**experiment, **extra}))
     return bundle, checkpoint, config
 
 
@@ -108,6 +118,20 @@ def test_tune_reproduces_eval_rows(workspace, capsys, tmp_path):
                            "--seed", row["seed"], "--run", row["run"],
                            "--config", str(config)], capsys)
         assert record["accuracy"] == float(row["accuracy"])
+
+
+def test_tune_section_names_a_listed_method_or_default(workspace, capsys, tmp_path):
+    bundle, checkpoint, _ = workspace
+    spec = tmp_path / "eval.json"
+    base = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
+            "seeds": [3], "runs": 1}
+    argv = ["eval", "--config", str(spec), "--jobs", "1", "--out", str(tmp_path / "out")]
+    spec.write_text(json.dumps({**base, "tune": {"gpf": TUNE_OVERRIDES}}))
+    assert dispatch(argv) == 0
+    spec.write_text(json.dumps({**base, "tune": {"dfault": TUNE_OVERRIDES}}))
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert "tune section 'dfault'" in capsys.readouterr().err
 
 
 def test_zero_epochs_writes_null_loss(workspace, capsys):
@@ -321,6 +345,12 @@ def misuses(bundle, checkpoint, config):
                                     "--config", str(config.parent / "typo-tune.json")],
         "eval-unknown-tune-key": ["eval", "--config", str(config.parent / "typo-eval.json"),
                                   *out],
+        "tune-config-not-object": ["tune", *tune, "--method", "gpf",
+                                   "--config", str(config.parent / "list-tune.json")],
+        "experiment-not-object": ["eval", "--config", str(config.parent / "list-tune.json"),
+                                  *out],
+        **{f"eval-{name}": ["eval", "--config", str(config.parent / f"{name}-eval.json"), *out]
+           for name in ("list", "section-list", "shots", "zero-shots", "section")},
     }
 
 

@@ -505,6 +505,55 @@ class TestRunMethod:
             run_method(method, looped, encoder, train_ids(sbm), cfg)
 
 
+class TestReceptiveField:
+    """Training reads only the labeled rows' 2-hop receptive field."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_labeled_rows_match_the_full_forward(self, sbm, encoder, cfg, method):
+        ids = train_ids(sbm, shot=3)[::-1]  # unsorted
+
+        def one_epoch(rows):
+            upstream, represent = METHOD_TABLE[method](sbm, encoder, cfg)
+            clf = init_classifier(encoder.out_dim, cfg.clf_hidden, sbm.num_classes,
+                                  rng_stream("classifier-init", cfg.seed))
+            if rows is None:
+                h = represent(True)
+                logits = ad.gather_rows(classify(clf, h), ids)
+                h = h.data[ids]
+            else:
+                h = represent(True, rows)
+                logits = classify(clf, h)
+                h = h.data
+            params = upstream + clf.parameters()
+            grads = ad.backward(ad.cross_entropy(logits, sbm.labels[ids]), params=params)
+            return h, [grads[p] for p in params]
+
+        (h_full, g_full), (h_rows, g_rows) = one_epoch(None), one_epoch(ids)
+        np.testing.assert_allclose(h_rows, h_full, rtol=1e-12, atol=1e-12)
+        for g_r, g_f in zip(g_rows, g_full, strict=True):
+            np.testing.assert_allclose(g_r, g_f, rtol=1e-12, atol=1e-12)
+
+    def test_uniprompt_epoch_computes_receptive_field_rows_only(self, sbm, encoder, cfg,
+                                                                monkeypatch):
+        produced, operators = [], []
+        real = ad.spmm
+
+        def counting(adj, x, rows=None):
+            out = real(adj, x, rows=rows)
+            produced.append(out.shape[0])
+            operators.append(adj.pattern)
+            return out
+
+        monkeypatch.setattr(ad, "spmm", counting)
+        ids = train_ids(sbm)
+        run_method("uniprompt", sbm, encoder, ids, replace(cfg, max_epochs=1))
+        pattern = operators[0]
+        s1 = np.unique(pattern.indices[np.isin(pattern.row_ids(), ids)])
+        assert s1.size < sbm.num_nodes
+        # one training epoch, then the prediction over every node
+        assert produced == [s1.size, ids.size, sbm.num_nodes, sbm.num_nodes]
+
+
 KNN_METHODS = ("uniprompt", "ablate:simple_add", "ablate:discard_topo")
 
 
