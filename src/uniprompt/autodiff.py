@@ -25,7 +25,6 @@ import json
 import struct
 
 import numpy as np
-import scipy.sparse as sp
 
 LOG_EPS = 1e-12  # additive floor inside info_nce's log / l2-normalize
 RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
@@ -556,47 +555,37 @@ class SparseTensor:
         self.pattern = pattern
         self.values = values
 
-    @property
-    def n(self):
-        return self.pattern.n
+
+def restrict(adj, rows):
+    """``A[rows]`` as its own |rows| x |S| operator, and S: the distinct
+    columns of ``rows``, ascending, so the slice multiplies the rows of x at S.
+    A SparseTensor's slice gathers its values on the tape, so the values
+    gradient reaches the full operator at the slice's entries only."""
+    if not isinstance(adj, SparseTensor):
+        sliced, _, support = adj.restrict(rows)
+        return sliced, support
+    sliced, pos, support = adj.pattern.restrict(rows)
+    return SparseTensor(sliced, gather_rows(adj.values, pos)), support
 
 
-def spmm(adj, x, rows=None):
-    """Sparse @ dense, ``A @ x``, or ``A[rows] @ x`` from a row slice of the
-    CSR. ``adj`` is a SparseAdj (constant) or SparseTensor.
-
-    With ``rows``, ``x`` holds either one row per node or one row per column
-    the slice stores, in ascending order (``pattern.columns_of(rows)``); the
-    slice's columns are then relabelled into those rows. The gradient of the
-    values is computed at the slice's entries only and is exactly zero
-    elsewhere. ``rows=None`` is every row, in order.
-    """
+def spmm(adj, x):
+    """Sparse @ dense, ``A @ x``. ``adj`` is a SparseAdj (constant) or a
+    SparseTensor, square or a ``restrict``ed slice with one column per row
+    of ``x``."""
     if isinstance(adj, SparseTensor):
         pattern, values = adj.pattern, adj.values
     else:
         pattern, values = adj, constant(adj.data.reshape(-1, 1))
-    if rows is None:
-        if pattern.n != x.shape[0]:
-            raise ValueError(f"spmm shape mismatch: adjacency {pattern.n} vs dense {x.shape}")
-        mat = pattern.to_scipy(values.data.reshape(-1))
-        pos, out_rows, cols = None, pattern.row_ids(), pattern.indices
-    else:
-        pos, indptr = pattern.row_slice(rows)
-        cols = pattern.indices[pos]
-        if x.shape[0] != pattern.n:
-            support = np.unique(cols)
-            if support.size != x.shape[0]:
-                raise ValueError(f"spmm shape mismatch: row slice reaches {support.size} "
-                                 f"columns vs dense {x.shape}")
-            cols = np.searchsorted(support, cols)
-        mat = sp.csr_matrix((values.data[pos, 0], cols, indptr),
-                            shape=(indptr.size - 1, x.shape[0]))
-        out_rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    if pattern.n_cols != x.shape[0]:
+        raise ValueError(f"spmm shape mismatch: adjacency {pattern.n} x {pattern.n_cols} "
+                         f"vs dense {x.shape}")
+    mat = pattern.to_scipy(values.data.reshape(-1))
     out_data = np.asarray(mat @ x.data)
 
     def edge_grads(go):
         # d(loss)/d(value at (i, j)) = go[i] . x[j]; up to ~4k x 4k the dense
         # product is far cheaper than per-edge gathers
+        out_rows, cols = pattern.row_ids(), pattern.indices
         if go.shape[0] * x.shape[0] <= 16_777_216:
             return (go @ x.data.T)[out_rows, cols]
         out = np.empty(out_rows.size)
@@ -611,10 +600,7 @@ def spmm(adj, x, rows=None):
         if x.requires_grad:
             _accum(x, np.asarray(mat.T @ go))
         if values.requires_grad:
-            g = edge_grads(go)
-            if pos is not None:
-                g = np.bincount(pos, weights=g, minlength=pattern.nnz)
-            _accum(values, g.reshape(-1, 1))
+            _accum(values, edge_grads(go).reshape(-1, 1))
 
     return _node(out_data, (values, x), bw)
 

@@ -56,6 +56,10 @@ def _json_object(value, what):
     return value
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _tune_config(args, pretrain_name, dataset_name):
     """Shipped table < config file < explicit flags, seeded as the harness
     seeds run ``args.run`` of seed ``args.seed``."""
@@ -122,10 +126,14 @@ def _experiment_spec(args):
     config = _json_object(_load_json(args.config), f"experiment config {args.config}")
     methods = tuple(config["methods"])
     shots = config.get("shots", [1])
-    if not isinstance(shots, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shots):
+    if not isinstance(shots, list) or not all(_is_int(s) and s >= 1 for s in shots):
         raise ValueError(f"shots must be a list of positive integers, got {shots!r}")
-    shots = tuple(shots)
+    seeds = config.get("seeds", list(DEFAULT_SEEDS))
+    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
+        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
+    runs = config.get("runs", DEFAULT_RUNS)
+    if not _is_int(runs) or runs < 1:
+        raise ValueError(f"runs must be a positive integer, got {runs!r}")
     overrides = _json_object(config.get("tune", {}), "the tune section")
     for key, section in overrides.items():
         if key != "default" and key not in methods:
@@ -143,10 +151,10 @@ def _experiment_spec(args):
         graph=graph,
         encoder=enc,
         methods=methods,
-        shots=shots,
+        shots=tuple(shots),
         tune=tune,
-        seeds=tuple(config.get("seeds", DEFAULT_SEEDS)),
-        runs=int(config.get("runs", DEFAULT_RUNS)),
+        seeds=tuple(seeds),
+        runs=runs,
         workers=args.jobs,
     )
 

@@ -138,30 +138,31 @@ def encode(encoder, adj_norm, x, xw1=None, rows=None):
     computes that product once for many forwards.
 
     A node's output reads only its 2-hop receptive field, so ``rows`` computes
-    just those nodes' rows: layer 2 at ``rows``, layer 1 at S1, the columns
-    of ``rows`` in the operator, and ``X @ W1`` (or the rows of ``xw1``) at
-    S2, the columns of S1's rows. Tuning trains this way on its labeled rows;
-    without ``rows`` every node is computed, as prediction and pretraining do.
+    just those nodes' rows, each layer with its own slice of the operator:
+    ``restrict`` gives layer 2 the rows x S1 operator, where S1 is the columns
+    ``rows`` reach, and layer 1 the S1 x S2 one, where S2 is the columns S1
+    reaches; ``X @ W1`` (or ``xw1``) is taken at S2. Tuning trains this way on
+    its labeled rows; without ``rows`` every node is computed, as prediction
+    and pretraining do.
     """
     if not isinstance(x, ad.Tensor):
         x = ad.constant(x)
     if x.shape[1] != encoder.in_dim:
         raise ValueError(f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
-    layer_rows = (None, None)
+    operators = (adj_norm, adj_norm)
     if rows is not None:
-        pattern = adj_norm.pattern if isinstance(adj_norm, ad.SparseTensor) else adj_norm
-        s1 = pattern.columns_of(rows)
-        s2 = pattern.columns_of(s1)
-        layer_rows = (s1, rows)
+        adj2, s1 = ad.restrict(adj_norm, rows)
+        adj1, s2 = ad.restrict(adj_norm, s1)
+        operators = (adj1, adj2)
         if xw1 is None:
             x = ad.gather_rows(x, s2)
         else:
             xw1 = ad.gather_rows(xw1, s2)
     h = x
-    for layer, hw, out_rows in zip((encoder.layer1, encoder.layer2), (xw1, None), layer_rows):
+    for layer, hw, adj in zip((encoder.layer1, encoder.layer2), (xw1, None), operators):
         if hw is None:
             hw = ad.matmul(h, layer.weight)
-        h = _activate(ad.add(ad.spmm(adj_norm, hw, rows=out_rows), layer.bias), layer)
+        h = _activate(ad.add(ad.spmm(adj, hw), layer.bias), layer)
     return h
 
 
@@ -232,7 +233,8 @@ def encoder_checkpoint_hash(encoder):
 
 
 def save_encoder(encoder, path, meta=None):
-    """Write the weight checkpoint plus a '<path>.json' sidecar."""
+    """Write the weight checkpoint plus a '<path>.json' sidecar that holds
+    the checkpoint's sha256 (``encoder_checkpoint_hash``)."""
     path = Path(path)
     ad.save_checkpoint(path, encoder_state_dict(encoder))
     activation = encoder.layer1.activation
@@ -245,13 +247,15 @@ def save_encoder(encoder, path, meta=None):
     }
     if meta:
         sidecar.update(meta)
+    sidecar["encoder_checkpoint_hash"] = encoder_checkpoint_hash(encoder)
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_encoder(path):
-    """Load an encoder checkpoint; returns (Encoder frozen, sidecar dict)."""
+    """Load an encoder checkpoint; returns (Encoder frozen, sidecar dict).
+    The weights must hash to the sidecar's ``encoder_checkpoint_hash``."""
     path = Path(path)
     state = ad.load_checkpoint(path)
     with open(str(path) + ".json") as fh:
@@ -273,4 +277,8 @@ def load_encoder(path):
     for key in ("in_dim", "hidden_dim", "out_dim"):
         if meta.get(key) != getattr(enc, key):
             raise ValueError(f"sidecar {key} {meta.get(key)} != checkpoint {getattr(enc, key)}")
+    if "encoder_checkpoint_hash" not in meta:
+        raise ValueError("sidecar: missing key 'encoder_checkpoint_hash'")
+    if meta["encoder_checkpoint_hash"] != encoder_checkpoint_hash(enc):
+        raise ValueError("checkpoint sha256 differs from its sidecar's encoder_checkpoint_hash")
     return enc, meta

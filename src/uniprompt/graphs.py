@@ -21,12 +21,15 @@ DEG_EPS = 1e-12  # degree floor when normalizing without self-loops
 
 
 class SparseAdj:
-    """Immutable square CSR matrix (row offsets, sorted column indices, values)."""
+    """Immutable CSR matrix (row offsets, sorted column indices, values) with
+    ``n`` rows and ``n_cols`` columns. Graph operators are square, and
+    ``n_cols`` defaults to ``n``; ``restrict`` builds the rectangular slices."""
 
-    __slots__ = ("n", "indptr", "indices", "data")
+    __slots__ = ("n", "n_cols", "indptr", "indices", "data")
 
-    def __init__(self, n, indptr, indices, data):
+    def __init__(self, n, indptr, indices, data, n_cols=None):
         self.n = int(n)
+        self.n_cols = self.n if n_cols is None else int(n_cols)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
@@ -36,7 +39,7 @@ class SparseAdj:
             raise ValueError("indptr offsets must be monotone")
         if self.indices.shape != self.data.shape or self.indices.ndim != 1:
             raise ValueError("indices and values must be parallel 1-D arrays")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
+        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n_cols):
             raise ValueError("column index out of range")
         if not np.isfinite(self.data).all():
             raise ValueError("sparse values must be finite")
@@ -75,17 +78,22 @@ class SparseAdj:
         np.cumsum(counts, out=offsets[1:])
         return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts), offsets
 
-    def columns_of(self, rows):
-        """The distinct columns stored in ``rows``, ascending: the nodes an
-        operator's output at ``rows`` reads."""
-        return np.unique(self.indices[self.row_slice(rows)[0]])
+    def restrict(self, rows):
+        """``A[rows]`` over the columns it reaches: the |rows| x |S| operator
+        with the entries' values and its columns relabelled into S, the
+        entries' positions in ``indices``, and S, the distinct columns of
+        ``rows`` in ascending order (the nodes the slice reads)."""
+        pos, offsets = self.row_slice(rows)
+        support, cols = np.unique(self.indices[pos], return_inverse=True)
+        return SparseAdj(offsets.size - 1, offsets, cols, self.data[pos],
+                         n_cols=support.size), pos, support
 
     def to_scipy(self, values=None):
         data = self.data if values is None else np.asarray(values, dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n_cols))
 
     def with_values(self, values):
-        return SparseAdj(self.n, self.indptr, self.indices, values)
+        return SparseAdj(self.n, self.indptr, self.indices, values, self.n_cols)
 
 
 class _EdgeCache:

@@ -123,18 +123,16 @@ def _case_softplus(rng):
 
 
 def _case_spmm(rng):
-    """The full product stacked over two products of a row slice in
-    descending (unsorted) row order: against x, and against x's rows at the
-    columns the slice reaches."""
+    """The full product stacked over the product of a restricted operator,
+    rows in descending (unsorted) order, against x's rows at the columns the
+    slice reaches: a rectangular operator and the gather of its values."""
     pattern = _random_pattern(rng)
     rows = np.sort(rng.choice(pattern.n, size=3, replace=False))[::-1]
-    support = pattern.columns_of(rows)
 
     def products(v, x):
         adj = ad.SparseTensor(pattern, v)
-        sliced = ad.concat_rows(ad.spmm(adj, x, rows=rows),
-                                ad.spmm(adj, ad.gather_rows(x, support), rows=rows))
-        return ad.concat_rows(ad.spmm(adj, x), sliced)
+        sliced, support = ad.restrict(adj, rows)
+        return ad.concat_rows(ad.spmm(adj, x), ad.spmm(sliced, ad.gather_rows(x, support)))
 
     return [
         rng.uniform(0.2, 1.5, size=(pattern.nnz, 1)),

@@ -38,13 +38,18 @@ def workspace(tmp_path_factory):
         "tune": {"default": {"tua": 0.5}},
     }))
     # malformed experiment specs: a tune config that is not a JSON object, a
-    # shot given as a string and a misspelled tune section
+    # shot or seed given as a string, a fractional run count and a misspelled
+    # tune section
     (root / "list-tune.json").write_text(json.dumps([1, 2]))
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"]}
     for name, extra in (("list-eval", {"tune": [1, 2]}),
                         ("section-list-eval", {"tune": {"gpf": [1, 2]}}),
                         ("shots-eval", {"shots": ["1"]}),
                         ("zero-shots-eval", {"shots": [0]}),
+                        ("seeds-eval", {"seeds": ["1"]}),
+                        ("bool-seeds-eval", {"seeds": [True]}),
+                        ("runs-eval", {"runs": 2.7}),
+                        ("zero-runs-eval", {"runs": 0}),
                         ("section-eval", {"tune": {"dfault": {"max_epochs": 2}}})):
         (root / f"{name}.json").write_text(json.dumps({**experiment, **extra}))
     return bundle, checkpoint, config
@@ -134,6 +139,20 @@ def test_tune_section_names_a_listed_method_or_default(workspace, capsys, tmp_pa
     assert "tune section 'dfault'" in capsys.readouterr().err
 
 
+def test_eval_runs_large_and_negative_seeds(workspace, tmp_path):
+    # every seed the harness runs today stays accepted, 2**32 / 100000 and up
+    bundle, checkpoint, _ = workspace
+    spec = tmp_path / "eval.json"
+    spec.write_text(json.dumps({
+        "dataset": str(bundle), "encoder": str(checkpoint), "methods": ["linear-probe"],
+        "seeds": [50000, -3], "runs": 1, "tune": {"default": TUNE_OVERRIDES},
+    }))
+    assert dispatch(["eval", "--config", str(spec), "--jobs", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        assert sorted(row["seed"] for row in csv.DictReader(fh)) == ["-3", "50000"]
+
+
 def test_zero_epochs_writes_null_loss(workspace, capsys):
     bundle, checkpoint, config = workspace
     record = run_json(["tune", "--method", "gpf", "--encoder", str(checkpoint),
@@ -144,7 +163,8 @@ def test_zero_epochs_writes_null_loss(workspace, capsys):
 
 
 @pytest.mark.parametrize("damage, message", [("trailing-bytes", "trailing bytes"),
-                                             ("sidecar-dims", "sidecar hidden_dim")])
+                                             ("sidecar-dims", "sidecar hidden_dim"),
+                                             ("flipped-byte", "sha256")])
 def test_damaged_checkpoint_exits_one(workspace, capsys, tmp_path, damage, message):
     bundle, checkpoint, config = workspace
     copy = tmp_path / "enc.ckpt"
@@ -152,6 +172,9 @@ def test_damaged_checkpoint_exits_one(workspace, capsys, tmp_path, damage, messa
     sidecar = json.loads(Path(str(checkpoint) + ".json").read_text())
     if damage == "trailing-bytes":
         payload += b"garbage"
+    elif damage == "flipped-byte":
+        # a low mantissa byte of the last weight: same length, finite value
+        payload = payload[:-3] + bytes([payload[-3] ^ 1]) + payload[-2:]
     else:
         sidecar["hidden_dim"] += 1
     copy.write_bytes(payload)
@@ -350,7 +373,8 @@ def misuses(bundle, checkpoint, config):
         "experiment-not-object": ["eval", "--config", str(config.parent / "list-tune.json"),
                                   *out],
         **{f"eval-{name}": ["eval", "--config", str(config.parent / f"{name}-eval.json"), *out]
-           for name in ("list", "section-list", "shots", "zero-shots", "section")},
+           for name in ("list", "section-list", "shots", "zero-shots", "seeds", "bool-seeds",
+                        "runs", "zero-runs", "section")},
     }
 
 

@@ -1,5 +1,8 @@
 """Encoder/classifier forward, freeze semantics, and checkpoint tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,21 @@ class TestCheckpoints:
         assert not any(p.requires_grad for p in loaded.parameters())
         assert meta["pretrain"] == "dgi" and meta["seed"] == 7
         assert encoder_checkpoint_hash(loaded) == encoder_checkpoint_hash(enc)
+
+    def test_load_checks_the_sidecar_digest(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        save_encoder(init_encoder(3, 5, 4, rng=1), path)
+        sidecar = Path(str(path) + ".json")
+        meta = json.loads(sidecar.read_text())
+        blob = bytearray(path.read_bytes())
+        blob[-3] ^= 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="sha256"):
+            load_encoder(path)
+        del meta["encoder_checkpoint_hash"]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="missing key 'encoder_checkpoint_hash'"):
+            load_encoder(path)
 
     def test_hash_changes_with_parameters(self):
         enc = init_encoder(3, 5, 4, rng=1)

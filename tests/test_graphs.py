@@ -118,6 +118,28 @@ class TestGraphInvariants:
             g.src[0] = 2
 
 
+class TestSparseAdj:
+    def test_square_unless_given_a_column_count(self):
+        adj = SparseAdj(2, [0, 1, 2], [1, 0], [1.0, 2.0])
+        assert adj.n_cols == 2 and adj.to_scipy().shape == (2, 2)
+        wide = SparseAdj(2, [0, 1, 2], [4, 0], [1.0, 2.0], n_cols=5)
+        assert wide.to_scipy().shape == (2, 5) and wide.with_values([3.0, 4.0]).n_cols == 5
+        with pytest.raises(ValueError, match="column index out of range"):
+            SparseAdj(2, [0, 1, 2], [4, 0], [1.0, 2.0])
+
+    def test_restrict_is_the_rows_over_the_columns_they_reach(self):
+        rng = np.random.default_rng(5)
+        rows, cols = np.nonzero(rng.random((12, 12)) < 0.2)
+        adj = SparseAdj.from_coo(12, rows, cols, rng.uniform(0.5, 1.5, rows.size))
+        picked = np.array([9, 0, 4, 9])  # unsorted, with a repeat
+        sliced, pos, support = adj.restrict(picked)
+        dense = adj.to_scipy().toarray()
+        assert np.array_equal(support, np.flatnonzero(dense[picked].any(axis=0)))
+        assert (sliced.n, sliced.n_cols) == (picked.size, support.size)
+        assert np.array_equal(sliced.to_scipy().toarray(), dense[picked][:, support])
+        assert np.array_equal(sliced.data, adj.data[pos])
+
+
 class TestSymmetricNormalize:
     def test_two_node_single_edge_with_self_loops(self):
         adj = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])

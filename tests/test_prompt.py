@@ -18,7 +18,7 @@ from uniprompt.encoder import (
     init_classifier,
     thaw,
 )
-from uniprompt.graphs import Graph, NormContext, knn_prompt_init
+from uniprompt.graphs import Graph, NormContext, SparseAdj, knn_prompt_init
 from uniprompt.harness import evaluate, generate_sbm, sample_k_shot
 from uniprompt.pretrain import PretrainConfig, pretrain
 from uniprompt.prompt import (
@@ -535,23 +535,37 @@ class TestReceptiveField:
 
     def test_uniprompt_epoch_computes_receptive_field_rows_only(self, sbm, encoder, cfg,
                                                                 monkeypatch):
-        produced, operators = [], []
+        operators = []
         real = ad.spmm
 
-        def counting(adj, x, rows=None):
-            out = real(adj, x, rows=rows)
-            produced.append(out.shape[0])
+        def recording(adj, x):
             operators.append(adj.pattern)
-            return out
+            return real(adj, x)
 
-        monkeypatch.setattr(ad, "spmm", counting)
+        monkeypatch.setattr(ad, "spmm", recording)
         ids = train_ids(sbm)
         run_method("uniprompt", sbm, encoder, ids, replace(cfg, max_epochs=1))
-        pattern = operators[0]
-        s1 = np.unique(pattern.indices[np.isin(pattern.row_ids(), ids)])
-        assert s1.size < sbm.num_nodes
-        # one training epoch, then the prediction over every node
-        assert produced == [s1.size, ids.size, sbm.num_nodes, sbm.num_nodes]
+        full, n = operators[-1], sbm.num_nodes
+        in_rows = lambda rows: np.isin(full.row_ids(), rows)
+        s1 = np.unique(full.indices[in_rows(ids)])
+        s2 = np.unique(full.indices[in_rows(s1)])
+        assert s1.size < n
+        # one training epoch, layer 1 on S1 x S2 and layer 2 on ids x S1,
+        # each with its slice's entries; then the prediction over every node
+        assert [(a.n, a.n_cols, a.nnz) for a in operators] == [
+            (s1.size, s2.size, in_rows(s1).sum()), (ids.size, s1.size, in_rows(ids).sum()),
+            (n, n, full.nnz), (n, n, full.nnz)]
+
+    def test_training_epoch_slices_each_layer_once(self, sbm, encoder, cfg, monkeypatch):
+        calls = []
+        real = SparseAdj.row_slice
+        monkeypatch.setattr(SparseAdj, "row_slice",
+                            lambda self, rows: calls.append(rows) or real(self, rows))
+        # zero epochs is the prediction pass alone
+        for epochs, slices in ((0, 0), (1, 2)):
+            calls.clear()
+            run_method("uniprompt", sbm, encoder, train_ids(sbm), replace(cfg, max_epochs=epochs))
+            assert len(calls) == slices, epochs
 
 
 KNN_METHODS = ("uniprompt", "ablate:simple_add", "ablate:discard_topo")
