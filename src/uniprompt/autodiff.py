@@ -110,9 +110,13 @@ def _node(data, parents, backward_fn):
 
 
 def _accum(tensor, grad):
+    if grad.shape != tensor.data.shape:
+        raise ValueError(f"gradient shape {grad.shape} != tensor shape {tensor.data.shape}")
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+        # a fresh buffer with the bits of zeros + grad: -0.0 becomes +0.0
+        tensor.grad = grad + 0.0
+    else:
+        tensor.grad += grad
 
 
 def backward(root, params=None):
@@ -120,11 +124,13 @@ def backward(root, params=None):
 
     Returns a dict mapping each tensor in ``params`` (if given) to its
     gradient; tensors disconnected from ``root`` map to zeros. Each node's
-    rule runs exactly once, and a gradient buffer is allocated as zeros on
-    the first contribution to it. The tape is consumed: when its forward
-    values total at least ``RELEASE_TAPE_BYTES``, every non-leaf node not in
-    ``params`` loses its gradient, rule and parent links once its rule has
-    run. Leaves and ``params`` entries keep their gradients either way.
+    rule runs exactly once. A tensor's first gradient contribution is copied
+    into a fresh buffer as ``grad + 0.0``, the bits of adding it to zeros;
+    later ones add in place, and every contribution must match the tensor's
+    shape. The tape is consumed: when its forward values total at least
+    ``RELEASE_TAPE_BYTES``, every non-leaf node not in ``params`` loses its
+    gradient, rule and parent links once its rule has run. Leaves and
+    ``params`` entries keep their gradients either way.
     """
     if root.data.shape != (1, 1):
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -297,7 +303,7 @@ def gather_rows(a, ids):
                 g = np.zeros_like(a.data)
                 if np.unique(ids).size == ids.size:
                     # distinct ids scatter by assignment: the same bits once
-                    # _accum adds g to zeros, which turns -0.0 into +0.0
+                    # _accum adds 0.0, which turns -0.0 into +0.0
                     g[ids] = go
                 else:
                     np.add.at(g, ids, go)

@@ -60,6 +60,10 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _nonempty_list(value, item_ok):
+    return isinstance(value, list) and bool(value) and all(item_ok(v) for v in value)
+
+
 def _tune_config(args, pretrain_name, dataset_name):
     """Shipped table < config file < explicit flags, seeded as the harness
     seeds run ``args.run`` of seed ``args.seed``."""
@@ -124,13 +128,15 @@ def _cmd_ablate(args):
 
 def _experiment_spec(args):
     config = _json_object(_load_json(args.config), f"experiment config {args.config}")
-    methods = tuple(config["methods"])
+    methods = config["methods"]
+    if not _nonempty_list(methods, lambda m: isinstance(m, str)):
+        raise ValueError(f"methods must be a non-empty list of method names, got {methods!r}")
     shots = config.get("shots", [1])
-    if not isinstance(shots, list) or not all(_is_int(s) and s >= 1 for s in shots):
-        raise ValueError(f"shots must be a list of positive integers, got {shots!r}")
+    if not _nonempty_list(shots, lambda s: _is_int(s) and s >= 1):
+        raise ValueError(f"shots must be a non-empty list of positive integers, got {shots!r}")
     seeds = config.get("seeds", list(DEFAULT_SEEDS))
-    if not isinstance(seeds, list) or not all(_is_int(s) for s in seeds):
-        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
+    if not _nonempty_list(seeds, _is_int):
+        raise ValueError(f"seeds must be a non-empty list of integers, got {seeds!r}")
     runs = config.get("runs", DEFAULT_RUNS)
     if not _is_int(runs) or runs < 1:
         raise ValueError(f"runs must be a positive integer, got {runs!r}")
@@ -150,7 +156,7 @@ def _experiment_spec(args):
         pretrain=pretrain_name,
         graph=graph,
         encoder=enc,
-        methods=methods,
+        methods=tuple(methods),
         shots=tuple(shots),
         tune=tune,
         seeds=tuple(seeds),

@@ -126,7 +126,7 @@ def _activate(x, layer):
     return x
 
 
-def encode(encoder, adj_norm, x, xw1=None, rows=None):
+def encode(encoder, adj_norm, x, xw1=None, rows=None, xw1_shift=None):
     """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2), or its ``rows``.
 
     ``adj_norm`` is a symmetric-normalized SparseAdj (constant) or a
@@ -135,7 +135,9 @@ def encode(encoder, adj_norm, x, xw1=None, rows=None):
     tape prunes every path into the weights while gradients still flow through
     the adjacency values and the features. ``xw1``, if given, stands in for
     layer 1's ``X @ W1``: a caller with a frozen encoder and constant features
-    computes that product once for many forwards.
+    computes that product once for many forwards. ``xw1_shift``, a (1, hidden)
+    row that needs ``xw1``, is added to every row of it: with a linear first
+    layer, a row p added to every feature row enters as ``xw1_shift = p @ W1``.
 
     A node's output reads only its 2-hop receptive field, so ``rows`` computes
     just those nodes' rows, each layer with its own slice of the operator:
@@ -158,6 +160,8 @@ def encode(encoder, adj_norm, x, xw1=None, rows=None):
             x = ad.gather_rows(x, s2)
         else:
             xw1 = ad.gather_rows(xw1, s2)
+    if xw1_shift is not None:
+        xw1 = ad.add(xw1, xw1_shift)
     h = x
     for layer, hw, adj in zip((encoder.layer1, encoder.layer2), (xw1, None), operators):
         if hw is None:

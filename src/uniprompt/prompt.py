@@ -10,6 +10,11 @@ one vector added to every feature row (gpf), the weights of a thawed encoder
 clone (fine-tune), or nothing (linear probe). ``run_method`` owns everything
 else.
 
+The frozen layer 1 is linear before its bias, so the graph prompts and gpf
+build its ``X W1`` once per run and reuse it every epoch. gpf's feature
+prompt enters through the identity ``(X + 1·p) W1 = X W1 + 1·(p W1)``, as a
+(1, hidden) shift of that constant product.
+
 The loss reads only the labeled rows, so each training epoch computes the
 representations of those rows alone, from their 2-hop receptive field
 (``encode(..., rows=)``); the linear probe indexes its constant
@@ -256,14 +261,22 @@ def _thawed_encoder(graph, encoder, cfg):
 
 
 def _feature_prompt(graph, encoder, cfg):
-    """One learnable vector added to every feature row (gpf), on the original
-    normalized adjacency."""
+    """One learnable vector p added to every feature row (gpf), on the original
+    normalized adjacency.
+
+    Layer 1 is linear before its bias, so ``(X + 1·p) W1 = X W1 + 1·(p W1)``:
+    the prompt is a learned shift of layer 1's ``X W1``, which is built once
+    per run. No epoch forms ``X + 1·p`` or any n x F product or gradient; p's
+    gradient is the column sum of the shift's gradient times ``W1ᵀ``."""
     adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
+    w1 = encoder.layer1.weight
+    xw1 = ad.matmul(x, w1)
     p = ad.parameter(np.zeros((1, graph.num_features)), name="gpf.prompt")
 
     def represent(training, rows=None):
-        return encode(encoder, adj, ad.add(x, p if training else p.detach()), rows=rows)
+        shift = ad.matmul(p if training else p.detach(), w1)
+        return encode(encoder, adj, x, xw1=xw1, rows=rows, xw1_shift=shift)
 
     return [p], represent
 

@@ -215,14 +215,6 @@ class VerificationSummary:
         }
 
     @property
-    def function_ok(self):
-        return self.verdicts["function"] and self.verdicts["agreement"]
-
-    @property
-    def gradient_ok(self):
-        return self.verdicts["paths"] and self.verdicts["remainder"]
-
-    @property
     def passed(self):
         return all(self.verdicts.values())
 

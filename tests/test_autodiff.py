@@ -58,6 +58,25 @@ class TestBackward:
         ad.backward(loss)
         assert p.grad[0, 0] == pytest.approx(2.0)
 
+    def test_first_contribution_is_a_copy_with_zeros_plus_bits(self):
+        t = ad.parameter(np.ones((1, 3)))
+        grad = np.array([[-0.0, 1.5, -2.0]])
+        _accum(t, grad)
+        assert t.grad is not grad
+        assert t.grad.tobytes() == (np.zeros((1, 3)) + grad).tobytes()
+        grad[0, 1] = 7.0
+        assert t.grad[0, 1] == 1.5
+        _accum(t, grad)
+        assert t.grad.tolist() == [[0.0, 8.5, -4.0]]
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (3, 2)])
+    def test_gradient_of_another_shape_rejected(self, shape):
+        t = ad.parameter(np.ones((2, 3)))
+        for _ in range(2):  # on the first contribution and on a later one
+            with pytest.raises(ValueError, match="gradient shape"):
+                _accum(t, np.ones(shape))
+            t.grad = np.zeros((2, 3))
+
     def test_constant_subgraph_is_pruned(self):
         a = ad.constant(np.ones((2, 2)))
         out = ad.matmul(a, ad.constant(np.ones((2, 2))))

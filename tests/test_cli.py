@@ -38,8 +38,9 @@ def workspace(tmp_path_factory):
         "tune": {"default": {"tua": 0.5}},
     }))
     # malformed experiment specs: a tune config that is not a JSON object, a
-    # shot or seed given as a string, a fractional run count and a misspelled
-    # tune section
+    # shot or seed given as a string, a fractional run count, a misspelled
+    # tune section, empty seed, shot and method lists, and one method name
+    # given as a string instead of a list
     (root / "list-tune.json").write_text(json.dumps([1, 2]))
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"]}
     for name, extra in (("list-eval", {"tune": [1, 2]}),
@@ -50,7 +51,11 @@ def workspace(tmp_path_factory):
                         ("bool-seeds-eval", {"seeds": [True]}),
                         ("runs-eval", {"runs": 2.7}),
                         ("zero-runs-eval", {"runs": 0}),
-                        ("section-eval", {"tune": {"dfault": {"max_epochs": 2}}})):
+                        ("section-eval", {"tune": {"dfault": {"max_epochs": 2}}}),
+                        ("empty-seeds-eval", {"seeds": []}),
+                        ("empty-shots-eval", {"shots": []}),
+                        ("empty-methods-eval", {"methods": []}),
+                        ("string-methods-eval", {"methods": "gpf"})):
         (root / f"{name}.json").write_text(json.dumps({**experiment, **extra}))
     return bundle, checkpoint, config
 
@@ -374,7 +379,8 @@ def misuses(bundle, checkpoint, config):
                                   *out],
         **{f"eval-{name}": ["eval", "--config", str(config.parent / f"{name}-eval.json"), *out]
            for name in ("list", "section-list", "shots", "zero-shots", "seeds", "bool-seeds",
-                        "runs", "zero-runs", "section")},
+                        "runs", "zero-runs", "section", "empty-seeds", "empty-shots",
+                        "empty-methods", "string-methods")},
     }
 
 

@@ -411,6 +411,37 @@ class TestFeaturePrompt:
             fd = (loss_of(pp, False)[0].item() - loss_of(pm, False)[0].item()) / (2 * h)
             assert analytic[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
+    @pytest.mark.parametrize("rows", [None, "labeled"])
+    def test_shift_of_first_layer_product_matches_composed_prompt(self, sbm, encoder, cfg,
+                                                                  rows):
+        """(X + 1·p) W1 = X W1 + 1·(p W1): the loss and p's gradient from
+        ``represent`` agree with the composed ``encode(X + 1·p)`` oracle."""
+        ids = train_ids(sbm, shot=3)
+        rows = ids if rows == "labeled" else None
+        pdata = np.random.default_rng(7).normal(size=(1, sbm.num_features))
+        clf = init_classifier(encoder.out_dim, cfg.clf_hidden, sbm.num_classes,
+                              rng_stream("classifier-init", cfg.seed))
+
+        def loss_and_grad(h, p):
+            logits = classify(clf, h)
+            if rows is None:
+                logits = ad.gather_rows(logits, ids)
+            loss = ad.cross_entropy(logits, sbm.labels[ids])
+            return loss.item(), ad.backward(loss, params=[p])[p]
+
+        (p,), represent = METHOD_TABLE["gpf"](sbm, encoder, cfg)
+        p.data[:] = pdata
+        loss, grad = loss_and_grad(represent(True, rows), p)
+
+        oracle_p = ad.parameter(pdata.copy())
+        x = ad.add(ad.constant(sbm.features), oracle_p)
+        oracle_loss, oracle_grad = loss_and_grad(
+            encode(encoder, sbm.normalized_adjacency(), x, rows=rows), oracle_p)
+
+        assert abs(loss - oracle_loss) <= 1e-12
+        assert np.abs(grad).max() > 0
+        np.testing.assert_allclose(grad, oracle_grad, rtol=0, atol=1e-12)
+
     def test_returns_prompt_vector(self, sbm, encoder, cfg):
         res = run_method("gpf", sbm, encoder, train_ids(sbm), cfg)
         (prompt_vector,) = res.upstream
@@ -481,16 +512,18 @@ class TestRunMethod:
         assert calls == [cfg.k]
 
     def test_first_layer_product_built_once_per_run(self, sbm, encoder, cfg, monkeypatch):
-        features = []
+        # a product of feature rows: more than one row, F columns; gpf's
+        # p @ W1 is a single row
+        feature_products = []
         real = ad.matmul
-        monkeypatch.setattr(ad, "matmul",
-                            lambda a, b: features.append(a.data is sbm.features) or real(a, b))
-        for method in ("uniprompt", *(f"ablate:{v}" for v in ABLATION_VARIANTS)):
-            features.clear()
+        monkeypatch.setattr(ad, "matmul", lambda a, b: feature_products.append(
+            a.shape[0] > 1 and a.shape[1] == sbm.num_features) or real(a, b))
+        for method in ("uniprompt", "gpf", *(f"ablate:{v}" for v in ABLATION_VARIANTS)):
+            feature_products.clear()
             result = run_method(method, sbm, encoder, train_ids(sbm),
                                 replace(cfg, max_epochs=4, patience=10))
             assert result.epochs_run == 4
-            assert features.count(True) == 1, method
+            assert feature_products.count(True) == 1, method
 
     def test_unknown_method(self, sbm, encoder, cfg):
         with pytest.raises(ValueError, match="unknown method"):
@@ -602,12 +635,13 @@ class TestSampledKnn:
 # sha256 of float64 loss_history bytes then int64 predictions bytes, per
 # method, on the module fixture with the ``cfg`` fixture and the 1-shot task
 # of seed 42, run 0. Recorded before the tuning loops were merged into one
-# engine; any change to a method's numbers changes its digest.
+# engine; any change to a method's numbers changes its digest. gpf's was
+# re-recorded when its prompt became a shift of the constant X @ W1.
 PINNED_DIGESTS = {
     "uniprompt": "a81c790f386cdf33533b1a7b2e8aed007cc2ced90b7df91aee169505e2bdc381",
     "linear-probe": "4e75427824c88e4ddd5e43f45372be2814fd8c2ef8841a065d82715d2e70428f",
     "fine-tune": "dea484b1362bdb84ec18f1b3b632238af1cf9c8cae818a1aec6c904d6433f205",
-    "gpf": "9580b685e7b271f828f54b3fc67946106391b43df2bae42dc200464d19c2f430",
+    "gpf": "d289a9112a6febe798fcd0ef3ef4f445437e6579ba3d1ca47b0e364f714135d7",
     "ablate:random_topo": "4501eccd825c662173b8fbd9eabbed1a40df0327f8f888e09e67cc3ba3316395",
     "ablate:simple_add": "8bc31e7b985e56e306b6156e85721ef5f11eb47d3d8b15e7720a703ad1652b91",
     "ablate:discard_topo": "cb443a4da345b3ad2c3c7a86f41225f11181889e57d914f58ca186fb3ca13bb0",

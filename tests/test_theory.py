@@ -163,7 +163,6 @@ class TestGradientEquivalence:
 class TestRunVerification:
     def test_summary_passes(self):
         summary = run_verification(trials=50, eta=1e-4, seed=0)
-        assert summary.function_ok
-        assert summary.gradient_ok
+        assert all(summary.verdicts.values()), summary.verdicts
         assert summary.passed
         assert summary.max_simultaneous_gap > summary.max_path_deviation
