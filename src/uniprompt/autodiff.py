@@ -17,12 +17,16 @@ allocator trim and refault its heap on every step.
 ``info_nce`` is GRACE's contrastive loss fused into one node. Built from the
 small ops, its n x n similarity and exp matrices would sit on the tape until
 backward; the fused node holds three of them and gives the same bits.
+``normalized_slices`` does the same for the two receptive-field slices of a
+symmetric normalization: one node in place of about fourteen, scaling only
+the entries the slices read.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +45,7 @@ REGISTERED_OPS = (
     "info_nce",
     "l2_normalize_rows",
     "matmul",
+    "normalized_slices",
     "power",
     "prelu",
     "relu",
@@ -562,22 +567,90 @@ class SparseTensor:
         self.values = values
 
 
-def restrict(adj, rows):
-    """``A[rows]`` as its own |rows| x |S| operator, and S: the distinct
-    columns of ``rows``, ascending, so the slice multiplies the rows of x at S.
-    A SparseTensor's slice gathers its values on the tape, so the values
-    gradient reaches the full operator at the slice's entries only."""
-    if not isinstance(adj, SparseTensor):
-        sliced, _, support = adj.restrict(rows)
-        return sliced, support
-    sliced, pos, support = adj.pattern.restrict(rows)
-    return SparseTensor(sliced, gather_rows(adj.values, pos)), support
+class NormReads(NamedTuple):
+    """The entries of D^(-1/2) (V + I) D^(-1/2) that ``normalized_slices``
+    reads, over a support of ``rows.size`` values on ``n`` nodes. V's
+    entries read, ascending, are ``edges``, in rows ``edge_rows`` and columns
+    ``edge_cols``; the diagonal entries read are those of the nodes ``diag``.
+    Slot i of the output is ``(edges ++ diag)[slots[i]]``; the first
+    ``split`` slots make the first slice."""
+
+    n: int
+    rows: np.ndarray    # row of every support entry
+    floor: float        # added to every degree: 1.0 for the diagonal, else a tiny floor
+    edges: np.ndarray
+    edge_rows: np.ndarray
+    edge_cols: np.ndarray
+    diag: np.ndarray
+    slots: np.ndarray
+    split: int
+
+
+def normalized_slices(values, reads):
+    """Two slices of the symmetric normalization of the (nnz, 1) support
+    ``values``, as one tape node: v_ij d_i^-1/2 d_j^-1/2 at the support
+    entries and d_i^-1 at the diagonal entries that ``reads`` names, where
+    d = row sums of v + ``reads.floor``.
+
+    Degrees sum every value, but only the entries read are scaled. The
+    composed tape (segment_sum, power, gathers, hadamards, concat_rows, then
+    a gather per slice) gives every normalized entry outside the slices an
+    exact zero gradient, and zero terms leave a sum's bits alone, so the
+    values and the values gradient are the same bits as the composition
+    (pinned in tests against it): the same numpy expressions, the scatters
+    over the entries read in support order, and d's gradient summed in the
+    composed tape's order (rows, columns, then the diagonal twice).
+
+    Returns (first, second). ``second`` is a tape child of ``first``, so
+    backward runs ``second``'s rule first; it hands its gradient to
+    ``first``'s, which runs the shared rule once for both slices.
+    """
+    v = values.data[:, 0]
+    deg = np.bincount(reads.rows, weights=v, minlength=reads.n).reshape(-1, 1) + reads.floor
+    dinv = deg**-0.5
+    d = dinv[:, 0]
+    v_read = v[reads.edges]
+    d_rows, d_cols = d[reads.edge_rows], d[reads.edge_cols]
+    scaled = v_read * d_rows
+    d_diag = d[reads.diag]
+    read = np.concatenate([scaled * d_cols, d_diag * d_diag])[reads.slots]
+    handed = []
+
+    def hand_over(go):
+        if go is not None:
+            handed.append(go[:, 0])
+
+    def bw(go):
+        parts = [np.zeros(reads.split) if go is None else go[:, 0],
+                 handed[0] if handed else np.zeros(reads.slots.size - reads.split)]
+        handed.clear()
+        g_read = np.bincount(reads.slots, weights=np.concatenate(parts),
+                             minlength=reads.edges.size + reads.diag.size)
+        g_edge = g_read[:reads.edges.size]
+        g_scaled = g_edge * d_cols
+        g_d_cols = g_edge * scaled
+        g_v = g_scaled * d_rows
+        g_d_rows = g_scaled * v_read
+        g_dinv = np.bincount(reads.edge_rows, weights=g_d_rows, minlength=reads.n)
+        g_dinv += np.bincount(reads.edge_cols, weights=g_d_cols, minlength=reads.n)
+        if reads.diag.size:
+            via_diag = np.zeros(reads.n)
+            via_diag[reads.diag] = g_read[reads.edges.size:] * d_diag
+            g_dinv += via_diag
+            g_dinv += via_diag
+        g_values = (g_dinv.reshape(-1, 1) * -0.5 * deg**-1.5)[reads.rows]
+        g_values[reads.edges, 0] += g_v
+        _accum(values, g_values)
+
+    first = _node(read[:reads.split].reshape(-1, 1), (values,), bw)
+    second = _node(read[reads.split:].reshape(-1, 1), (first,), hand_over)
+    return first, second
 
 
 def spmm(adj, x):
     """Sparse @ dense, ``A @ x``. ``adj`` is a SparseAdj (constant) or a
-    SparseTensor, square or a ``restrict``ed slice with one column per row
-    of ``x``."""
+    SparseTensor, square or a rectangular slice with one column per row of
+    ``x``."""
     if isinstance(adj, SparseTensor):
         pattern, values = adj.pattern, adj.values
     else:

@@ -64,6 +64,24 @@ def _nonempty_list(value, item_ok):
     return isinstance(value, list) and bool(value) and all(item_ok(v) for v in value)
 
 
+def _required(config, key):
+    if key not in config:
+        raise ValueError(f"experiment config: missing key '{key}'")
+    return config[key]
+
+
+def _entry_list(config, key, item_ok, what, default=None):
+    """``config[key]`` as a non-empty list of distinct ``what``, else a
+    ValueError naming ``key``; the key may be absent when a ``default`` is
+    given."""
+    value = _required(config, key) if default is None else config.get(key, default)
+    if not _nonempty_list(value, item_ok):
+        raise ValueError(f"{key} must be a non-empty list of {what}, got {value!r}")
+    if len(set(value)) != len(value):
+        raise ValueError(f"{key} must not repeat an entry, got {value!r}")
+    return value
+
+
 def _tune_config(args, pretrain_name, dataset_name):
     """Shipped table < config file < explicit flags, seeded as the harness
     seeds run ``args.run`` of seed ``args.seed``."""
@@ -128,15 +146,11 @@ def _cmd_ablate(args):
 
 def _experiment_spec(args):
     config = _json_object(_load_json(args.config), f"experiment config {args.config}")
-    methods = config["methods"]
-    if not _nonempty_list(methods, lambda m: isinstance(m, str)):
-        raise ValueError(f"methods must be a non-empty list of method names, got {methods!r}")
-    shots = config.get("shots", [1])
-    if not _nonempty_list(shots, lambda s: _is_int(s) and s >= 1):
-        raise ValueError(f"shots must be a non-empty list of positive integers, got {shots!r}")
-    seeds = config.get("seeds", list(DEFAULT_SEEDS))
-    if not _nonempty_list(seeds, _is_int):
-        raise ValueError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+    dataset, encoder = _required(config, "dataset"), _required(config, "encoder")
+    methods = _entry_list(config, "methods", lambda m: isinstance(m, str), "method names")
+    shots = _entry_list(config, "shots", lambda s: _is_int(s) and s >= 1,
+                        "positive integers", default=[1])
+    seeds = _entry_list(config, "seeds", _is_int, "integers", default=list(DEFAULT_SEEDS))
     runs = config.get("runs", DEFAULT_RUNS)
     if not _is_int(runs) or runs < 1:
         raise ValueError(f"runs must be a positive integer, got {runs!r}")
@@ -145,8 +159,8 @@ def _experiment_spec(args):
         if key != "default" and key not in methods:
             raise ValueError(f"tune section '{key}' is neither a listed method nor 'default'")
         _json_object(section, f"tune section '{key}'")
-    graph = _resolve_dataset(args, config["dataset"])
-    enc, meta = load_encoder(config["encoder"])
+    graph = _resolve_dataset(args, dataset)
+    enc, meta = load_encoder(encoder)
     pretrain_name = meta.get("pretrain", "unknown")
     tune = {(m, shot): get_tuning_config(pretrain_name, graph.name, shot,
                                          **overrides.get(m, overrides.get("default", {})))

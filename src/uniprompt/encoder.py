@@ -126,6 +126,11 @@ def _activate(x, layer):
     return x
 
 
+def _size(op):
+    pattern = op.pattern if isinstance(op, ad.SparseTensor) else op
+    return pattern.n, pattern.n_cols
+
+
 def encode(encoder, adj_norm, x, xw1=None, rows=None, xw1_shift=None):
     """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2), or its ``rows``.
 
@@ -139,13 +144,15 @@ def encode(encoder, adj_norm, x, xw1=None, rows=None, xw1_shift=None):
     row that needs ``xw1``, is added to every row of it: with a linear first
     layer, a row p added to every feature row enters as ``xw1_shift = p @ W1``.
 
-    A node's output reads only its 2-hop receptive field, so ``rows`` computes
-    just those nodes' rows, each layer with its own slice of the operator:
-    ``restrict`` gives layer 2 the rows x S1 operator, where S1 is the columns
-    ``rows`` reach, and layer 1 the S1 x S2 one, where S2 is the columns S1
-    reaches; ``X @ W1`` (or ``xw1``) is taken at S2. Tuning trains this way on
-    its labeled rows; without ``rows`` every node is computed, as prediction
-    and pretraining do.
+    A node's output reads only its 2-hop receptive field. ``rows``, a
+    ``graphs.ReceptiveField`` built once per run, computes just the rows of
+    its ``ids``: ``adj_norm`` is then the pair of the field's slices, layer
+    1's |S1| x |S2| and layer 2's |ids| x |S1| (``rows.layers`` for the
+    constant operator the field was built on, or
+    ``NormContext.normalize_field`` for learned values), and ``x`` or ``xw1``
+    holds layer 1's input at the S2 rows only (``rows.inputs``). Tuning trains
+    this way on its labeled rows; without ``rows`` every node is computed, as
+    prediction and pretraining do.
     """
     if not isinstance(x, ad.Tensor):
         x = ad.constant(x)
@@ -153,13 +160,10 @@ def encode(encoder, adj_norm, x, xw1=None, rows=None, xw1_shift=None):
         raise ValueError(f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
     operators = (adj_norm, adj_norm)
     if rows is not None:
-        adj2, s1 = ad.restrict(adj_norm, rows)
-        adj1, s2 = ad.restrict(adj_norm, s1)
-        operators = (adj1, adj2)
-        if xw1 is None:
-            x = ad.gather_rows(x, s2)
-        else:
-            xw1 = ad.gather_rows(xw1, s2)
+        operators = adj_norm
+        expected = [(rows.s1.size, rows.s2.size), (rows.ids.size, rows.s1.size)]
+        if not isinstance(operators, tuple) or [_size(op) for op in operators] != expected:
+            raise ValueError("operators are not the receptive field's two slices")
     if xw1_shift is not None:
         xw1 = ad.add(xw1, xw1_shift)
     h = x

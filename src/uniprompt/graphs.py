@@ -4,6 +4,8 @@ construction, homophily and noise utilities.
 ``NormContext`` is the one symmetric normalization: it runs on the autodiff
 tape for learned prompt values, and ``symmetric_normalize`` runs it on the
 constant values of a fixed graph, so tau=1 uniprompt equals the linear probe.
+``ReceptiveField`` holds the slices of an operator that a few rows' 2-hop
+outputs read; ``NormContext.normalize_field`` normalizes just those entries.
 """
 
 from __future__ import annotations
@@ -94,6 +96,38 @@ class SparseAdj:
 
     def with_values(self, values):
         return SparseAdj(self.n, self.indptr, self.indices, values, self.n_cols)
+
+
+class ReceptiveField:
+    """The 2-hop receptive field of the rows ``ids`` in a square ``operator``.
+
+    S1 is the columns the ids' rows reach and S2 the columns S1's rows reach,
+    each ascending. ``layers`` holds layer 1's |S1| x |S2| slice and layer
+    2's |ids| x |S1| slice, with the operator's values, and ``positions``
+    their entries in the operator's pattern, in slice order. ``inputs``, if
+    given, is layer 1's constant input over every node (X, or a product
+    standing in for X W1); the field keeps its S2 rows, without a copy when
+    S2 is every node. A run's labeled ids never change, so one field serves
+    every training epoch of the run.
+    ``reads`` is what ``NormContext.normalize_field`` needs, when the field
+    was built by ``NormContext.receptive_field``.
+    """
+
+    __slots__ = ("operator", "ids", "s1", "s2", "layers", "positions", "inputs", "reads")
+
+    def __init__(self, operator, ids, inputs=None):
+        self.operator = operator
+        self.ids = np.array(ids, dtype=np.int64)
+        layer2, pos2, self.s1 = operator.restrict(self.ids)
+        layer1, pos1, self.s2 = operator.restrict(self.s1)
+        self.layers = (layer1, layer2)
+        self.positions = (pos1, pos2)
+        self.inputs = None
+        if inputs is not None:
+            # S2 is distinct and ascending: at full size it is every node
+            every = self.s2.size == operator.n_cols
+            self.inputs = ad.constant(inputs.data if every else inputs.data[self.s2])
+        self.reads = None
 
 
 class _EdgeCache:
@@ -318,7 +352,13 @@ def save_graph_bundle(graph, path):
 class NormContext:
     """D^(-1/2) (V + I) D^(-1/2) over a fixed support whose values V live on
     the autodiff tape. Without ``add_self_loops`` the diagonal is left out
-    and degrees are floored at ``DEG_EPS``, so an empty row stays zero."""
+    and degrees are floored at ``DEG_EPS``, so an empty row stays zero.
+
+    ``normalize`` gives the whole operator over ``norm_pattern``.
+    ``normalize_field`` gives just the two slices a ``receptive_field``
+    reads, from one tape node: degrees still sum every value, but only the
+    entries the slices read are scaled, and their gradients are the same
+    bits as slicing ``normalize``'s output."""
 
     def __init__(self, pattern, add_self_loops):
         self.pattern = pattern
@@ -359,6 +399,36 @@ class NormContext:
         ordered = ad.gather_rows(ad.concat_rows(edge, diag), self.order)
         return ad.SparseTensor(self.norm_pattern, ordered)
 
+    def receptive_field(self, ids, inputs=None):
+        """The ``ReceptiveField`` of ``ids`` in ``norm_pattern``, with the
+        support entries and diagonal nodes its slices read, for
+        ``normalize_field``. Build it once per run."""
+        field = ReceptiveField(self.norm_pattern, ids, inputs)
+        entries, slots = np.unique(np.concatenate(field.positions), return_inverse=True)
+        nnz = self.rows.size
+        # an entry of the normalized pattern is a support entry or, past the
+        # support's nnz in ``order``, a diagonal one; positions ascend in both
+        source = entries if self.order is None else self.order[entries]
+        is_edge = source < nnz
+        edges, diag = source[is_edge], source[~is_edge] - nnz
+        read_at = np.empty(entries.size, dtype=np.int64)
+        read_at[is_edge] = np.arange(edges.size)
+        read_at[~is_edge] = edges.size + np.arange(diag.size)
+        field.reads = ad.NormReads(
+            n=self.pattern.n, rows=self.rows, floor=1.0 if self.add_self_loops else DEG_EPS,
+            edges=edges, edge_rows=self.rows[edges], edge_cols=self.cols[edges], diag=diag,
+            slots=read_at[slots], split=field.layers[0].nnz)
+        return field
+
+    def normalize_field(self, values, field):
+        """Layer 1's and layer 2's slices of ``normalize(values)`` as two
+        SparseTensors over ``field.layers``, from one ``ad.normalized_slices``
+        node; ``field`` comes from this context's ``receptive_field``."""
+        if field.reads is None or field.operator is not self.norm_pattern:
+            raise ValueError("the field was not built by this normalization")
+        first, second = ad.normalized_slices(values, field.reads)
+        return ad.SparseTensor(field.layers[0], first), ad.SparseTensor(field.layers[1], second)
+
 
 def symmetric_normalize(adj):
     """D^(-1/2) (A + I) D^(-1/2) as a constant SparseAdj: ``NormContext``
@@ -387,7 +457,7 @@ def _normalized_rows(x):
 
 
 def _topk_per_row(sims, k, col_ids, self_col):
-    """Row, column and value of the k largest entries per row, self column
+    """Row and column of the k largest entries per row, self column
     excluded: every entry above the k-th largest value, then the entries
     equal to it with the smallest column ids."""
     has_self = self_col >= 0
@@ -397,10 +467,16 @@ def _topk_per_row(sims, k, col_ids, self_col):
     neg[has_self, self_col[has_self]] = np.inf
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     above = neg < kth
-    ties = neg == kth
-    ties &= np.cumsum(ties, axis=1) <= k - above.sum(axis=1, keepdims=True)
-    rows, top = np.nonzero(above | ties)
-    return rows, col_ids[top], sims[rows, top]
+    keep = neg <= kth
+    # only rows with more than k entries at or above the k-th value drop ties
+    crowded = np.flatnonzero(keep.sum(axis=1) > k)
+    if crowded.size:
+        first = above[crowded]
+        ties = keep[crowded] & ~first
+        ties &= np.cumsum(ties, axis=1) <= k - first.sum(axis=1, keepdims=True)
+        keep[crowded] = first | ties
+    rows, top = np.nonzero(keep)
+    return rows, col_ids[top]
 
 
 def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):
@@ -408,8 +484,9 @@ def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):
 
     Exact mode keeps the k most similar neighbors of every node (self pairs
     excluded); sampled mode restricts candidates to ``sample_size`` seeded
-    nodes. The directed selection is symmetrized by union keeping the max
-    value.
+    nodes. The directed selection is symmetrized by union, and every entry
+    of the support is 1: the prompt learns its own values, so the
+    similarities only rank the candidates.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -432,29 +509,23 @@ def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):
     pos_of = -np.ones(n, dtype=np.int64)
     pos_of[candidates] = np.arange(candidates.size)
 
-    rows_all, cols_all, vals_all = [], [], []
+    rows_all, cols_all = [], []
     for start in range(0, n, block):
         stop = min(start + block, n)
         sims = xn[start:stop] @ cand.T
         self_col = pos_of[np.arange(start, stop)]
-        r, c, v = _topk_per_row(sims, k, candidates, self_col)
+        r, c = _topk_per_row(sims, k, candidates, self_col)
         rows_all.append(r + start)
         cols_all.append(c)
-        vals_all.append(v)
     rows = np.concatenate(rows_all)
     cols = np.concatenate(cols_all)
-    vals = np.concatenate(vals_all)
 
-    # union symmetrization keeping the max value per (i, j)
-    both_r = np.concatenate([rows, cols])
-    both_c = np.concatenate([cols, rows])
-    both_v = np.concatenate([vals, vals])
-    keys = both_r * n + both_c
-    order = np.argsort(keys, kind="stable")
-    keys, both_v = keys[order], both_v[order]
-    uniq, starts = np.unique(keys, return_index=True)
-    maxv = np.maximum.reduceat(both_v, starts)
-    return SparseAdj.from_coo(n, uniq // n, uniq % n, maxv)
+    # union symmetrization: each selected pair in both directions, once; an
+    # in-place sort and a neighbour compare, far cheaper here than np.unique
+    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    keys.sort()
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    return SparseAdj.from_coo(n, keys // n, keys % n, np.ones(keys.size))
 
 
 def edge_homophily(graph):

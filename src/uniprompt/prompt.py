@@ -18,11 +18,16 @@ prompt enters through the identity ``(X + 1·p) W1 = X W1 + 1·(p W1)``, as a
 The loss reads only the labeled rows, so each training epoch computes the
 representations of those rows alone, from their 2-hop receptive field
 (``encode(..., rows=)``); the linear probe indexes its constant
-representations. Prediction computes every row.
+representations. Prediction computes every row. A run's labeled ids never
+change, so its ``ReceptiveField`` is built at the first epoch and reused:
+the slices of the operator each layer reads, their positions, and layer 1's
+constant input at the rows the field reads. No later epoch slices anything.
 
 Every method encodes through the one symmetric normalization of ``graphs``:
-the graph-prompt rows run ``NormContext`` on their learned values, the other
-rows use the graph's cached ``normalized_adjacency()``.
+the graph prompts run ``NormContext`` on their learned values, each training
+epoch through ``normalize_field``, which scales only the entries the field's
+slices read; the other methods use the graph's cached
+``normalized_adjacency()``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .encoder import (
     predictions_from_logits,
     thaw,
 )
-from .graphs import NormContext, SparseAdj, knn_prompt_init
+from .graphs import NormContext, ReceptiveField, SparseAdj, knn_prompt_init
 from .seeds import rng_stream
 
 
@@ -204,6 +209,21 @@ def _prompt_support(graph, cfg, topology):
     return graph.knn_support(cfg.k)
 
 
+def _field_per_run(build):
+    """``field(ids)``: ``build(ids)``, made at the first call and made again
+    only if the ids change. A run's labeled ids never do, so all of its
+    training epochs share one receptive field."""
+    made = None
+
+    def field(ids):
+        nonlocal made
+        if made is None or not np.array_equal(made.ids, ids):
+            made = build(ids)
+        return made
+
+    return field
+
+
 def _graph_prompt(topology, integration):
     """Builder of a gated prompt over a ``knn`` or ``random`` support, merged
     with the graph by ``bootstrap`` fusion, by ``simple_add`` or not at all
@@ -221,6 +241,7 @@ def _graph_prompt(topology, integration):
         x = ad.constant(graph.features)
         # X and the frozen W1 never change, so layer 1's product is built once
         xw1 = ad.matmul(x, encoder.layer1.weight)
+        field = _field_per_run(lambda ids: ctx.receptive_field(ids, xw1))
         fused = union.data.reshape(-1, 1)  # A_hat^(t) of the bootstrap path
 
         def represent(training, rows=None):
@@ -237,7 +258,10 @@ def _graph_prompt(topology, integration):
                     values = ad.add(a_union, ad.segment_sum(gates, positions, union.nnz))
                 else:
                     values = gates
-            return encode(encoder, ctx.normalize(values), x, xw1=xw1, rows=rows)
+            if rows is None:
+                return encode(encoder, ctx.normalize(values), x, xw1=xw1)
+            f = field(rows)
+            return encode(encoder, ctx.normalize_field(values, f), x, xw1=f.inputs, rows=f)
 
         return [w], represent
 
@@ -257,7 +281,15 @@ def _thawed_encoder(graph, encoder, cfg):
     clone = thaw(clone_encoder(encoder))
     adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
-    return clone.parameters(), lambda training, rows=None: encode(clone, adj, x, rows=rows)
+    field = _field_per_run(lambda ids: ReceptiveField(adj, ids, x))
+
+    def represent(training, rows=None):
+        if rows is None:
+            return encode(clone, adj, x)
+        f = field(rows)
+        return encode(clone, f.layers, f.inputs, rows=f)
+
+    return clone.parameters(), represent
 
 
 def _feature_prompt(graph, encoder, cfg):
@@ -272,11 +304,15 @@ def _feature_prompt(graph, encoder, cfg):
     x = ad.constant(graph.features)
     w1 = encoder.layer1.weight
     xw1 = ad.matmul(x, w1)
+    field = _field_per_run(lambda ids: ReceptiveField(adj, ids, xw1))
     p = ad.parameter(np.zeros((1, graph.num_features)), name="gpf.prompt")
 
     def represent(training, rows=None):
         shift = ad.matmul(p if training else p.detach(), w1)
-        return encode(encoder, adj, x, xw1=xw1, rows=rows, xw1_shift=shift)
+        if rows is None:
+            return encode(encoder, adj, x, xw1=xw1, xw1_shift=shift)
+        f = field(rows)
+        return encode(encoder, f.layers, x, xw1=f.inputs, rows=f, xw1_shift=shift)
 
     return [p], represent
 
@@ -291,7 +327,7 @@ ABLATION_VARIANTS = tuple(_ABLATIONS)
 
 # method name -> builder(graph, encoder, cfg) -> (upstream parameters,
 # represent(training, rows=None) -> node representations, of ``rows`` only
-# when given)
+# when given, from a receptive field built at the first such call)
 METHOD_TABLE = {
     "uniprompt": _graph_prompt("knn", "bootstrap"),
     "linear-probe": _linear_probe,
@@ -309,7 +345,8 @@ def run_method(method, graph, encoder, train_ids, cfg):
     ``represent(training, rows)``, the node representations that feed a fresh
     MLP classifier. Each epoch runs one forward and backward pass over
     ``represent(True, train_ids)``, which reads only the labeled rows'
-    receptive field, then steps one Adam state for the upstream parameters at
+    receptive field (built at the first epoch, reused by the later ones),
+    then steps one Adam state for the upstream parameters at
     ``cfg.up_lr`` (when there are any) and one for the classifier at
     ``cfg.down_lr``. Training stops at ``cfg.max_epochs`` or after
     ``cfg.patience`` epochs without improvement; predictions use

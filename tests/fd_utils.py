@@ -12,7 +12,7 @@ import zlib
 import numpy as np
 
 from uniprompt import autodiff as ad
-from uniprompt.graphs import SparseAdj
+from uniprompt.graphs import NormContext, SparseAdj
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -80,6 +80,16 @@ def _case_matmul(rng):
     return [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))], ad.matmul
 
 
+def _case_normalized_slices(rng):
+    """Both slices of a random support's receptive field, stacked, with or
+    without self-loops; values stay positive, so every degree does."""
+    pattern = _random_pattern(rng)
+    ctx = NormContext(pattern, add_self_loops=bool(rng.random() < 0.5))
+    field = ctx.receptive_field(rng.choice(pattern.n, size=2, replace=False))
+    return [rng.uniform(0.2, 1.5, size=(pattern.nnz, 1))], \
+        lambda v: ad.concat_rows(*ad.normalized_slices(v, field.reads))
+
+
 def _case_power(rng):
     p = float(rng.choice([2.0, -0.5, 1.5]))
     return [rng.uniform(0.5, 2.0, size=(3, 4))], lambda a: ad.power(a, p)
@@ -129,10 +139,12 @@ def _case_spmm(rng):
     pattern = _random_pattern(rng)
     rows = np.sort(rng.choice(pattern.n, size=3, replace=False))[::-1]
 
+    sliced, pos, support = pattern.restrict(rows)
+
     def products(v, x):
-        adj = ad.SparseTensor(pattern, v)
-        sliced, support = ad.restrict(adj, rows)
-        return ad.concat_rows(ad.spmm(adj, x), ad.spmm(sliced, ad.gather_rows(x, support)))
+        adj = ad.SparseTensor(sliced, ad.gather_rows(v, pos))
+        return ad.concat_rows(ad.spmm(ad.SparseTensor(pattern, v), x),
+                              ad.spmm(adj, ad.gather_rows(x, support)))
 
     return [
         rng.uniform(0.2, 1.5, size=(pattern.nnz, 1)),
@@ -154,6 +166,7 @@ OP_CASES = {
     "info_nce": _case_info_nce,
     "l2_normalize_rows": _case_l2_normalize_rows,
     "matmul": _case_matmul,
+    "normalized_slices": _case_normalized_slices,
     "power": _case_power,
     "prelu": _case_prelu,
     "relu": _case_relu,

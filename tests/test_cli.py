@@ -18,6 +18,7 @@ from uniprompt.hyperparams import TUNING_TABLE, get_tuning_config
 from uniprompt.prompt import ABLATION_VARIANTS, METHODS, run_method
 
 TUNE_OVERRIDES = {"k": 3, "max_epochs": 5, "clf_hidden": 6}
+MISSING_KEYS = ("dataset", "encoder", "methods")  # required in an experiment spec
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,8 @@ def workspace(tmp_path_factory):
     }))
     # malformed experiment specs: a tune config that is not a JSON object, a
     # shot or seed given as a string, a fractional run count, a misspelled
-    # tune section, empty seed, shot and method lists, and one method name
-    # given as a string instead of a list
+    # tune section, empty seed, shot and method lists, one method name
+    # given as a string instead of a list, and repeated entries
     (root / "list-tune.json").write_text(json.dumps([1, 2]))
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"]}
     for name, extra in (("list-eval", {"tune": [1, 2]}),
@@ -55,8 +56,15 @@ def workspace(tmp_path_factory):
                         ("empty-seeds-eval", {"seeds": []}),
                         ("empty-shots-eval", {"shots": []}),
                         ("empty-methods-eval", {"methods": []}),
-                        ("string-methods-eval", {"methods": "gpf"})):
+                        ("string-methods-eval", {"methods": "gpf"}),
+                        ("repeated-methods-eval", {"methods": ["gpf", "gpf"]}),
+                        ("repeated-shots-eval", {"shots": [1, 3, 1]}),
+                        ("repeated-seeds-eval", {"seeds": [2, 2]})):
         (root / f"{name}.json").write_text(json.dumps({**experiment, **extra}))
+    # an experiment spec without each of its required keys
+    for key in MISSING_KEYS:
+        (root / f"no-{key}-eval.json").write_text(json.dumps(
+            {k: v for k, v in experiment.items() if k != key}))
     return bundle, checkpoint, config
 
 
@@ -380,7 +388,9 @@ def misuses(bundle, checkpoint, config):
         **{f"eval-{name}": ["eval", "--config", str(config.parent / f"{name}-eval.json"), *out]
            for name in ("list", "section-list", "shots", "zero-shots", "seeds", "bool-seeds",
                         "runs", "zero-runs", "section", "empty-seeds", "empty-shots",
-                        "empty-methods", "string-methods")},
+                        "empty-methods", "string-methods", "repeated-methods",
+                        "repeated-shots", "repeated-seeds",
+                        *(f"no-{key}" for key in MISSING_KEYS))},
     }
 
 
@@ -394,3 +404,10 @@ def test_misuse_exits_one_without_traceback(workspace, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("key", MISSING_KEYS)
+def test_missing_experiment_key_is_named(workspace, capsys, key):
+    capsys.readouterr()
+    assert dispatch(misuses(*workspace)[f"eval-no-{key}"]) == 1
+    assert capsys.readouterr().err == f"error: experiment config: missing key '{key}'\n"

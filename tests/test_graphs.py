@@ -11,6 +11,7 @@ from uniprompt import autodiff as ad
 from uniprompt.graphs import (
     Graph,
     NormContext,
+    ReceptiveField,
     SparseAdj,
     add_gaussian_noise,
     edge_homophily,
@@ -20,6 +21,7 @@ from uniprompt.graphs import (
     save_graph_bundle,
     symmetric_normalize,
 )
+from uniprompt.graphs import _normalized_rows
 
 
 def write_bundle(path, n, pairs, features, labels, num_classes, name="toy"):
@@ -140,6 +142,41 @@ class TestSparseAdj:
         assert np.array_equal(sliced.data, adj.data[pos])
 
 
+class TestReceptiveField:
+    @staticmethod
+    def operator(n=30, seed=4):
+        rng = np.random.default_rng(seed)
+        rows, cols = np.nonzero(rng.random((n, n)) < 0.08)
+        return SparseAdj.from_coo(n, rows, cols, rng.uniform(0.5, 1.5, rows.size))
+
+    def test_slices_are_the_two_restricts(self):
+        adj = self.operator()
+        inputs = ad.constant(np.random.default_rng(1).normal(size=(adj.n, 3)))
+        field = ReceptiveField(adj, [7, 2, 19], inputs)
+        layer2, pos2, s1 = adj.restrict([7, 2, 19])
+        layer1, pos1, s2 = adj.restrict(s1)
+        assert np.array_equal(field.s1, s1) and np.array_equal(field.s2, s2)
+        for got, want in zip(field.layers, (layer1, layer2), strict=True):
+            assert (got.n, got.n_cols) == (want.n, want.n_cols)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+        assert all(np.array_equal(a, b) for a, b in zip(field.positions, (pos1, pos2)))
+        assert s2.size < adj.n
+        assert np.array_equal(field.inputs.data, inputs.data[s2])
+        assert not field.inputs.requires_grad
+
+    def test_inputs_of_every_node_are_not_copied(self):
+        adj = symmetric_normalize(graph_from_pairs(
+            5, [(0, 1), (1, 2), (2, 3), (3, 4)], np.zeros((5, 2)), None, 2).adjacency())
+        inputs = ad.constant(np.arange(10.0).reshape(5, 2))
+        field = ReceptiveField(adj, [2])
+        assert field.inputs is None
+        field = ReceptiveField(adj, [2], inputs)
+        assert field.s2.tolist() == [0, 1, 2, 3, 4]
+        assert field.inputs.data is inputs.data
+
+
 class TestSymmetricNormalize:
     def test_two_node_single_edge_with_self_loops(self):
         adj = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
@@ -202,10 +239,11 @@ class TestSymmetricNormalize:
 
 
 def knn_similarity(a, b):
-    """The cosine similarity the kNN support stores for a two-node graph."""
-    adj = knn_prompt_init(np.array([a, b], dtype=np.float64), 1)
-    assert adj.data[0] == adj.data[1]
-    return adj.data[0]
+    """The cosine similarity by which the kNN support ranks b for a: the
+    product of the ``_normalized_rows`` it builds, as ``knn_prompt_init``
+    takes it."""
+    xn = _normalized_rows(np.array([a, b], dtype=np.float64))
+    return (xn[:1] @ xn.T)[0, 1]
 
 
 class TestCosineSimilarity:
@@ -244,19 +282,13 @@ class TestCosineSimilarity:
 
 class TestKnnPromptInit:
     def test_three_node_example(self):
-        # features e1, e1, e2: nodes 0/1 pick each other with value 1;
-        # node 2 ties at 0 and picks node 0; union-symmetrized
+        # features e1, e1, e2: nodes 0/1 pick each other at similarity 1;
+        # node 2 ties at 0 and picks node 0; union-symmetrized, every entry 1
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         adj = knn_prompt_init(x, 1)
-        entries = {
-            (int(r), int(c)): v
-            for r, c, v in zip(adj.row_ids(), adj.indices, adj.data)
-        }
-        assert entries[(0, 1)] == pytest.approx(1.0)
-        assert entries[(1, 0)] == pytest.approx(1.0)
-        assert entries[(2, 0)] == pytest.approx(0.0)
-        assert entries[(0, 2)] == pytest.approx(0.0)
-        assert set(entries) == {(0, 1), (1, 0), (2, 0), (0, 2)}
+        entries = set(zip(adj.row_ids().tolist(), adj.indices.tolist()))
+        assert entries == {(0, 1), (1, 0), (2, 0), (0, 2)}
+        assert np.array_equal(adj.data, np.ones(4))
 
     def test_full_k_gives_complete_graph(self):
         rng = np.random.default_rng(0)
@@ -284,23 +316,31 @@ class TestKnnPromptInit:
         # brute-force oracle over all pairs
         xn = x / np.linalg.norm(x, axis=1, keepdims=True)
         sims = xn @ xn.T
-        expected = {}
+        expected = set()
         for i in range(12):
             order = sorted(
                 (j for j in range(12) if j != i),
                 key=lambda j: (-sims[i, j], j),
             )[:k]
-            for j in order:
-                v = sims[i, j]
-                expected[(i, j)] = max(expected.get((i, j), -np.inf), v)
-                expected[(j, i)] = max(expected.get((j, i), -np.inf), v)
-        got = {
-            (int(r), int(c)): v
-            for r, c, v in zip(adj.row_ids(), adj.indices, adj.data)
-        }
-        assert set(got) == set(expected)
-        for key, v in expected.items():
-            assert got[key] == pytest.approx(v, abs=1e-12)
+            expected |= {(i, j) for j in order} | {(j, i) for j in order}
+        assert set(zip(adj.row_ids().tolist(), adj.indices.tolist())) == expected
+        assert np.array_equal(adj.data, np.ones(adj.nnz))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_at_the_kth_value_keep_the_smallest_columns(self, seed):
+        # features from {-1, 0, 1}^3 tie often, so many rows hold more than
+        # k candidates at their k-th similarity
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-1, 2, size=(40, 3)).astype(float)
+        k = 3
+        xn = _normalized_rows(x)
+        sims = xn @ xn.T
+        expected = set()
+        for i in range(40):
+            order = sorted((j for j in range(40) if j != i), key=lambda j: (-sims[i, j], j))[:k]
+            expected |= {(i, j) for j in order} | {(j, i) for j in order}
+        adj = knn_prompt_init(x, k)
+        assert set(zip(adj.row_ids().tolist(), adj.indices.tolist())) == expected
 
     def test_row_degree_at_least_k_after_symmetrization(self):
         rng = np.random.default_rng(1)

@@ -18,7 +18,7 @@ from uniprompt.encoder import (
     init_classifier,
     thaw,
 )
-from uniprompt.graphs import Graph, NormContext, SparseAdj, knn_prompt_init
+from uniprompt.graphs import Graph, NormContext, ReceptiveField, SparseAdj, knn_prompt_init
 from uniprompt.harness import evaluate, generate_sbm, sample_k_shot
 from uniprompt.pretrain import PretrainConfig, pretrain
 from uniprompt.prompt import (
@@ -435,8 +435,13 @@ class TestFeaturePrompt:
 
         oracle_p = ad.parameter(pdata.copy())
         x = ad.add(ad.constant(sbm.features), oracle_p)
-        oracle_loss, oracle_grad = loss_and_grad(
-            encode(encoder, sbm.normalized_adjacency(), x, rows=rows), oracle_p)
+        adj = sbm.normalized_adjacency()
+        if rows is None:
+            oracle_h = encode(encoder, adj, x)
+        else:
+            field = ReceptiveField(adj, rows)
+            oracle_h = encode(encoder, field.layers, ad.gather_rows(x, field.s2), rows=field)
+        oracle_loss, oracle_grad = loss_and_grad(oracle_h, oracle_p)
 
         assert abs(loss - oracle_loss) <= 1e-12
         assert np.abs(grad).max() > 0
@@ -566,6 +571,14 @@ class TestReceptiveField:
         for g_r, g_f in zip(g_rows, g_full, strict=True):
             np.testing.assert_allclose(g_r, g_f, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("method", ["uniprompt", "gpf", "fine-tune"])
+    def test_field_follows_a_change_of_rows(self, sbm, encoder, cfg, method):
+        _, represent = METHOD_TABLE[method](sbm, encoder, cfg)
+        full = represent(False).data
+        for rows in (train_ids(sbm, shot=1), train_ids(sbm, shot=3), train_ids(sbm, shot=1)):
+            np.testing.assert_allclose(represent(False, rows).data, full[rows],
+                                       rtol=1e-12, atol=1e-12)
+
     def test_uniprompt_epoch_computes_receptive_field_rows_only(self, sbm, encoder, cfg,
                                                                 monkeypatch):
         operators = []
@@ -589,16 +602,101 @@ class TestReceptiveField:
             (s1.size, s2.size, in_rows(s1).sum()), (ids.size, s1.size, in_rows(ids).sum()),
             (n, n, full.nnz), (n, n, full.nnz)]
 
-    def test_training_epoch_slices_each_layer_once(self, sbm, encoder, cfg, monkeypatch):
+    @staticmethod
+    def count_slices(monkeypatch):
         calls = []
         real = SparseAdj.row_slice
         monkeypatch.setattr(SparseAdj, "row_slice",
                             lambda self, rows: calls.append(rows) or real(self, rows))
-        # zero epochs is the prediction pass alone
-        for epochs, slices in ((0, 0), (1, 2)):
+        return calls
+
+    def test_training_epoch_slices_each_layer_once(self, sbm, encoder, cfg, monkeypatch):
+        calls = self.count_slices(monkeypatch)
+        # zero epochs is the prediction pass alone; the receptive field is
+        # built at the first epoch and reused by the later ones
+        for epochs, slices in ((0, 0), (1, 2), (3, 2)):
             calls.clear()
-            run_method("uniprompt", sbm, encoder, train_ids(sbm), replace(cfg, max_epochs=epochs))
+            result = run_method("uniprompt", sbm, encoder, train_ids(sbm),
+                                replace(cfg, max_epochs=epochs))
+            assert result.epochs_run == epochs
             assert len(calls) == slices, epochs
+
+    @pytest.mark.parametrize("method", ["gpf", "fine-tune",
+                                        *(f"ablate:{v}" for v in ABLATION_VARIANTS)])
+    def test_every_method_slices_once_per_run(self, sbm, encoder, cfg, method, monkeypatch):
+        calls = self.count_slices(monkeypatch)
+        result = run_method(method, sbm, encoder, train_ids(sbm), replace(cfg, max_epochs=3))
+        assert result.epochs_run == 3
+        assert len(calls) == 2
+
+
+class TestNormalizeField:
+    """``NormContext.normalize_field`` gives the bits of the composed tape:
+    ``normalize`` over the whole pattern, then a gather of each slice's
+    entries."""
+
+    @staticmethod
+    def support(sbm, cfg, self_loops, isolated):
+        """The uniprompt union (with self-loops) or the kNN support alone
+        (discard); ``isolated`` strips node 0 of every entry."""
+        support = knn_prompt_init(sbm.features, cfg.k)
+        if self_loops:
+            support, _ = _union_with_graph(sbm.adjacency(), support)
+        if isolated:
+            rows, cols = support.row_ids(), support.indices
+            keep = (rows != 0) & (cols != 0)
+            support = SparseAdj.from_coo(sbm.num_nodes, rows[keep], cols[keep],
+                                         support.data[keep])
+        return support
+
+    @staticmethod
+    def slices_and_grad(values_data, proj, slices_of):
+        values = ad.parameter(values_data)
+        slices = slices_of(values)
+        loss = ad.add(*(total(ad.hadamard(s, ad.constant(p))) for s, p in zip(slices, proj)))
+        return [s.data for s in slices], ad.backward(loss, params=[values])[values]
+
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["self-loops", "discard"])
+    @pytest.mark.parametrize("ids", ["1-shot", "3-shot", "5-shot", "every-node", "isolated"])
+    def test_values_and_gradient_bit_identical_to_composed(self, sbm, cfg, self_loops, ids):
+        support = self.support(sbm, cfg, self_loops, ids == "isolated")
+        rows = {"every-node": np.arange(sbm.num_nodes)[::-1],
+                "isolated": np.append(train_ids(sbm, shot=3), 0)}.get(ids)
+        if rows is None:
+            rows = train_ids(sbm, shot=int(ids[0]))
+        ctx = NormContext(support, add_self_loops=self_loops)
+        field = ctx.receptive_field(rows)
+        if ids == "isolated":
+            assert field.layers[1].indptr[-1] == field.layers[1].indptr[-2] + self_loops
+        rng = np.random.default_rng(len(rows))
+        values = rng.uniform(0.0, 1.5, size=(support.nnz, 1))
+        values[rng.random(support.nnz) < 0.1] = 0.0  # saturated gates
+        proj = [rng.normal(size=(layer.nnz, 1)) for layer in field.layers]
+
+        def composed(v):
+            full = ctx.normalize(v).values
+            return [ad.gather_rows(full, pos) for pos in field.positions]
+
+        def fused(v):
+            adj1, adj2 = ctx.normalize_field(v, field)
+            assert (adj1.pattern, adj2.pattern) == field.layers
+            return [adj1.values, adj2.values]
+
+        got, got_grad = self.slices_and_grad(values, proj, fused)
+        want, want_grad = self.slices_and_grad(values, proj, composed)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+        assert np.array_equal(got_grad, want_grad)
+        assert np.abs(got_grad).max() > 0
+
+    def test_field_of_another_pattern_rejected(self, sbm, cfg):
+        support = knn_prompt_init(sbm.features, cfg.k)
+        discard = NormContext(support, add_self_loops=False)
+        values = ad.constant(np.ones((support.nnz, 1)))
+        looped = NormContext(support, add_self_loops=True).receptive_field([0, 1])
+        for field in (looped, ReceptiveField(support, [0, 1])):
+            with pytest.raises(ValueError, match="not built by this normalization"):
+                discard.normalize_field(values, field)
 
 
 KNN_METHODS = ("uniprompt", "ablate:simple_add", "ablate:discard_topo")
