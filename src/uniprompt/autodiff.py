@@ -29,6 +29,7 @@ import struct
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 LOG_EPS = 1e-12  # additive floor inside info_nce's log / l2-normalize
 RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
@@ -448,10 +449,11 @@ def cross_entropy(logits, targets):
         raise ValueError(f"cross_entropy needs {n} targets, got shape {targets.shape}")
     if targets.size and (targets.min() < 0 or targets.max() >= c):
         raise ValueError("cross_entropy target out of range")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    lse = np.log(e.sum(axis=1)) + logits.data.max(axis=1)
+    peak = logits.data.max(axis=1, keepdims=True)
+    e = np.exp(logits.data - peak)
+    denom = e.sum(axis=1, keepdims=True)
+    probs = e / denom
+    lse = np.log(denom[:, 0]) + peak[:, 0]
     losses = lse - logits.data[np.arange(n), targets]
     out_data = np.array([[losses.mean()]])
 
@@ -650,7 +652,18 @@ def normalized_slices(values, reads):
 def spmm(adj, x):
     """Sparse @ dense, ``A @ x``. ``adj`` is a SparseAdj (constant) or a
     SparseTensor, square or a rectangular slice with one column per row of
-    ``x``."""
+    ``x``.
+
+    The product runs scipy's CSR kernel ``csr_matvecs`` on the pattern's
+    ``indptr``/``indices`` and the tape values, and the x-gradient
+    ``A^T @ go`` runs ``csc_matvecs`` on the same three arrays (A in CSR is
+    A^T in CSC), each into a fresh zeroed output. These are the kernels that
+    ``csr_matrix @ x`` and ``.T @ go`` call, so the bits are theirs, without
+    building a scipy matrix per call. The kernels do not bounds-check: they
+    rely on SparseAdj's invariants (validated, read-only offsets and column
+    indices) and on the values being a contiguous float64 vector of one value
+    per entry, which is checked here.
+    """
     if isinstance(adj, SparseTensor):
         pattern, values = adj.pattern, adj.values
     else:
@@ -658,15 +671,20 @@ def spmm(adj, x):
     if pattern.n_cols != x.shape[0]:
         raise ValueError(f"spmm shape mismatch: adjacency {pattern.n} x {pattern.n_cols} "
                          f"vs dense {x.shape}")
-    mat = pattern.to_scipy(values.data.reshape(-1))
-    out_data = np.asarray(mat @ x.data)
+    v = values.data.reshape(-1)
+    if v.shape != (pattern.nnz,) or v.dtype != np.float64 or not v.flags.c_contiguous:
+        raise ValueError("spmm values must be a contiguous float64 vector, one per entry")
+    n, n_cols, width = pattern.n, pattern.n_cols, x.shape[1]
+    out_data = np.zeros((n, width))
+    _sparsetools.csr_matvecs(n, n_cols, width, pattern.indptr, pattern.indices, v,
+                             x.data.ravel(), out_data.ravel())
 
     def edge_grads(go):
         # d(loss)/d(value at (i, j)) = go[i] . x[j]; up to ~4k x 4k the dense
         # product is far cheaper than per-edge gathers
-        out_rows, cols = pattern.row_ids(), pattern.indices
         if go.shape[0] * x.shape[0] <= 16_777_216:
-            return (go @ x.data.T)[out_rows, cols]
+            return (go @ x.data.T).take(pattern.flat_index())
+        out_rows, cols = pattern.row_ids(), pattern.indices
         out = np.empty(out_rows.size)
         for start in range(0, out_rows.size, 65536):
             stop = min(start + 65536, out_rows.size)
@@ -677,7 +695,10 @@ def spmm(adj, x):
 
     def bw(go):
         if x.requires_grad:
-            _accum(x, np.asarray(mat.T @ go))
+            g = np.zeros((n_cols, width))
+            _sparsetools.csc_matvecs(n_cols, n, width, pattern.indptr, pattern.indices, v,
+                                     go.ravel(), g.ravel())
+            _accum(x, g)
         if values.requires_grad:
             _accum(values, edge_grads(go).reshape(-1, 1))
 
@@ -690,7 +711,12 @@ def spmm(adj, x):
 
 
 class AdamState:
-    """Bias-corrected Adam over a fixed list of parameter tensors."""
+    """Bias-corrected Adam over a fixed list of parameter tensors.
+
+    The first and second moments of all parameters live in one flat float64
+    buffer each, ``m`` and ``v``: parameter i's entries, in C order, are
+    ``m[spans[i]]`` and ``v[spans[i]]``. So a step runs each elementwise
+    update once over every parameter."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr <= 0:
@@ -700,27 +726,52 @@ class AdamState:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([0] + [p.data.size for p in self.params])
+        self.spans = [slice(start, end) for start, end in zip(ends[:-1], ends[1:])]
+        self.m = np.zeros(ends[-1])
+        self.v = np.zeros(ends[-1])
         self.step_count = 0
 
 
 def adam_step(state, grads=None):
-    """Apply one Adam update in place; ``grads`` defaults to each .grad."""
-    state.step_count += 1
-    t = state.step_count
-    for i, p in enumerate(state.params):
+    """Apply one Adam update; ``grads`` defaults to each .grad, and a missing
+    gradient counts as zeros. A non-finite gradient raises, naming its
+    parameter, before anything changes. The moments update in place; each
+    ``p.data`` is rebound to a new array, never written, because checkpoints
+    and clones may hold the old one."""
+    parts = []
+    for p in state.params:
         g = grads[p] if grads is not None else p.grad
         if g is None:
-            g = np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            name = p.name or f"param[{i}]"
-            raise RuntimeError(f"non-finite gradient for parameter '{name}'")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            g = np.zeros(p.data.size)
+        elif g.shape != p.data.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+        parts.append(g.reshape(-1))
+    g = np.concatenate(parts) if parts else np.zeros(0)
+    if not np.isfinite(g).all():
+        i = next(i for i, span in enumerate(state.spans) if not np.isfinite(g[span]).all())
+        name = state.params[i].name or f"param[{i}]"
+        raise RuntimeError(f"non-finite gradient for parameter '{name}'")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    # the per-parameter update's operations in its order, over the flat
+    # buffers: elementwise, so every entry gets the same bits
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    np.multiply(g, g, out=g)
+    g *= 1.0 - b2
+    v *= b2
+    v += g
+    step = m / (1.0 - b1**t)
+    step *= state.lr
+    denom = v / (1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    for p, span in zip(state.params, state.spans):
+        p.data = p.data - step[span].reshape(p.data.shape)
     return state.params
 
 

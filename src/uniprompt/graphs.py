@@ -25,9 +25,14 @@ DEG_EPS = 1e-12  # degree floor when normalizing without self-loops
 class SparseAdj:
     """Immutable CSR matrix (row offsets, sorted column indices, values) with
     ``n`` rows and ``n_cols`` columns. Graph operators are square, and
-    ``n_cols`` defaults to ``n``; ``restrict`` builds the rectangular slices."""
+    ``n_cols`` defaults to ``n``; ``restrict`` builds the rectangular slices.
 
-    __slots__ = ("n", "n_cols", "indptr", "indices", "data")
+    The arrays are validated here and then read-only, so ``autodiff.spmm``
+    hands them to scipy's CSR kernels, which do not bounds-check. Facts of
+    the pattern (``row_ids``, ``flat_index``) are computed once, on first
+    use."""
+
+    __slots__ = ("n", "n_cols", "indptr", "indices", "data", "_row_ids", "_flat_index")
 
     def __init__(self, n, indptr, indices, data, n_cols=None):
         self.n = int(n)
@@ -47,6 +52,8 @@ class SparseAdj:
             raise ValueError("sparse values must be finite")
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
+        self._row_ids = None
+        self._flat_index = None
 
     @property
     def nnz(self):
@@ -63,8 +70,20 @@ class SparseAdj:
         return cls(n, mat.indptr, mat.indices, mat.data)
 
     def row_ids(self):
-        """Row index of every stored entry, aligned with ``indices``."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+        """Row index of every stored entry, aligned with ``indices``
+        (read-only)."""
+        if self._row_ids is None:
+            self._row_ids = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            self._row_ids.flags.writeable = False
+        return self._row_ids
+
+    def flat_index(self):
+        """Position of every stored entry in the C-order ``n x n_cols``
+        dense matrix, ``row_ids() * n_cols + indices`` (read-only)."""
+        if self._flat_index is None:
+            self._flat_index = self.row_ids() * self.n_cols + self.indices
+            self._flat_index.flags.writeable = False
+        return self._flat_index
 
     def row_slice(self, rows):
         """Positions in ``indices`` of the stored entries of ``rows``, row
@@ -89,10 +108,6 @@ class SparseAdj:
         support, cols = np.unique(self.indices[pos], return_inverse=True)
         return SparseAdj(offsets.size - 1, offsets, cols, self.data[pos],
                          n_cols=support.size), pos, support
-
-    def to_scipy(self, values=None):
-        data = self.data if values is None else np.asarray(values, dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n_cols))
 
     def with_values(self, values):
         return SparseAdj(self.n, self.indptr, self.indices, values, self.n_cols)
@@ -178,8 +193,9 @@ class Graph:
         if self.src.size:
             if self.src.min() < 0 or self.src.max() >= n or self.dst.min() < 0 or self.dst.max() >= n:
                 raise ValueError("edge index out of range")
+        # (src, dst) is lexsorted, so the keys ascend and a repeat is adjacent
         pairs = self.src * n + self.dst
-        if np.unique(pairs).size != pairs.size:
+        if (pairs[1:] == pairs[:-1]).any():
             raise ValueError("duplicate edges")
         # symmetry: the transposed pair set must match
         rev = np.lexsort((self.src, self.dst))
@@ -235,6 +251,15 @@ class Graph:
         return out
 
 
+def _distinct_keys(keys):
+    """The distinct entries of ``keys``, ascending; sorts ``keys`` in place.
+    A sort and a neighbour compare, far cheaper here than ``np.unique``."""
+    keys.sort()
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def graph_from_pairs(num_nodes, pairs, features, labels, num_classes, name="graph"):
     """Build a Graph from directed (src, dst) pairs, symmetrized by union;
     self-loops dropped."""
@@ -244,9 +269,8 @@ def graph_from_pairs(num_nodes, pairs, features, labels, num_classes, name="grap
             raise ValueError("edge index out of range")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         both = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
-        keys = both[:, 0] * num_nodes + both[:, 1]
-        uniq = np.unique(keys)
-        src, dst = uniq // num_nodes, uniq % num_nodes
+        keys = _distinct_keys(both[:, 0] * num_nodes + both[:, 1])
+        src, dst = keys // num_nodes, keys % num_nodes
     else:
         src = dst = np.zeros(0, dtype=np.int64)
     return Graph(num_nodes, src, dst, features, labels, num_classes, name=name)
@@ -505,7 +529,7 @@ def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):
         candidates = np.sort(rng.choice(n, size=sample_size, replace=False))
 
     xn = _normalized_rows(x)
-    cand = xn[candidates]
+    cand = xn if sample_size is None else xn[candidates]
     pos_of = -np.ones(n, dtype=np.int64)
     pos_of[candidates] = np.arange(candidates.size)
 
@@ -520,11 +544,8 @@ def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):
     rows = np.concatenate(rows_all)
     cols = np.concatenate(cols_all)
 
-    # union symmetrization: each selected pair in both directions, once; an
-    # in-place sort and a neighbour compare, far cheaper here than np.unique
-    keys = np.concatenate([rows * n + cols, cols * n + rows])
-    keys.sort()
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    # union symmetrization: each selected pair in both directions, once
+    keys = _distinct_keys(np.concatenate([rows * n + cols, cols * n + rows]))
     return SparseAdj.from_coo(n, keys // n, keys % n, np.ones(keys.size))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+import scipy.sparse as sp
 
 from uniprompt import autodiff as ad
 from uniprompt.graphs import NormContext, SparseAdj
@@ -17,6 +18,13 @@ from uniprompt.graphs import NormContext, SparseAdj
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7
+
+
+def to_scipy(adj, values=None):
+    """``adj`` (a SparseAdj) as a scipy CSR matrix, with its own values or
+    ``values``: the tests' dense oracle, built from scipy's public API."""
+    data = adj.data if values is None else np.asarray(values, dtype=np.float64)
+    return sp.csr_matrix((data, adj.indices, adj.indptr), shape=(adj.n, adj.n_cols))
 
 
 def _away_from_zero(rng, shape, low=0.2, high=2.0):

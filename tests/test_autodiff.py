@@ -9,7 +9,7 @@ from uniprompt import autodiff as ad
 from uniprompt.autodiff import LOG_EPS, _accum, _node
 from uniprompt.graphs import SparseAdj
 
-from fd_utils import OP_CASES, fd_check_op, total
+from fd_utils import OP_CASES, fd_check_op, to_scipy, total
 
 
 class TestTensor:
@@ -234,7 +234,7 @@ class TestOpValues:
         adj = SparseAdj.from_coo(2, [0, 1], [1, 0], [0.5, 0.5])
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = ad.spmm(adj, ad.constant(x))
-        dense = adj.to_scipy().toarray() @ x
+        dense = to_scipy(adj).toarray() @ x
         assert np.abs(out.data - dense).max() < 1e-12
 
     def test_spmm_shape_mismatch(self):
@@ -289,6 +289,59 @@ class TestOpValues:
         outside = np.ones(pattern.nnz, dtype=bool)
         outside[pattern.row_slice(rows)[0]] = False
         assert outside.any() and (sliced[values][outside] == 0.0).all()
+
+    @staticmethod
+    def spmm_cases():
+        """{name: (pattern, x)}: square and rectangular operators, a zero-nnz
+        pattern, empty rows, and x one column wide, Fortran-ordered or a
+        transposed view."""
+        rng = np.random.default_rng(17)
+        mask = rng.random((30, 30)) < 0.2
+        mask[[3, 11, 29]] = False  # empty rows
+        rows, cols = np.nonzero(mask)
+        square = SparseAdj.from_coo(30, rows, cols, np.ones(rows.size))
+        rect, _, support = square.restrict(np.array([29, 4, 17, 3, 8]))
+        empty = SparseAdj(4, np.zeros(5), [], [], n_cols=3)
+        x = lambda m, k: rng.normal(size=(m, k))
+        return {
+            "square": (square, x(30, 4)),
+            "rectangular": (rect, x(support.size, 3)),
+            "zero-nnz": (empty, x(3, 2)),
+            "one-column": (square, x(30, 1)),
+            "fortran": (rect, np.asfortranarray(x(support.size, 5))),
+            "transposed": (square, x(6, 30).T),
+        }
+
+    @pytest.mark.parametrize("name", ["square", "rectangular", "zero-nnz", "one-column",
+                                      "fortran", "transposed"])
+    def test_spmm_bits_are_scipys_public_product(self, name):
+        pattern, x = self.spmm_cases()[name]
+        rng = np.random.default_rng(5)
+        v = rng.uniform(-1.0, 1.0, size=(pattern.nnz, 1))
+        values = ad.parameter(v)
+        xt = ad.parameter(x)
+        out = ad.spmm(ad.SparseTensor(pattern, values), xt)
+        mat = to_scipy(pattern, v[:, 0])
+        assert np.array_equal(out.data, mat @ x), name
+        assert np.array_equal(ad.spmm(pattern.with_values(v[:, 0]), ad.constant(x)).data,
+                              mat @ x), name
+        rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+        for go in (rng.normal(size=out.shape), rng.normal(size=out.shape[::-1]).T):
+            values.grad = xt.grad = None
+            out._backward_fn(go)
+            assert np.array_equal(xt.grad, mat.T @ go), name
+            assert np.array_equal(values.grad[:, 0], (go @ x.T)[rows, pattern.indices]), name
+
+    def test_spmm_rejects_values_the_kernel_cannot_read(self):
+        pattern = SparseAdj.from_coo(3, [0, 1, 2], [1, 2, 0], np.ones(3))
+        strided = ad.constant(np.ones((3, 2))[:, :1])
+        with pytest.raises(ValueError, match="contiguous"):
+            ad.spmm(ad.SparseTensor(pattern, strided), ad.constant(np.ones((3, 2))))
+        values = ad.constant(np.ones((3, 1)))
+        adj = ad.SparseTensor(pattern, values)
+        values.data = np.ones((2, 1))
+        with pytest.raises(ValueError, match="one per entry"):
+            ad.spmm(adj, ad.constant(np.ones((3, 2))))
 
     def test_gather_rows_distinct_ids_scatter_with_add_at_bits(self):
         go = np.random.default_rng(4).normal(size=(3, 2))
@@ -381,6 +434,80 @@ class TestAdam:
             p.grad = None
         assert p.data[0, 0] == pytest.approx(expected, abs=1e-12)
         assert abs(p.data[0, 0] - 3.0) < 0.1
+
+
+    @staticmethod
+    def reference_adam(data, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+        """The oracle: each parameter updated on its own moments, step by
+        step; a None gradient counts as zeros."""
+        data = [d.copy() for d in data]
+        m = [np.zeros_like(d) for d in data]
+        v = [np.zeros_like(d) for d in data]
+        for t, grads in enumerate(grad_steps, start=1):
+            for i, g in enumerate(grads):
+                g = np.zeros_like(data[i]) if g is None else g
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                data[i] = data[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        return data
+
+    @staticmethod
+    def mixed_problem(seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(3, 4), (1, 1), (5, 1), (1, 6), (2, 3)]
+        data = [rng.normal(size=s) for s in shapes]
+        data[4] = np.asfortranarray(data[4])
+        grad_steps = [[rng.normal(size=s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
+                      for _ in range(5)]
+        for step, i in ((0, 1), (2, 3), (3, 1)):
+            grad_steps[step][i] = None
+        grad_steps[4][0] = grad_steps[4][0].T.copy().T  # a Fortran-ordered gradient
+        return data, grad_steps
+
+    @pytest.mark.parametrize("via", ["grads", "attribute"])
+    def test_flat_update_matches_per_parameter_oracle_bit_for_bit(self, via):
+        data, grad_steps = self.mixed_problem(3)
+        params = [ad.parameter(d.copy(), name=f"p{i}") for i, d in enumerate(data)]
+        state = ad.AdamState(params, lr=0.05)
+        held = [p.data for p in params]
+        for grads in grad_steps:
+            if via == "grads":
+                ad.adam_step(state, grads=dict(zip(params, grads)))
+            else:
+                for p, g in zip(params, grads):
+                    p.grad = g
+                ad.adam_step(state)
+        want = self.reference_adam(data, grad_steps, lr=0.05)
+        for p, w in zip(params, want):
+            assert p.data.tobytes() == w.tobytes(), p.name
+        # p.data is rebound, never written: arrays held elsewhere keep their values
+        for h, d in zip(held, data):
+            assert np.array_equal(h, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        data, grad_steps = self.mixed_problem(4)
+        params = [ad.parameter(d.copy(), name=f"p{i}") for i, d in enumerate(data)]
+        state = ad.AdamState(params, lr=0.05)
+        ad.adam_step(state, grads=dict(zip(params, grad_steps[0])))
+        before = [p.data for p in params], state.m.copy(), state.v.copy()
+        grads = grad_steps[1]
+        grads[3] = grads[3].copy()
+        grads[3][0, 2] = bad
+        with pytest.raises(RuntimeError, match="'p3'"):
+            ad.adam_step(state, grads=dict(zip(params, grads)))
+        assert state.step_count == 1
+        assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+        assert all(p.data is d for p, d in zip(params, before[0]))
+
+    def test_gradient_of_another_shape_rejected(self):
+        p = ad.parameter(np.ones((2, 3)))
+        state = ad.AdamState([p], lr=0.1)
+        with pytest.raises(ValueError, match="gradient shape"):
+            ad.adam_step(state, grads={p: np.ones((3, 2))})
+        assert state.step_count == 0
 
     def test_nan_gradient_aborts_with_parameter_name(self):
         p = ad.parameter(np.ones((1, 1)), name="prompt.gate_weights")

@@ -25,7 +25,7 @@ from uniprompt.encoder import (
 )
 from uniprompt.graphs import SparseAdj, symmetric_normalize
 
-from fd_utils import total
+from fd_utils import to_scipy, total
 
 
 def identity_adj(n):
@@ -67,7 +67,7 @@ class TestEncode:
         x = rng.normal(size=(n, 4))
         h = encode(enc, adj, ad.constant(x))
 
-        dense = adj.to_scipy().toarray()
+        dense = to_scipy(adj).toarray()
         slope1 = enc.layer1.prelu_slope.data[0, 0]
         slope2 = enc.layer2.prelu_slope.data[0, 0]
         h1 = dense @ x @ enc.layer1.weight.data + enc.layer1.bias.data
@@ -93,7 +93,7 @@ class TestEncode:
 
         perm = rng.permutation(n)
         inv = np.argsort(perm)
-        dense = adj.to_scipy().toarray()[np.ix_(inv, inv)]
+        dense = to_scipy(adj).toarray()[np.ix_(inv, inv)]
         prows, pcols = np.nonzero(dense)
         padj = SparseAdj.from_coo(n, prows, pcols, dense[prows, pcols])
         hp = encode(enc, padj, ad.constant(x[inv])).data

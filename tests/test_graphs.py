@@ -23,6 +23,8 @@ from uniprompt.graphs import (
 )
 from uniprompt.graphs import _normalized_rows
 
+from fd_utils import to_scipy
+
 
 def write_bundle(path, n, pairs, features, labels, num_classes, name="toy"):
     path.mkdir(parents=True, exist_ok=True)
@@ -104,6 +106,17 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="symmetric"):
             Graph(3, [0], [1], np.zeros((3, 2)), None, 2)
 
+    def test_rejects_asymmetric_edge_set_of_balanced_degrees(self):
+        # a directed 3-cycle: every node has one edge out and one in
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(3, [0, 1, 2], [1, 2, 0], np.zeros((3, 2)), None, 2)
+
+    @pytest.mark.parametrize("src, dst", [([0, 0, 1], [1, 1, 0]),
+                                          ([1, 0, 2, 1, 0, 2], [0, 2, 0, 0, 1, 0])])
+    def test_rejects_repeated_edge(self, src, dst):
+        with pytest.raises(ValueError, match="duplicate"):
+            Graph(3, src, dst, np.zeros((3, 2)), None, 2)
+
     def test_rejects_nan_features(self):
         feats = np.zeros((2, 2))
         feats[0, 0] = np.nan
@@ -123,9 +136,9 @@ class TestGraphInvariants:
 class TestSparseAdj:
     def test_square_unless_given_a_column_count(self):
         adj = SparseAdj(2, [0, 1, 2], [1, 0], [1.0, 2.0])
-        assert adj.n_cols == 2 and adj.to_scipy().shape == (2, 2)
+        assert adj.n_cols == 2 and to_scipy(adj).shape == (2, 2)
         wide = SparseAdj(2, [0, 1, 2], [4, 0], [1.0, 2.0], n_cols=5)
-        assert wide.to_scipy().shape == (2, 5) and wide.with_values([3.0, 4.0]).n_cols == 5
+        assert to_scipy(wide).shape == (2, 5) and wide.with_values([3.0, 4.0]).n_cols == 5
         with pytest.raises(ValueError, match="column index out of range"):
             SparseAdj(2, [0, 1, 2], [4, 0], [1.0, 2.0])
 
@@ -135,10 +148,10 @@ class TestSparseAdj:
         adj = SparseAdj.from_coo(12, rows, cols, rng.uniform(0.5, 1.5, rows.size))
         picked = np.array([9, 0, 4, 9])  # unsorted, with a repeat
         sliced, pos, support = adj.restrict(picked)
-        dense = adj.to_scipy().toarray()
+        dense = to_scipy(adj).toarray()
         assert np.array_equal(support, np.flatnonzero(dense[picked].any(axis=0)))
         assert (sliced.n, sliced.n_cols) == (picked.size, support.size)
-        assert np.array_equal(sliced.to_scipy().toarray(), dense[picked][:, support])
+        assert np.array_equal(to_scipy(sliced).toarray(), dense[picked][:, support])
         assert np.array_equal(sliced.data, adj.data[pos])
 
 
@@ -180,26 +193,26 @@ class TestReceptiveField:
 class TestSymmetricNormalize:
     def test_two_node_single_edge_with_self_loops(self):
         adj = SparseAdj.from_coo(2, [0, 1], [1, 0], [1.0, 1.0])
-        out = symmetric_normalize(adj).to_scipy().toarray()
+        out = to_scipy(symmetric_normalize(adj)).toarray()
         assert np.allclose(out, 0.5)
 
     def test_isolated_node_diagonal_one(self):
         adj = SparseAdj.from_coo(3, [0, 1], [1, 0], [1.0, 1.0])
-        out = symmetric_normalize(adj).to_scipy().toarray()
+        out = to_scipy(symmetric_normalize(adj)).toarray()
         assert out[2, 2] == pytest.approx(1.0)
 
     def test_zero_degree_rows_stay_zero_without_self_loops(self):
         adj = SparseAdj.from_coo(3, [0, 1], [1, 0], [1.0, 1.0])
         ctx = NormContext(adj, add_self_loops=False)
         out = ctx.normalize(ad.constant(adj.data.reshape(-1, 1)))
-        dense = out.pattern.to_scipy(out.values.data.reshape(-1)).toarray()
+        dense = to_scipy(out.pattern, out.values.data.reshape(-1)).toarray()
         assert np.all(dense[2] == 0.0)
         assert dense[0, 1] == pytest.approx(1.0)
 
     def test_path_graph_matches_dense_oracle(self):
         adj = SparseAdj.from_coo(3, [0, 1, 1, 2], [1, 0, 2, 1], np.ones(4))
-        out = symmetric_normalize(adj).to_scipy().toarray()
-        dense = adj.to_scipy().toarray() + np.eye(3)
+        out = to_scipy(symmetric_normalize(adj)).toarray()
+        dense = to_scipy(adj).toarray() + np.eye(3)
         d = dense.sum(axis=1)
         oracle = dense / np.sqrt(np.outer(d, d))
         assert np.abs(out - oracle).max() < 1e-12
@@ -231,8 +244,8 @@ class TestSymmetricNormalize:
         mask = np.triu(rng.random((n, n)) < 0.3, k=1)
         rows, cols = np.nonzero(mask | mask.T)
         adj = SparseAdj.from_coo(n, rows, cols, np.ones(rows.size))
-        out = symmetric_normalize(adj).to_scipy().toarray()
-        dense = adj.to_scipy().toarray() + np.eye(n)
+        out = to_scipy(symmetric_normalize(adj)).toarray()
+        dense = to_scipy(adj).toarray() + np.eye(n)
         d = dense.sum(axis=1)
         oracle = dense / np.sqrt(np.outer(d, d))
         assert np.abs(out - oracle).max() < 1e-12

@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniprompt import autodiff as ad
+from uniprompt import prompt
 from uniprompt.encoder import (
     classify,
     clone_encoder,
@@ -34,7 +36,7 @@ from uniprompt.prompt import (
 )
 from uniprompt.seeds import rng_stream
 
-from fd_utils import total
+from fd_utils import to_scipy, total
 
 
 @pytest.fixture(scope="module")
@@ -189,12 +191,12 @@ class TestBootstrapFuse:
     def test_closed_form_constant_prompt(self, sbm, cfg):
         # A_hat(t) = tau^t A + (1 - tau^t) A_tilde entrywise, dense oracle
         support, union, pos, gates = self.make(sbm, cfg)
-        a_dense = union.to_scipy().toarray()
-        tilde = support.to_scipy(gates.data[:, 0]).toarray()
+        a_dense = to_scipy(union).toarray()
+        tilde = to_scipy(support, gates.data[:, 0]).toarray()
         for tau in (0.0, 0.5, 0.9, 1.0):
             for t, fused in enumerate(self.fuse(union, pos, gates, tau, 50), start=1):
                 expected = tau**t * a_dense + (1 - tau**t) * tilde
-                got = union.to_scipy(fused[:, 0]).toarray()
+                got = to_scipy(union, fused[:, 0]).toarray()
                 assert np.abs(got - expected).max() < 1e-10
 
     def test_support_containment(self, sbm, cfg):
@@ -620,6 +622,34 @@ class TestReceptiveField:
                                 replace(cfg, max_epochs=epochs))
             assert result.epochs_run == epochs
             assert len(calls) == slices, epochs
+
+    @pytest.mark.parametrize("method", ["uniprompt", "gpf"])
+    def test_later_epochs_build_no_scipy_matrix(self, sbm, encoder, cfg, method, monkeypatch):
+        built, counting = [], [False]
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            def init(self, *args, _init=cls.__init__, **kwargs):
+                if counting[0]:
+                    built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", init)
+        # count from the second epoch on: the first builds the receptive field
+        real_loop = prompt._train_loop
+
+        def loop(cfg, step_fn):
+            def step(epoch):
+                counting[0] = epoch >= 1
+                return step_fn(epoch)
+            try:
+                return real_loop(cfg, step)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(prompt, "_train_loop", loop)
+        result = run_method(method, sbm, encoder, train_ids(sbm), cfg)
+        assert result.epochs_run >= 2 and built == []
+        counting[0] = True
+        sp.csr_matrix(np.eye(2))
+        assert built == ["csr_matrix"]  # the guard sees a construction
 
     @pytest.mark.parametrize("method", ["gpf", "fine-tune",
                                         *(f"ablate:{v}" for v in ABLATION_VARIANTS)])
