@@ -268,6 +268,8 @@ def load_encoder(path):
     state = ad.load_checkpoint(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
+    if "activation" not in meta:
+        raise ValueError("sidecar: missing key 'activation'")
     activation = meta["activation"]
 
     def build_layer(tag):

@@ -10,7 +10,7 @@ outputs read; ``NormContext.normalize_field`` normalizes just those entries.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
 from pathlib import Path
 
@@ -281,50 +281,96 @@ def graph_from_pairs(num_nodes, pairs, features, labels, num_classes, name="grap
 # ---------------------------------------------------------------------------
 
 
+def _meta_counts(meta):
+    """``num_nodes``, ``num_features`` and ``num_classes`` of a bundle's
+    meta.json object; each must be a JSON integer."""
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta.json must be a JSON object, got {type(meta).__name__}")
+    counts = []
+    for key in ("num_nodes", "num_features", "num_classes"):
+        if key not in meta:
+            raise ValueError(f"meta.json: missing key '{key}'")
+        value = meta[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"meta.json: {key} must be an integer, got {value!r}")
+        counts.append(value)
+    return counts
+
+
+def _read_edges(file):
+    """The rows of an edges.csv below its 'src,dst' header as an E x 2 int64
+    array, in one parse; columns past the second are ignored."""
+    with open(file) as fh:
+        header = fh.readline()
+        body = fh.read()
+    if [h.strip() for h in header.split(",")[:2]] != ["src", "dst"]:
+        raise ValueError("edges.csv must start with a 'src,dst' header")
+    if not body.strip():
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2,
+                          usecols=(0, 1))
+    except ValueError as exc:
+        raise ValueError(f"edges.csv: non-numeric cell ({exc})") from exc
+
+
+def _read_features(path):
+    """The feature matrix from the one of features.npy and features.csv that
+    the bundle holds, and that file's name."""
+    npy, text = path / "features.npy", path / "features.csv"
+    if npy.exists() == text.exists():
+        if npy.exists():
+            raise ValueError(f"{path} holds both features.npy and features.csv; keep one")
+        raise FileNotFoundError(f"missing file: {npy} (or features.csv)")
+    if text.exists():
+        try:
+            return np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2), text.name
+        except ValueError as exc:
+            raise ValueError(f"features.csv: non-numeric cell ({exc})") from exc
+    try:
+        features = np.load(npy, allow_pickle=False)
+    except (ValueError, EOFError, OSError) as exc:
+        raise ValueError(f"features.npy: unreadable ({exc})") from exc
+    if not isinstance(features, np.ndarray):  # an .npz archive under the name
+        features.close()
+        raise ValueError("features.npy: not a single .npy array")
+    if features.ndim != 2 or features.dtype != np.float64:
+        raise ValueError(f"features.npy: expected a 2-D float64 array, "
+                         f"got a {features.ndim}-D {features.dtype} one")
+    return np.ascontiguousarray(features), npy.name
+
+
 def load_graph_bundle(path):
-    """Load a graph bundle directory (meta.json, edges.csv, features.csv,
-    labels.csv). Directed input edges are symmetrized by union; self-loops
-    dropped."""
+    """Load a graph bundle directory:
+    - meta.json: integer ``num_nodes``, ``num_features``, ``num_classes``,
+      and an optional ``name``;
+    - edges.csv: a 'src,dst' header, then one integer pair per line;
+    - labels.csv: one integer per line;
+    - the features, as exactly one of features.npy (an N x F float64 array
+      in numpy's .npy format, which ``save_graph_bundle`` writes) or
+      features.csv (one comma-separated row per node, still accepted for
+      bundles written by hand).
+    Directed input edges are symmetrized by union; self-loops dropped."""
     path = Path(path)
-    for fname in ("meta.json", "edges.csv", "features.csv", "labels.csv"):
+    for fname in ("meta.json", "edges.csv", "labels.csv"):
         if not (path / fname).exists():
             raise FileNotFoundError(f"missing file: {path / fname}")
 
     with open(path / "meta.json") as fh:
         meta = json.load(fh)
-    try:
-        n, num_features, num_classes = (
-            int(meta[key]) for key in ("num_nodes", "num_features", "num_classes"))
-    except KeyError as exc:
-        raise ValueError(f"meta.json: missing key {exc}") from exc
+    n, num_features, num_classes = _meta_counts(meta)
     name = str(meta.get("name", path.name))
 
-    with open(path / "edges.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
-            raise ValueError("edges.csv must start with a 'src,dst' header")
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                pairs.append((int(row[0]), int(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"edges.csv line {lineno}: non-numeric cell") from exc
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _read_edges(path / "edges.csv")
 
-    try:
-        features = np.loadtxt(path / "features.csv", delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"features.csv: non-numeric cell ({exc})") from exc
+    features, fname = _read_features(path)
     if features.shape[0] != n:
         raise ValueError(
-            f"row count mismatch: features.csv has {features.shape[0]} rows, meta says {n}"
+            f"row count mismatch: {fname} has {features.shape[0]} rows, meta says {n}"
         )
     if features.shape[1] != num_features:
         raise ValueError(
-            f"column count mismatch: features.csv has {features.shape[1]} columns, "
+            f"column count mismatch: {fname} has {features.shape[1]} columns, "
             f"meta says {num_features}"
         )
 
@@ -341,7 +387,12 @@ def load_graph_bundle(path):
 
 
 def save_graph_bundle(graph, path):
-    """Write a Graph as a bundle directory (inverse of load_graph_bundle)."""
+    """Write a Graph as a bundle directory (inverse of load_graph_bundle):
+    meta.json, edges.csv, labels.csv and the exact float64 features as
+    features.npy. A features.csv already in the directory is removed, so
+    the bundle holds one feature file."""
+    if graph.labels is None:
+        raise ValueError("cannot save a bundle without labels")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -353,19 +404,11 @@ def save_graph_bundle(graph, path):
     with open(path / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(path / "edges.csv", "w", newline="") as fh:
-        fh.write("src,dst\n")
-        for s, d in zip(graph.src, graph.dst):
-            fh.write(f"{s},{d}\n")
-    with open(path / "features.csv", "w") as fh:
-        for row in graph.features:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-    with open(path / "labels.csv", "w") as fh:
-        if graph.labels is None:
-            raise ValueError("cannot save a bundle without labels")
-        for y in graph.labels:
-            fh.write(f"{y}\n")
+    np.savetxt(path / "edges.csv", np.column_stack([graph.src, graph.dst]), fmt="%d",
+               delimiter=",", header="src,dst", comments="")
+    np.save(path / "features.npy", graph.features, allow_pickle=False)
+    (path / "features.csv").unlink(missing_ok=True)
+    np.savetxt(path / "labels.csv", graph.labels, fmt="%d")
 
 
 # ---------------------------------------------------------------------------

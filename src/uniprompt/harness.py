@@ -286,9 +286,13 @@ def noise_robustness(levels, base_spec):
 # ---------------------------------------------------------------------------
 
 
+SBM_BLOCK_PAIRS = 1 << 18  # node pairs ``generate_sbm`` draws per block, at most
+
+
 def generate_sbm(n, classes, p_in, p_out, feature_dim, feature_sep, seed, name="sbm"):
     """Stochastic block model with balanced classes and class-Gaussian
-    features whose means are pairwise ``feature_sep`` apart."""
+    features whose means are pairwise ``feature_sep`` apart. Memory is
+    O(n + edges + ``SBM_BLOCK_PAIRS``), not O(n^2)."""
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
@@ -303,11 +307,21 @@ def generate_sbm(n, classes, p_in, p_out, feature_dim, feature_sep, seed, name="
     sizes[: n % classes] += 1
     labels = np.repeat(np.arange(classes), sizes)
 
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < prob
-    src = np.concatenate([iu[keep], ju[keep]])
-    dst = np.concatenate([ju[keep], iu[keep]])
+    # the pairs i < j in row-major order, drawn a block of rows at a time:
+    # consecutive rng.random calls give the bits of one call over all pairs
+    rows_per_block = max(1, SBM_BLOCK_PAIRS // n)
+    kept_i, kept_j = [], []
+    for start in range(0, n - 1, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, n - 1))
+        counts = n - 1 - rows
+        i = np.repeat(rows, counts)
+        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = rng.random(i.size) < np.where(labels[i] == labels[j], p_in, p_out)
+        kept_i.append(i[keep])
+        kept_j.append(j[keep])
+    iu, ju = np.concatenate(kept_i), np.concatenate(kept_j)
+    src = np.concatenate([iu, ju])
+    dst = np.concatenate([ju, iu])
 
     means = np.zeros((classes, feature_dim))
     means[np.arange(classes), np.arange(classes)] = feature_sep / np.sqrt(2.0)

@@ -7,6 +7,7 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uniprompt import cli, harness
@@ -206,23 +207,82 @@ def exit_code_and_err(argv, capsys):
     return code, err
 
 
-@pytest.mark.parametrize("damage, message", [("features-cell", "features.csv: non-numeric"),
-                                             ("meta-num-nodes", "missing key 'num_nodes'")])
+def damage_bundle(bundle, damage):
+    """Damage a copy of a make-sbm bundle, which holds features.npy."""
+    npy = bundle / "features.npy"
+    features = np.load(npy)
+    if damage == "features-cell":
+        # the hand-written CSV form of the features, with a bad cell
+        npy.unlink()
+        lines = [",".join(repr(float(v)) for v in row) for row in features]
+        lines[1] = "abc" + lines[1][lines[1].index(","):]
+        (bundle / "features.csv").write_text("\n".join(lines) + "\n")
+    elif damage == "npy-truncated":
+        npy.write_bytes(npy.read_bytes()[:-8])
+    elif damage == "npy-float32":
+        np.save(npy, features.astype(np.float32))
+    elif damage == "npy-1d":
+        np.save(npy, features.ravel())
+    elif damage == "npy-object":
+        np.save(npy, features.astype(object), allow_pickle=True)
+    elif damage == "npy-archive":
+        with open(npy, "wb") as fh:
+            np.savez(fh, features=features)
+    elif damage == "npy-rows":
+        np.save(npy, features[:-1])
+    elif damage == "npy-columns":
+        np.save(npy, features[:, :-1])
+    elif damage == "npy-and-csv":
+        np.savetxt(bundle / "features.csv", features, delimiter=",")
+    elif damage == "no-features":
+        npy.unlink()
+    else:
+        meta = json.loads((bundle / "meta.json").read_text())
+        if damage == "meta-num-nodes":
+            del meta["num_nodes"]
+        else:
+            key, value = damage.split(":")
+            meta[key] = json.loads(value)
+        (bundle / "meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("features-cell", "features.csv: non-numeric"),
+    ("npy-truncated", "features.npy: unreadable"),
+    ("npy-float32", "features.npy: expected a 2-D float64 array"),
+    ("npy-1d", "features.npy: expected a 2-D float64 array"),
+    ("npy-object", "features.npy: unreadable"),
+    ("npy-archive", "features.npy: not a single .npy array"),
+    ("npy-rows", "row count mismatch: features.npy"),
+    ("npy-columns", "column count mismatch: features.npy"),
+    ("npy-and-csv", "holds both features.npy and features.csv"),
+    ("no-features", "features.npy (or features.csv)"),
+    ("meta-num-nodes", "missing key 'num_nodes'"),
+    ("num_nodes:24.0", "num_nodes must be an integer"),
+    ("num_features:true", "num_features must be an integer"),
+    ("num_classes:\"3\"", "num_classes must be an integer")])
 def test_malformed_bundle_exits_one(workspace, capsys, tmp_path, damage, message):
     bundle, _, _ = workspace
     copy = tmp_path / "bundle"
     shutil.copytree(bundle, copy)
-    if damage == "features-cell":
-        lines = (copy / "features.csv").read_text().splitlines()
-        lines[1] = "abc" + lines[1][lines[1].index(","):]
-        (copy / "features.csv").write_text("\n".join(lines) + "\n")
-    else:
-        meta = json.loads((copy / "meta.json").read_text())
-        del meta["num_nodes"]
-        (copy / "meta.json").write_text(json.dumps(meta))
+    damage_bundle(copy, damage)
     code, err = exit_code_and_err(["inspect", "--dataset", str(copy)], capsys)
     assert code == 1
     assert err.startswith("error:") and message in err
+
+
+def test_sidecar_without_activation_exits_one(workspace, capsys, tmp_path):
+    bundle, checkpoint, config = workspace
+    copy = tmp_path / "enc.ckpt"
+    shutil.copyfile(checkpoint, copy)
+    sidecar = json.loads(Path(str(checkpoint) + ".json").read_text())
+    del sidecar["activation"]
+    Path(str(copy) + ".json").write_text(json.dumps(sidecar))
+    code, err = exit_code_and_err(["tune", "--method", "gpf", "--encoder", str(copy),
+                                   "--dataset", str(bundle), "--shot", "1",
+                                   "--config", str(config)], capsys)
+    assert code == 1
+    assert err == "error: sidecar: missing key 'activation'\n"
 
 
 def test_runtime_abort_exits_two(workspace, capsys, monkeypatch):

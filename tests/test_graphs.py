@@ -1,6 +1,7 @@
 """Graph type, bundle I/O, normalization, kNN, homophily and noise tests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniprompt import autodiff as ad
+from uniprompt.harness import generate_sbm
 from uniprompt.graphs import (
     Graph,
     NormContext,
@@ -91,6 +93,43 @@ class TestLoadBundle:
         with pytest.raises(ValueError, match="header"):
             load_graph_bundle(tmp_path / "bad")
 
+    def test_non_integer_edge_cell(self, tmp_path):
+        rng = np.random.default_rng(0)
+        write_bundle(tmp_path / "bad", 3, [(0, 1)], rng.normal(size=(3, 2)), [0, 0, 1], 2)
+        (tmp_path / "bad" / "edges.csv").write_text("src,dst\n0,1\n1,2.5\n")
+        with pytest.raises(ValueError, match="edges.csv: non-numeric"):
+            load_graph_bundle(tmp_path / "bad")
+
+    def test_header_only_edges_give_an_edgeless_graph_silently(self, tmp_path):
+        rng = np.random.default_rng(0)
+        write_bundle(tmp_path / "bare", 3, [], rng.normal(size=(3, 2)), [0, 0, 1], 2)
+        assert (tmp_path / "bare" / "edges.csv").read_text() == "src,dst\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_graph_bundle(tmp_path / "bare")
+        assert g.src.size == 0 and g.num_nodes == 3
+
+    @pytest.mark.parametrize("key", ["num_nodes", "num_features", "num_classes"])
+    @pytest.mark.parametrize("value", [True, 4.9, "4"])
+    def test_meta_counts_must_be_integers(self, toy_bundle, key, value):
+        meta = json.loads((toy_bundle / "meta.json").read_text())
+        meta[key] = value
+        (toy_bundle / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"meta.json: {key} must be an integer"):
+            load_graph_bundle(toy_bundle)
+
+    def test_meta_must_be_an_object(self, toy_bundle):
+        (toy_bundle / "meta.json").write_text("[6, 3, 3]")
+        with pytest.raises(ValueError, match="meta.json must be a JSON object"):
+            load_graph_bundle(toy_bundle)
+
+    def test_fortran_ordered_npy_loads_row_major(self, toy_bundle):
+        g = load_graph_bundle(toy_bundle)
+        (toy_bundle / "features.csv").unlink()
+        np.save(toy_bundle / "features.npy", np.asfortranarray(g.features))
+        features = load_graph_bundle(toy_bundle).features
+        assert features.flags.c_contiguous and np.array_equal(features, g.features)
+
     def test_save_load_roundtrip(self, toy_bundle, tmp_path):
         g = load_graph_bundle(toy_bundle)
         save_graph_bundle(g, tmp_path / "copy")
@@ -99,6 +138,34 @@ class TestLoadBundle:
         assert np.array_equal(g.dst, g2.dst)
         assert np.array_equal(g.features, g2.features)
         assert np.array_equal(g.labels, g2.labels)
+
+    @pytest.mark.parametrize("source", ["toy", "sbm-300"])
+    def test_npy_bundle_loads_as_its_csv_form(self, toy_bundle, tmp_path, source):
+        if source == "toy":
+            g = load_graph_bundle(toy_bundle)
+        else:
+            g = generate_sbm(300, 4, 0.1, 0.02, 16, 3.0, seed=7)
+        save_graph_bundle(g, tmp_path / "npy")
+        write_bundle(tmp_path / "csv", g.num_nodes, zip(g.src, g.dst), g.features,
+                     g.labels, g.num_classes, name=g.name)
+        assert {f.name for f in (tmp_path / "npy").iterdir()} == {
+            "meta.json", "edges.csv", "labels.csv", "features.npy"}
+        from_npy, from_csv = (load_graph_bundle(tmp_path / d) for d in ("npy", "csv"))
+        for key in ("src", "dst", "features", "labels"):
+            assert np.array_equal(getattr(from_npy, key), getattr(from_csv, key)), key
+            assert np.array_equal(getattr(from_npy, key), getattr(g, key)), key
+
+    def test_save_writes_edges_and_labels_as_integer_lines(self, tmp_path):
+        g = graph_from_pairs(4, [(0, 1), (3, 2)], np.zeros((4, 2)), [0, 1, 1, 0], 2)
+        save_graph_bundle(g, tmp_path / "b")
+        assert (tmp_path / "b" / "edges.csv").read_text() == "src,dst\n0,1\n1,0\n2,3\n3,2\n"
+        assert (tmp_path / "b" / "labels.csv").read_text() == "0\n1\n1\n0\n"
+
+    def test_save_over_a_csv_bundle_leaves_one_feature_file(self, toy_bundle):
+        g = load_graph_bundle(toy_bundle)
+        save_graph_bundle(g, toy_bundle)
+        assert not (toy_bundle / "features.csv").exists()
+        assert np.array_equal(load_graph_bundle(toy_bundle).features, g.features)
 
 
 class TestGraphInvariants:

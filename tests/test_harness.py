@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from uniprompt import autodiff as ad
-from uniprompt.graphs import edge_homophily
+from uniprompt import harness
+from uniprompt.graphs import Graph, edge_homophily
 from uniprompt.harness import (
     DEFAULT_RUNS,
     DEFAULT_SEEDS,
@@ -300,7 +301,35 @@ class TestNoiseRobustness:
             noise_robustness([-0.1], tiny_spec(sbm, encoder))
 
 
+def reference_sbm(n, classes, p_in, p_out, feature_dim, feature_sep, seed):
+    """The generator as it drew the whole upper triangle at once, O(n^2)
+    memory: the draws ``generate_sbm`` must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    sizes = np.full(classes, n // classes)
+    sizes[: n % classes] += 1
+    labels = np.repeat(np.arange(classes), sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.size) < prob
+    src = np.concatenate([iu[keep], ju[keep]])
+    dst = np.concatenate([ju[keep], iu[keep]])
+    means = np.zeros((classes, feature_dim))
+    means[np.arange(classes), np.arange(classes)] = feature_sep / np.sqrt(2.0)
+    features = means[labels] + rng.standard_normal((n, feature_dim))
+    return Graph(n, src, dst, features, labels, classes)
+
+
 class TestGenerateSbm:
+    @pytest.mark.parametrize("n, block", [(5, None), (5, 1), (77, None), (77, 400),
+                                          (300, None), (2708, None)])
+    def test_blocked_draws_match_the_whole_triangle(self, monkeypatch, n, block):
+        if block is not None:  # blocks of one row, or of a few rows
+            monkeypatch.setattr(harness, "SBM_BLOCK_PAIRS", block)
+        args = (n, 5, min(0.9, 40 / n), min(0.3, 10 / n), 8, 3.0, 3)
+        got, want = generate_sbm(*args), reference_sbm(*args)
+        for key in ("src", "dst", "features", "labels"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
     def test_zero_cross_probability_gives_homophily_one(self):
         g = generate_sbm(100, 4, 0.1, 0.0, 8, 2.0, seed=0)
         assert edge_homophily(g) == 1.0
