@@ -126,52 +126,39 @@ def _activate(x, layer):
     return x
 
 
-def _size(op):
-    pattern = op.pattern if isinstance(op, ad.SparseTensor) else op
-    return pattern.n, pattern.n_cols
-
-
-def encode(encoder, adj_norm, x, xw1=None, rows=None, xw1_shift=None):
-    """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2), or its ``rows``.
+def encode(encoder, adj_norm, x=None, xw1=None):
+    """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2).
 
     ``adj_norm`` is a symmetric-normalized SparseAdj (constant) or a
-    SparseTensor whose values carry prompt gradients. The parameters enter the
-    tape as they are: a frozen encoder's tensors do not require grad, so the
-    tape prunes every path into the weights while gradients still flow through
-    the adjacency values and the features. ``xw1``, if given, stands in for
-    layer 1's ``X @ W1``: a caller with a frozen encoder and constant features
-    computes that product once for many forwards. ``xw1_shift``, a (1, hidden)
-    row that needs ``xw1``, is added to every row of it: with a linear first
-    layer, a row p added to every feature row enters as ``xw1_shift = p @ W1``.
+    SparseTensor whose values carry prompt gradients, for both layers, or a
+    (layer 1, layer 2) pair of them. The parameters enter the tape as they
+    are: a frozen encoder's tensors do not require grad, so the tape prunes
+    every path into the weights while gradients still flow through the
+    adjacency values and the features. Layer 1's input is exactly one of
+    ``x``, the features, and ``xw1``, a caller's ``X @ W1``, which a caller
+    with a frozen encoder and constant features builds once for many
+    forwards.
 
-    A node's output reads only its 2-hop receptive field. ``rows``, a
-    ``graphs.ReceptiveField`` built once per run, computes just the rows of
-    its ``ids``: ``adj_norm`` is then the pair of the field's slices, layer
-    1's |S1| x |S2| and layer 2's |ids| x |S1| (``rows.layers`` for the
-    constant operator the field was built on, or
-    ``NormContext.normalize_field`` for learned values), and ``x`` or ``xw1``
-    holds layer 1's input at the S2 rows only (``rows.inputs``). Tuning trains
-    this way on its labeled rows; without ``rows`` every node is computed, as
+    A node's output reads only its 2-hop receptive field. Given the pair of
+    a ``graphs.ReceptiveField``'s slices (``field.layers``, or
+    ``NormContext.normalize_field`` for learned values) and layer 1's input
+    at its S2 rows (``field.inputs``), the output is the rows of the field's
+    ids, as tuning trains. With one operator every node is computed, as
     prediction and pretraining do.
     """
-    if not isinstance(x, ad.Tensor):
-        x = ad.constant(x)
-    if x.shape[1] != encoder.in_dim:
-        raise ValueError(f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
-    operators = (adj_norm, adj_norm)
-    if rows is not None:
-        operators = adj_norm
-        expected = [(rows.s1.size, rows.s2.size), (rows.ids.size, rows.s1.size)]
-        if not isinstance(operators, tuple) or [_size(op) for op in operators] != expected:
-            raise ValueError("operators are not the receptive field's two slices")
-    if xw1_shift is not None:
-        xw1 = ad.add(xw1, xw1_shift)
-    h = x
-    for layer, hw, adj in zip((encoder.layer1, encoder.layer2), (xw1, None), operators):
-        if hw is None:
-            hw = ad.matmul(h, layer.weight)
-        h = _activate(ad.add(ad.spmm(adj, hw), layer.bias), layer)
-    return h
+    if (x is None) == (xw1 is None):
+        raise ValueError("layer 1's input is exactly one of x and xw1")
+    if xw1 is None:
+        if not isinstance(x, ad.Tensor):
+            x = ad.constant(x)
+        if x.shape[1] != encoder.in_dim:
+            raise ValueError(
+                f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
+        xw1 = ad.matmul(x, encoder.layer1.weight)
+    first, second = adj_norm if isinstance(adj_norm, tuple) else (adj_norm, adj_norm)
+    layer1, layer2 = encoder.layer1, encoder.layer2
+    h = _activate(ad.add(ad.spmm(first, xw1), layer1.bias), layer1)
+    return _activate(ad.add(ad.spmm(second, ad.matmul(h, layer2.weight)), layer2.bias), layer2)
 
 
 class Classifier:

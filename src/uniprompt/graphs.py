@@ -128,12 +128,11 @@ class ReceptiveField:
     was built by ``NormContext.receptive_field``.
     """
 
-    __slots__ = ("operator", "ids", "s1", "s2", "layers", "positions", "inputs", "reads")
+    __slots__ = ("operator", "s1", "s2", "layers", "positions", "inputs", "reads")
 
     def __init__(self, operator, ids, inputs=None):
         self.operator = operator
-        self.ids = np.array(ids, dtype=np.int64)
-        layer2, pos2, self.s1 = operator.restrict(self.ids)
+        layer2, pos2, self.s1 = operator.restrict(ids)
         layer1, pos1, self.s2 = operator.restrict(self.s1)
         self.layers = (layer1, layer2)
         self.positions = (pos1, pos2)
@@ -177,29 +176,20 @@ class Graph:
         self._edges = _EdgeCache()
         self._knn = {}
 
-        order = np.lexsort((self.dst, self.src))
-        self.src = self.src[order]
-        self.dst = self.dst[order]
-        self._validate()
-        for arr in (self.src, self.dst, self.features):
-            arr.flags.writeable = False
-        if self.labels is not None:
-            self.labels.flags.writeable = False
-
-    def _validate(self):
         n = self.num_nodes
         if self.src.shape != self.dst.shape:
             raise ValueError("edge arrays must be parallel")
         if self.src.size:
             if self.src.min() < 0 or self.src.max() >= n or self.dst.min() < 0 or self.dst.max() >= n:
                 raise ValueError("edge index out of range")
-        # (src, dst) is lexsorted, so the keys ascend and a repeat is adjacent
-        pairs = self.src * n + self.dst
-        if (pairs[1:] == pairs[:-1]).any():
+        # in range, src * n + dst is one int64 key per edge in (src, dst) order
+        keys = self.src * n + self.dst
+        order = np.argsort(keys, kind="stable")
+        keys, self.src, self.dst = keys[order], self.src[order], self.dst[order]
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edges")
-        # symmetry: the transposed pair set must match
-        rev = np.lexsort((self.src, self.dst))
-        if not np.array_equal(self.dst[rev], self.src) or not np.array_equal(self.src[rev], self.dst):
+        # symmetry: the transposed pairs, sorted, must be the same keys
+        if not np.array_equal(np.sort(self.dst * n + self.src), keys):
             raise ValueError("adjacency must be symmetric")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError("features must be an N x F matrix")
@@ -210,6 +200,9 @@ class Graph:
                 raise ValueError("labels must have one entry per node")
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
                 raise ValueError("label out of range")
+            self.labels.flags.writeable = False
+        for arr in (self.src, self.dst, self.features):
+            arr.flags.writeable = False
 
     @property
     def num_features(self):

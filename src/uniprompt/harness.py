@@ -258,6 +258,8 @@ def sweep(param, grid, base_spec):
         raise ValueError(f"unknown sweep parameter '{param}'")
     if not grid:
         raise ValueError("sweep grid is empty")
+    if param == "k" and not all(float(v).is_integer() for v in grid):
+        raise ValueError(f"sweep grid: k must be integers, got {list(grid)!r}")
     table = ResultTable(param_name=param)
     for value in grid:
         value = int(value) if param == "k" else float(value)

@@ -2,26 +2,27 @@
 
 Every method here trains a set of "upstream" parameters jointly with a
 downstream MLP classifier on a pretrained encoder. ``METHOD_TABLE`` maps each
-``METHODS`` name to a builder returning those parameters and a
-``represent(training, rows=None)`` function for the node representations:
-the gate weights of a kNN prompt topology fused into the graph by
-bootstrapping (uniprompt) and of its three component-replacement ablations,
-one vector added to every feature row (gpf), the weights of a thawed encoder
-clone (fine-tune), or nothing (linear probe). ``run_method`` owns everything
-else.
+``METHODS`` name to a builder that takes a run's labeled ids and returns
+those parameters and a ``represent(training)`` function for the node
+representations: the gate weights of a kNN prompt topology fused into the
+graph by bootstrapping (uniprompt) and of its three component-replacement
+ablations, one vector added to every feature row (gpf), the weights of a
+thawed encoder clone (fine-tune), or nothing (linear probe). ``run_method``
+owns everything else.
 
 The frozen layer 1 is linear before its bias, so the graph prompts and gpf
 build its ``X W1`` once per run and reuse it every epoch. gpf's feature
 prompt enters through the identity ``(X + 1·p) W1 = X W1 + 1·(p W1)``, as a
 (1, hidden) shift of that constant product.
 
-The loss reads only the labeled rows, so each training epoch computes the
-representations of those rows alone, from their 2-hop receptive field
-(``encode(..., rows=)``); the linear probe indexes its constant
-representations. Prediction computes every row. A run's labeled ids never
-change, so its ``ReceptiveField`` is built at the first epoch and reused:
-the slices of the operator each layer reads, their positions, and layer 1's
-constant input at the rows the field reads. No later epoch slices anything.
+The loss reads only the labeled rows, so ``represent(True)`` computes the
+representations of those rows alone, from their 2-hop receptive field; the
+linear probe indexes its constant representations. ``represent(False)``,
+prediction, computes every row. A run's labeled ids are fixed when its
+method is built, so its ``ReceptiveField`` is built at the first training
+call and reused: the slices of the operator each layer reads, their
+positions, and layer 1's constant input at the rows the field reads. No
+later epoch slices anything, and a run of 0 epochs slices nothing.
 
 Every method encodes through the one symmetric normalization of ``graphs``:
 the graph prompts run ``NormContext`` on their learned values, each training
@@ -32,7 +33,11 @@ slices read; the other methods use the graph's cached
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,13 @@ from .encoder import (
 from .graphs import NormContext, ReceptiveField, SparseAdj, knn_prompt_init
 from .seeds import rng_stream
 
+# glibc's malloc_trim(size_t pad) hands the heap's free pages back to the OS
+_malloc_trim = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim",
+                       lambda pad: 0)
+
+_INTEGER_FIELDS = ("k", "max_epochs", "patience", "clf_hidden", "seed", "knn_sample")
+_NUMBER_FIELDS = ("up_lr", "down_lr", "tau", "alpha", "min_delta")
+
 
 @dataclass
 class TuneConfig:
@@ -67,6 +79,13 @@ class TuneConfig:
     knn_sample: int | None = None  # sampled-kNN approximation (candidate count)
 
     def validate(self):
+        for fields, kind, cls in ((_INTEGER_FIELDS, "an integer", numbers.Integral),
+                                  (_NUMBER_FIELDS, "a number", numbers.Real)):
+            for field in fields:
+                value = getattr(self, field)
+                unset = field == "knn_sample" and value is None
+                if not unset and (isinstance(value, bool) or not isinstance(value, cls)):
+                    raise ValueError(f"{field} must be {kind}, got {value!r}")
         if self.up_lr <= 0 or self.down_lr <= 0:
             raise ValueError("learning rates must be positive")
         if self.k < 1:
@@ -177,8 +196,7 @@ def _train_loop(cfg, step_fn):
     """Shared early-stopping loop: stop at max_epochs or after ``patience``
     epochs without the training loss improving by more than min_delta."""
     history = []
-    best = math.inf
-    bad = 0
+    best, bad = math.inf, 0
     for epoch in range(cfg.max_epochs):
         loss = step_fn(epoch)
         if not math.isfinite(loss):
@@ -209,27 +227,12 @@ def _prompt_support(graph, cfg, topology):
     return graph.knn_support(cfg.k)
 
 
-def _field_per_run(build):
-    """``field(ids)``: ``build(ids)``, made at the first call and made again
-    only if the ids change. A run's labeled ids never do, so all of its
-    training epochs share one receptive field."""
-    made = None
-
-    def field(ids):
-        nonlocal made
-        if made is None or not np.array_equal(made.ids, ids):
-            made = build(ids)
-        return made
-
-    return field
-
-
 def _graph_prompt(topology, integration):
     """Builder of a gated prompt over a ``knn`` or ``random`` support, merged
     with the graph by ``bootstrap`` fusion, by ``simple_add`` or not at all
     (``discard``). The upstream parameters are the gate weights."""
 
-    def build(graph, encoder, cfg):
+    def build(graph, encoder, cfg, ids):
         support = _prompt_support(graph, cfg, topology)
         union, positions = _union_with_graph(graph.adjacency(), support)
         w = ad.parameter(np.ones((support.nnz, 1)), name="prompt.gate_weights")
@@ -238,13 +241,12 @@ def _graph_prompt(topology, integration):
         else:
             ctx = NormContext(union, add_self_loops=True)
         a_union = ad.constant(union.data.reshape(-1, 1))
-        x = ad.constant(graph.features)
         # X and the frozen W1 never change, so layer 1's product is built once
-        xw1 = ad.matmul(x, encoder.layer1.weight)
-        field = _field_per_run(lambda ids: ctx.receptive_field(ids, xw1))
+        xw1 = ad.matmul(ad.constant(graph.features), encoder.layer1.weight)
+        field = functools.cache(lambda: ctx.receptive_field(ids, xw1))
         fused = union.data.reshape(-1, 1)  # A_hat^(t) of the bootstrap path
 
-        def represent(training, rows=None):
+        def represent(training):
             nonlocal fused
             if integration == "bootstrap" and not training:
                 # predict with the last fused adjacency of training
@@ -258,41 +260,41 @@ def _graph_prompt(topology, integration):
                     values = ad.add(a_union, ad.segment_sum(gates, positions, union.nnz))
                 else:
                     values = gates
-            if rows is None:
-                return encode(encoder, ctx.normalize(values), x, xw1=xw1)
-            f = field(rows)
-            return encode(encoder, ctx.normalize_field(values, f), x, xw1=f.inputs, rows=f)
+            if not training:
+                return encode(encoder, ctx.normalize(values), xw1=xw1)
+            f = field()
+            return encode(encoder, ctx.normalize_field(values, f), xw1=f.inputs)
 
         return [w], represent
 
     return build
 
 
-def _linear_probe(graph, encoder, cfg):
+def _linear_probe(graph, encoder, cfg, ids):
     """Representations from a single encoder forward on the original
     normalized adjacency; only the classifier trains."""
     h = encode(encoder, graph.normalized_adjacency(), ad.constant(graph.features))
-    return [], lambda training, rows=None: h if rows is None else ad.gather_rows(h, rows)
+    return [], lambda training: ad.gather_rows(h, ids) if training else h
 
 
-def _thawed_encoder(graph, encoder, cfg):
+def _thawed_encoder(graph, encoder, cfg, ids):
     """The weights of a thawed clone of the encoder train; the shared encoder
     is left as it was."""
     clone = thaw(clone_encoder(encoder))
     adj = graph.normalized_adjacency()
     x = ad.constant(graph.features)
-    field = _field_per_run(lambda ids: ReceptiveField(adj, ids, x))
+    field = functools.cache(lambda: ReceptiveField(adj, ids, x))
 
-    def represent(training, rows=None):
-        if rows is None:
+    def represent(training):
+        if not training:
             return encode(clone, adj, x)
-        f = field(rows)
-        return encode(clone, f.layers, f.inputs, rows=f)
+        f = field()
+        return encode(clone, f.layers, f.inputs)
 
     return clone.parameters(), represent
 
 
-def _feature_prompt(graph, encoder, cfg):
+def _feature_prompt(graph, encoder, cfg, ids):
     """One learnable vector p added to every feature row (gpf), on the original
     normalized adjacency.
 
@@ -301,18 +303,17 @@ def _feature_prompt(graph, encoder, cfg):
     per run. No epoch forms ``X + 1·p`` or any n x F product or gradient; p's
     gradient is the column sum of the shift's gradient times ``W1ᵀ``."""
     adj = graph.normalized_adjacency()
-    x = ad.constant(graph.features)
     w1 = encoder.layer1.weight
-    xw1 = ad.matmul(x, w1)
-    field = _field_per_run(lambda ids: ReceptiveField(adj, ids, xw1))
+    xw1 = ad.matmul(ad.constant(graph.features), w1)
+    field = functools.cache(lambda: ReceptiveField(adj, ids, xw1))
     p = ad.parameter(np.zeros((1, graph.num_features)), name="gpf.prompt")
 
-    def represent(training, rows=None):
+    def represent(training):
         shift = ad.matmul(p if training else p.detach(), w1)
-        if rows is None:
-            return encode(encoder, adj, x, xw1=xw1, xw1_shift=shift)
-        f = field(rows)
-        return encode(encoder, f.layers, x, xw1=f.inputs, rows=f, xw1_shift=shift)
+        if not training:
+            return encode(encoder, adj, xw1=ad.add(xw1, shift))
+        f = field()
+        return encode(encoder, f.layers, xw1=ad.add(f.inputs, shift))
 
     return [p], represent
 
@@ -325,9 +326,10 @@ _ABLATIONS = {
 }
 ABLATION_VARIANTS = tuple(_ABLATIONS)
 
-# method name -> builder(graph, encoder, cfg) -> (upstream parameters,
-# represent(training, rows=None) -> node representations, of ``rows`` only
-# when given, from a receptive field built at the first such call)
+# method name -> builder(graph, encoder, cfg, ids) -> (upstream parameters,
+# represent(training)): the training representations are the rows of the
+# run's labeled ``ids`` through their receptive field, built at the first
+# training call; prediction's are every node's
 METHOD_TABLE = {
     "uniprompt": _graph_prompt("knn", "bootstrap"),
     "linear-probe": _linear_probe,
@@ -341,35 +343,50 @@ METHODS = tuple(METHOD_TABLE)
 def run_method(method, graph, encoder, train_ids, cfg):
     """Tune one ``METHODS`` entry on the labeled ``train_ids``.
 
-    ``METHOD_TABLE[method]`` gives the method's upstream parameters and its
-    ``represent(training, rows)``, the node representations that feed a fresh
-    MLP classifier. Each epoch runs one forward and backward pass over
-    ``represent(True, train_ids)``, which reads only the labeled rows'
-    receptive field (built at the first epoch, reused by the later ones),
-    then steps one Adam state for the upstream parameters at
+    ``METHOD_TABLE[method]``, built for the labeled ids, gives the method's
+    upstream parameters and its ``represent(training)``, the node
+    representations that feed a fresh MLP classifier. Each epoch runs one
+    forward and backward pass over ``represent(True)``, the labeled rows
+    through their receptive field (built at the first epoch, reused by the
+    later ones), then steps one Adam state for the upstream parameters at
     ``cfg.up_lr`` (when there are any) and one for the classifier at
     ``cfg.down_lr``. Training stops at ``cfg.max_epochs`` or after
     ``cfg.patience`` epochs without improvement; predictions use
-    ``represent(False)`` over every node. The shared ``encoder`` must be
-    frozen, and its checkpoint hash is asserted unchanged at the end.
+    ``represent(False)`` over every node. The graph's feature width must be
+    the encoder's input width. The shared ``encoder`` must be frozen, and
+    its checkpoint hash is asserted unchanged at the end.
+
+    Before and after the run the heap's free pages go back to the OS, so
+    neither the run nor its caller grows around the other's freed holes.
     """
+    _malloc_trim(ctypes.c_size_t(0))
+    try:
+        return _tune(method, graph, encoder, train_ids, cfg)
+    finally:
+        _malloc_trim(ctypes.c_size_t(0))
+
+
+def _tune(method, graph, encoder, train_ids, cfg):
     if method not in METHOD_TABLE:
         raise ValueError(f"unknown method '{method}'")
     cfg.validate()
     if not encoder.frozen:
         raise ValueError("tuning requires a frozen encoder")
+    if graph.num_features != encoder.in_dim:
+        raise ValueError(f"feature width {graph.num_features} != encoder input width "
+                         f"{encoder.in_dim}")
     ids = _validate_labeled(graph, train_ids)
     targets = graph.labels[ids]
     hash_before = encoder_checkpoint_hash(encoder)
 
-    upstream, represent = METHOD_TABLE[method](graph, encoder, cfg)
+    upstream, represent = METHOD_TABLE[method](graph, encoder, cfg, ids)
     clf = init_classifier(encoder.out_dim, cfg.clf_hidden, graph.num_classes,
                           rng_stream("classifier-init", cfg.seed))
     optimizers = [ad.AdamState(upstream, lr=cfg.up_lr)] if upstream else []
     optimizers.append(ad.AdamState(clf.parameters(), lr=cfg.down_lr))
 
     def step(epoch):
-        loss = ad.cross_entropy(classify(clf, represent(True, ids)), targets)
+        loss = ad.cross_entropy(classify(clf, represent(True)), targets)
         ad.backward(loss)
         for opt in optimizers:
             ad.adam_step(opt)

@@ -332,6 +332,37 @@ class TestOpValues:
             assert np.array_equal(xt.grad, mat.T @ go), name
             assert np.array_equal(values.grad[:, 0], (go @ x.T)[rows, pattern.indices]), name
 
+    def test_spmm_values_gradient_per_edge_above_the_dense_limit(self, monkeypatch):
+        """Past 16,777,216 output rows x x rows, the values gradient is taken
+        per entry, in chunks of 65,536 entries; this pattern spans two."""
+        n = 4200
+        rng = np.random.default_rng(23)
+        rows, cols = rng.integers(0, n, size=(2, 70_500))
+        pattern = SparseAdj.from_coo(n, rows, cols, np.ones(rows.size))
+        assert n * n > 16_777_216 and pattern.nnz > 65_536
+        monkeypatch.setattr(SparseAdj, "flat_index", lambda self: pytest.fail("dense path"))
+        v = rng.uniform(-1.0, 1.0, size=(pattern.nnz, 1))
+        x, go = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        values, xt = ad.parameter(v), ad.parameter(x)
+        ad.spmm(ad.SparseTensor(pattern, values), xt)._backward_fn(go)
+        i, j = pattern.row_ids(), pattern.indices
+        np.testing.assert_allclose(values.grad[:, 0], (go[i] * x[j]).sum(axis=1),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, to_scipy(pattern, v[:, 0]).T @ go,
+                                   rtol=1e-12, atol=1e-12)
+
+        def loss(values):
+            out = ad.spmm(ad.SparseTensor(pattern, ad.constant(values)), ad.constant(x))
+            return float((out.data * go).sum())
+
+        h = 1e-3
+        for e in (0, 65_535, 65_536, pattern.nnz - 1):
+            up, down = v.copy(), v.copy()
+            up[e] += h
+            down[e] -= h
+            fd = (loss(up) - loss(down)) / (2 * h)
+            assert values.grad[e, 0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
     def test_spmm_rejects_values_the_kernel_cannot_read(self):
         pattern = SparseAdj.from_coo(3, [0, 1, 2], [1, 2, 0], np.ones(3))
         strided = ad.constant(np.ones((3, 2))[:, :1])

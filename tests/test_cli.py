@@ -471,3 +471,45 @@ def test_missing_experiment_key_is_named(workspace, capsys, key):
     capsys.readouterr()
     assert dispatch(misuses(*workspace)[f"eval-no-{key}"]) == 1
     assert capsys.readouterr().err == f"error: experiment config: missing key '{key}'\n"
+
+
+def bad_values(workspace, root):
+    """Argument lists whose tune values or feature width are wrong, with the
+    message each must print: a string k in an experiment spec, fractional k
+    and max_epochs in a tune config, a fractional k in a sweep grid, and a
+    graph wider than the encoder's input."""
+    bundle, checkpoint, _ = workspace
+    experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
+                  "seeds": [3], "runs": 1}
+    (root / "string-k.json").write_text(json.dumps({**experiment,
+                                                     "tune": {"default": {"k": "4"}}}))
+    (root / "experiment.json").write_text(json.dumps(experiment))
+    (root / "fractional.json").write_text(json.dumps({"k": 4.7, "max_epochs": 2.5}))
+    wide = root / "wide"
+    assert dispatch(["make-sbm", "--n", "24", "--classes", "3", "--p-in", "0.4",
+                     "--p-out", "0.05", "--feature-dim", "7", "--seed", "1",
+                     "--out", str(wide)]) == 0
+    out = ["--out", str(root / "unused"), "--jobs", "1"]
+    tune = ["tune", "--method", "gpf", "--encoder", str(checkpoint), "--shot", "1"]
+    return {
+        "eval-string-k": (["eval", "--config", str(root / "string-k.json"), *out],
+                          "k must be an integer, got '4'"),
+        "tune-fractional-config": ([*tune, "--dataset", str(bundle),
+                                    "--config", str(root / "fractional.json")],
+                                   "k must be an integer, got 4.7"),
+        "sweep-fractional-k": (["sweep", "--config", str(root / "experiment.json"), *out,
+                                "--param", "k", "--grid", "2.5,3"],
+                               "sweep grid: k must be integers, got [2.5, 3.0]"),
+        "tune-feature-width": ([*tune, "--dataset", str(wide)],
+                               "feature width 7 != encoder input width 6"),
+    }
+
+
+@pytest.mark.parametrize("case", ["eval-string-k", "tune-fractional-config",
+                                  "sweep-fractional-k", "tune-feature-width"])
+def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, case):
+    argv, message = bad_values(workspace, tmp_path)[case]
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "unused").exists()

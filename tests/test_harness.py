@@ -252,6 +252,13 @@ class TestSweep:
         table = sweep("k", [4, 8], spec)
         assert {r.param for r in table.records} == {4, 8}
 
+    def test_fractional_k_rejected_before_any_run(self, sbm, encoder, monkeypatch):
+        import uniprompt.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=r"^sweep grid: k must be integers, got \[4, 2\.5\]$"):
+            sweep("k", [4, 2.5], tiny_spec(sbm, encoder))
+
     def test_empty_grid_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="empty"):
             sweep("tau", [], tiny_spec(sbm, encoder))

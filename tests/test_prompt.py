@@ -266,10 +266,10 @@ class TestUnipromptTune:
         ids = np.array([0, 5, 9])
 
         def loss_of(wdata):
-            (w,), represent = METHOD_TABLE["uniprompt"](g, enc, cfg)
+            (w,), represent = METHOD_TABLE["uniprompt"](g, enc, cfg, ids)
             w.data = wdata.reshape(-1, 1)
             logits = classify(clf, represent(True))
-            return ad.cross_entropy(ad.gather_rows(logits, ids), g.labels[ids]), w
+            return ad.cross_entropy(logits, g.labels[ids]), w
 
         nnz = knn_prompt_init(g.features, cfg.k).nnz
         w0 = 1.0 + np.linspace(-0.4, 0.4, nnz)
@@ -417,33 +417,30 @@ class TestFeaturePrompt:
     def test_shift_of_first_layer_product_matches_composed_prompt(self, sbm, encoder, cfg,
                                                                   rows):
         """(X + 1·p) W1 = X W1 + 1·(p W1): the loss and p's gradient from
-        ``represent`` agree with the composed ``encode(X + 1·p)`` oracle."""
+        ``represent(True)``, with gpf built for every node (``rows`` None) or
+        for the labeled ids, agree with the composed ``encode(X + 1·p)``
+        oracle."""
         ids = train_ids(sbm, shot=3)
-        rows = ids if rows == "labeled" else None
         pdata = np.random.default_rng(7).normal(size=(1, sbm.num_features))
         clf = init_classifier(encoder.out_dim, cfg.clf_hidden, sbm.num_classes,
                               rng_stream("classifier-init", cfg.seed))
 
         def loss_and_grad(h, p):
             logits = classify(clf, h)
-            if rows is None:
+            if h.shape[0] == sbm.num_nodes:
                 logits = ad.gather_rows(logits, ids)
             loss = ad.cross_entropy(logits, sbm.labels[ids])
             return loss.item(), ad.backward(loss, params=[p])[p]
 
-        (p,), represent = METHOD_TABLE["gpf"](sbm, encoder, cfg)
+        built_for = ids if rows == "labeled" else np.arange(sbm.num_nodes)
+        (p,), represent = METHOD_TABLE["gpf"](sbm, encoder, cfg, built_for)
         p.data[:] = pdata
-        loss, grad = loss_and_grad(represent(True, rows), p)
+        loss, grad = loss_and_grad(represent(True), p)
 
         oracle_p = ad.parameter(pdata.copy())
         x = ad.add(ad.constant(sbm.features), oracle_p)
-        adj = sbm.normalized_adjacency()
-        if rows is None:
-            oracle_h = encode(encoder, adj, x)
-        else:
-            field = ReceptiveField(adj, rows)
-            oracle_h = encode(encoder, field.layers, ad.gather_rows(x, field.s2), rows=field)
-        oracle_loss, oracle_grad = loss_and_grad(oracle_h, oracle_p)
+        oracle_loss, oracle_grad = loss_and_grad(
+            encode(encoder, sbm.normalized_adjacency(), x), oracle_p)
 
         assert abs(loss - oracle_loss) <= 1e-12
         assert np.abs(grad).max() > 0
@@ -500,6 +497,35 @@ class TestRunMethod:
                              replace(cfg, max_epochs=3))
             assert res.predictions.shape == (sbm.num_nodes,)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_feature_width_must_be_the_encoder_input_width(self, sbm, encoder, cfg, method):
+        wider = sbm.with_features(np.hstack([sbm.features, sbm.features[:, :1]]))
+        with pytest.raises(ValueError, match=r"^feature width 9 != encoder input width 8$"):
+            run_method(method, wider, encoder, train_ids(sbm), cfg)
+
+    # one value of the wrong type per field: a string, a fraction or a bool
+    @pytest.mark.parametrize("field, value", [
+        ("k", "4"), ("max_epochs", 2.5), ("patience", True), ("clf_hidden", 6.0),
+        ("seed", "1"), ("knn_sample", 10.5), ("up_lr", "0.01"), ("down_lr", True),
+        ("tau", None), ("alpha", "10"), ("min_delta", False)])
+    def test_mistyped_tune_value_is_named(self, cfg, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), "):
+            replace(cfg, **{field: value}).validate()
+
+    def test_numpy_scalars_and_integer_rates_are_valid(self, cfg):
+        replace(cfg, k=np.int64(4), seed=np.int32(3), knn_sample=np.int64(20),
+                tau=np.float64(0.5), up_lr=1, min_delta=0).validate()
+
+    def test_heap_trimmed_before_and_after_each_run_even_a_failed_one(
+            self, sbm, encoder, cfg, monkeypatch):
+        pads = []
+        monkeypatch.setattr(prompt, "_malloc_trim", lambda pad: pads.append(pad.value))
+        run_method("gpf", sbm, encoder, train_ids(sbm), replace(cfg, max_epochs=2))
+        assert pads == [0, 0]
+        with pytest.raises(ValueError, match="unknown method"):
+            run_method("no-such-method", sbm, encoder, train_ids(sbm), cfg)
+        assert pads == [0, 0, 0, 0]
+
     def test_fine_tune_does_not_mutate_shared_encoder(self, sbm, encoder, cfg):
         before = encoder_checkpoint_hash(encoder)
         run_method("fine-tune", sbm, encoder, train_ids(sbm), cfg)
@@ -550,36 +576,31 @@ class TestReceptiveField:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_labeled_rows_match_the_full_forward(self, sbm, encoder, cfg, method):
+        """A method built for the labeled ids trains on the same values and
+        gradients as one built for every node, whose training values are the
+        composed full forward of prediction."""
         ids = train_ids(sbm, shot=3)[::-1]  # unsorted
+        every = np.arange(sbm.num_nodes)
 
-        def one_epoch(rows):
-            upstream, represent = METHOD_TABLE[method](sbm, encoder, cfg)
+        def one_epoch(built_for):
+            upstream, represent = METHOD_TABLE[method](sbm, encoder, cfg, built_for)
             clf = init_classifier(encoder.out_dim, cfg.clf_hidden, sbm.num_classes,
                                   rng_stream("classifier-init", cfg.seed))
-            if rows is None:
-                h = represent(True)
-                logits = ad.gather_rows(classify(clf, h), ids)
-                h = h.data[ids]
-            else:
-                h = represent(True, rows)
-                logits = classify(clf, h)
-                h = h.data
+            h = represent(True)
+            logits = classify(clf, h)
+            if built_for is every:
+                logits = ad.gather_rows(logits, ids)
             params = upstream + clf.parameters()
             grads = ad.backward(ad.cross_entropy(logits, sbm.labels[ids]), params=params)
-            return h, [grads[p] for p in params]
+            return h.data, [grads[p] for p in params], represent
 
-        (h_full, g_full), (h_rows, g_rows) = one_epoch(None), one_epoch(ids)
-        np.testing.assert_allclose(h_rows, h_full, rtol=1e-12, atol=1e-12)
-        for g_r, g_f in zip(g_rows, g_full, strict=True):
-            np.testing.assert_allclose(g_r, g_f, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("method", ["uniprompt", "gpf", "fine-tune"])
-    def test_field_follows_a_change_of_rows(self, sbm, encoder, cfg, method):
-        _, represent = METHOD_TABLE[method](sbm, encoder, cfg)
-        full = represent(False).data
-        for rows in (train_ids(sbm, shot=1), train_ids(sbm, shot=3), train_ids(sbm, shot=1)):
-            np.testing.assert_allclose(represent(False, rows).data, full[rows],
-                                       rtol=1e-12, atol=1e-12)
+        h_every, g_every, represent_every = one_epoch(every)
+        h_ids, g_ids, _ = one_epoch(ids)
+        assert h_ids.shape == (ids.size, encoder.out_dim)
+        np.testing.assert_allclose(h_ids, h_every[ids], rtol=1e-12, atol=1e-12)
+        for g_i, g_e in zip(g_ids, g_every, strict=True):
+            np.testing.assert_allclose(g_i, g_e, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(h_every, represent_every(False).data)
 
     def test_uniprompt_epoch_computes_receptive_field_rows_only(self, sbm, encoder, cfg,
                                                                 monkeypatch):
