@@ -17,9 +17,9 @@ allocator trim and refault its heap on every step.
 ``info_nce`` is GRACE's contrastive loss fused into one node. Built from the
 small ops, its n x n similarity and exp matrices would sit on the tape until
 backward; the fused node holds three of them and gives the same bits.
-``normalized_slices`` does the same for the two receptive-field slices of a
-symmetric normalization: one node in place of about fourteen, scaling only
-the entries the slices read.
+``normalized_slices`` does the same for a symmetric normalization, scaling
+only the entries read. The composed forms are the tests' oracles: InfoNCE's
+in ``tests/test_autodiff.py``, the normalization's in ``tests/fd_utils.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its 
 # keyed off this tuple, so adding an op here without coverage fails the suite.
 REGISTERED_OPS = (
     "add",
-    "concat_rows",
     "cross_entropy",
     "elu",
     "gather_rows",
@@ -277,20 +276,6 @@ def row_sum(a):
             _accum(a, np.repeat(go, a.shape[1], axis=1))
 
     return _node(a.data.sum(axis=1, keepdims=True), (a,), bw)
-
-
-def concat_rows(a, b):
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"concat_rows width mismatch: {a.shape} vs {b.shape}")
-    na = a.shape[0]
-
-    def bw(go):
-        if a.requires_grad:
-            _accum(a, go[:na])
-        if b.requires_grad:
-            _accum(b, go[na:])
-
-    return _node(np.concatenate([a.data, b.data], axis=0), (a, b), bw)
 
 
 def gather_rows(a, ids):
@@ -595,9 +580,10 @@ def normalized_slices(values, reads):
     d = row sums of v + ``reads.floor``.
 
     Degrees sum every value, but only the entries read are scaled. The
-    composed tape (segment_sum, power, gathers, hadamards, concat_rows, then
-    a gather per slice) gives every normalized entry outside the slices an
-    exact zero gradient, and zero terms leave a sum's bits alone, so the
+    composed tape (segment_sum, power, gathers, hadamards, a row
+    concatenation, then a gather per slice; ``composed_normalize`` in
+    ``tests/fd_utils.py``) gives every normalized entry outside the slices
+    an exact zero gradient, and zero terms leave a sum's bits alone, so the
     values and the values gradient are the same bits as the composition
     (pinned in tests against it): the same numpy expressions, the scatters
     over the entries read in support order, and d's gradient summed in the

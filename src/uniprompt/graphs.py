@@ -1,11 +1,11 @@
 """Graph representation, bundle I/O, the GCN operator, kNN prompt
 construction, homophily and noise utilities.
 
-``NormContext`` is the one symmetric normalization: it runs on the autodiff
-tape for learned prompt values, and ``symmetric_normalize`` runs it on the
-constant values of a fixed graph, so tau=1 uniprompt equals the linear probe.
-``ReceptiveField`` holds the slices of an operator that a few rows' 2-hop
-outputs read; ``NormContext.normalize_field`` normalizes just those entries.
+``NormContext`` is the one symmetric normalization, one
+``autodiff.normalized_slices`` node: ``normalize`` gives a whole operator of
+constant values (``symmetric_normalize`` runs it on a fixed graph, so tau=1
+uniprompt equals the linear probe), and ``normalize_field`` scales, on the
+tape, just the entries that a ``ReceptiveField``, a few rows' 2-hop slices, reads.
 """
 
 from __future__ import annotations
@@ -410,15 +410,15 @@ def save_graph_bundle(graph, path):
 
 
 class NormContext:
-    """D^(-1/2) (V + I) D^(-1/2) over a fixed support whose values V live on
-    the autodiff tape. Without ``add_self_loops`` the diagonal is left out
-    and degrees are floored at ``DEG_EPS``, so an empty row stays zero.
+    """D^(-1/2) (V + I) D^(-1/2) over a fixed support with values V. Without
+    ``add_self_loops`` the diagonal is left out and degrees are floored at
+    ``DEG_EPS``, so an empty row stays zero.
 
-    ``normalize`` gives the whole operator over ``norm_pattern``.
-    ``normalize_field`` gives just the two slices a ``receptive_field``
-    reads, from one tape node: degrees still sum every value, but only the
-    entries the slices read are scaled, and their gradients are the same
-    bits as slicing ``normalize``'s output."""
+    ``normalize`` gives the whole operator over ``norm_pattern``, for
+    constant values. ``normalize_field`` gives, on the tape, just the two
+    slices a ``receptive_field`` reads: degrees still sum every value, but
+    only the entries the slices read are scaled. Both are one
+    ``ad.normalized_slices`` node over the reads that ``_reads`` builds."""
 
     def __init__(self, pattern, add_self_loops):
         self.pattern = pattern
@@ -442,29 +442,10 @@ class NormContext:
             self.order = None
             self.norm_pattern = pattern
 
-    def normalize(self, values):
-        """The normalized operator as a SparseTensor over ``norm_pattern``;
-        ``values`` is the (nnz, 1) tensor of the support's values."""
-        n = self.pattern.n
-        floor = 1.0 if self.add_self_loops else DEG_EPS
-        deg = ad.add(ad.segment_sum(values, self.rows, n), ad.constant(np.full((n, 1), floor)))
-        dinv = ad.power(deg, -0.5)
-        edge = ad.hadamard(
-            ad.hadamard(values, ad.gather_rows(dinv, self.rows)),
-            ad.gather_rows(dinv, self.cols),
-        )
-        if not self.add_self_loops:
-            return ad.SparseTensor(self.norm_pattern, edge)
-        diag = ad.hadamard(dinv, dinv)
-        ordered = ad.gather_rows(ad.concat_rows(edge, diag), self.order)
-        return ad.SparseTensor(self.norm_pattern, ordered)
-
-    def receptive_field(self, ids, inputs=None):
-        """The ``ReceptiveField`` of ``ids`` in ``norm_pattern``, with the
-        support entries and diagonal nodes its slices read, for
-        ``normalize_field``. Build it once per run."""
-        field = ReceptiveField(self.norm_pattern, ids, inputs)
-        entries, slots = np.unique(np.concatenate(field.positions), return_inverse=True)
+    def _reads(self, entries, slots, split):
+        """The ``ad.NormReads`` of the ascending, distinct ``entries`` of
+        ``norm_pattern``, output slot i reading ``entries[slots[i]]``; the
+        first ``split`` slots make the first slice."""
         nnz = self.rows.size
         # an entry of the normalized pattern is a support entry or, past the
         # support's nnz in ``order``, a diagonal one; positions ascend in both
@@ -474,10 +455,26 @@ class NormContext:
         read_at = np.empty(entries.size, dtype=np.int64)
         read_at[is_edge] = np.arange(edges.size)
         read_at[~is_edge] = edges.size + np.arange(diag.size)
-        field.reads = ad.NormReads(
+        return ad.NormReads(
             n=self.pattern.n, rows=self.rows, floor=1.0 if self.add_self_loops else DEG_EPS,
             edges=edges, edge_rows=self.rows[edges], edge_cols=self.cols[edges], diag=diag,
-            slots=read_at[slots], split=field.layers[0].nnz)
+            slots=read_at[slots], split=split)
+
+    def normalize(self, values):
+        """The normalized operator as a constant SparseAdj over
+        ``norm_pattern``, from the support's ``values``, one per entry."""
+        every = np.arange(self.norm_pattern.nnz)
+        reads = self._reads(every, every, every.size)
+        whole, _ = ad.normalized_slices(ad.constant(values), reads)
+        return self.norm_pattern.with_values(whole.data.reshape(-1))
+
+    def receptive_field(self, ids, inputs=None):
+        """The ``ReceptiveField`` of ``ids`` in ``norm_pattern``, with the
+        support entries and diagonal nodes its slices read, for
+        ``normalize_field``. Build it once per run."""
+        field = ReceptiveField(self.norm_pattern, ids, inputs)
+        entries, slots = np.unique(np.concatenate(field.positions), return_inverse=True)
+        field.reads = self._reads(entries, slots, field.layers[0].nnz)
         return field
 
     def normalize_field(self, values, field):
@@ -497,9 +494,7 @@ def symmetric_normalize(adj):
     weight."""
     if (adj.data < 0).any():
         raise ValueError("negative weight")
-    ctx = NormContext(adj, add_self_loops=True)
-    out = ctx.normalize(ad.constant(adj.data.reshape(-1, 1)))
-    return out.pattern.with_values(out.values.data.reshape(-1))
+    return NormContext(adj, add_self_loops=True).normalize(adj.data)
 
 
 def _normalized_rows(x):

@@ -51,6 +51,10 @@ class PretrainConfig:
             raise ValueError(f"unknown objective '{self.objective}'")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        for name in ("lr", "temperature", "sce_gamma"):
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:  # an int of any size is finite
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         for name in ("edge_drop", "feature_mask", "mask_rate"):

@@ -26,9 +26,9 @@ later epoch slices anything, and a run of 0 epochs slices nothing.
 
 Every method encodes through the one symmetric normalization of ``graphs``:
 the graph prompts run ``NormContext`` on their learned values, each training
-epoch through ``normalize_field``, which scales only the entries the field's
-slices read; the other methods use the graph's cached
-``normalized_adjacency()``.
+epoch on the tape through ``normalize_field``, which scales only the entries
+the field's slices read, and prediction through ``normalize``, on constant
+values; the other methods use the graph's cached ``normalized_adjacency()``.
 """
 
 from __future__ import annotations
@@ -83,9 +83,12 @@ class TuneConfig:
                                   (_NUMBER_FIELDS, "a number", numbers.Real)):
             for field in fields:
                 value = getattr(self, field)
-                unset = field == "knn_sample" and value is None
-                if not unset and (isinstance(value, bool) or not isinstance(value, cls)):
+                if field == "knn_sample" and value is None:
+                    continue
+                if isinstance(value, bool) or not isinstance(value, cls):
                     raise ValueError(f"{field} must be {kind}, got {value!r}")
+                if not -math.inf < value < math.inf:  # unlike math.isfinite, any int passes
+                    raise ValueError(f"{field} must be finite, got {value!r}")
         if self.up_lr <= 0 or self.down_lr <= 0:
             raise ValueError("learning rates must be positive")
         if self.k < 1:
@@ -250,18 +253,17 @@ def _graph_prompt(topology, integration):
             nonlocal fused
             if integration == "bootstrap" and not training:
                 # predict with the last fused adjacency of training
-                values = ad.constant(fused)
+                return encode(encoder, ctx.normalize(fused), xw1=xw1)
+            gates = gate_values(w if training else w.detach(), cfg.alpha)
+            if integration == "bootstrap":
+                values = bootstrap_fuse(fused, gates, positions, union, cfg.tau).values
+                fused = values.data
+            elif integration == "simple_add":
+                values = ad.add(a_union, ad.segment_sum(gates, positions, union.nnz))
             else:
-                gates = gate_values(w if training else w.detach(), cfg.alpha)
-                if integration == "bootstrap":
-                    values = bootstrap_fuse(fused, gates, positions, union, cfg.tau).values
-                    fused = values.data
-                elif integration == "simple_add":
-                    values = ad.add(a_union, ad.segment_sum(gates, positions, union.nnz))
-                else:
-                    values = gates
+                values = gates
             if not training:
-                return encode(encoder, ctx.normalize(values), xw1=xw1)
+                return encode(encoder, ctx.normalize(values.data), xw1=xw1)
             f = field()
             return encode(encoder, ctx.normalize_field(values, f), xw1=f.inputs)
 

@@ -220,7 +220,12 @@ class VerificationSummary:
 
 
 def run_verification(trials=1000, eta=1e-4, seed=0, max_dim=16, max_classes=8):
-    """Random-case sweep used by the CLI and the acceptance gate."""
+    """Random-case sweep used by the CLI and the acceptance gate; a sweep of
+    no trials or of a zero step would pass without checking anything."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     rng = np.random.default_rng(seed)
     max_fn_dev = max_path = max_rem = max_sim = 0.0
     min_agree = 1.0

@@ -2,7 +2,8 @@
 
 Every op named in autodiff.REGISTERED_OPS has at least one case builder here;
 the tests assert full coverage, so a newly registered op without a case fails
-the suite.
+the suite. ``composed_normalize`` and the ``concat_rows`` it uses are the
+small-op oracle of the fused ``autodiff.normalized_slices``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from uniprompt import autodiff as ad
-from uniprompt.graphs import NormContext, SparseAdj
+from uniprompt.autodiff import _accum, _node
+from uniprompt.graphs import DEG_EPS, NormContext, SparseAdj
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -25,6 +27,40 @@ def to_scipy(adj, values=None):
     ``values``: the tests' dense oracle, built from scipy's public API."""
     data = adj.data if values is None else np.asarray(values, dtype=np.float64)
     return sp.csr_matrix((data, adj.indices, adj.indptr), shape=(adj.n, adj.n_cols))
+
+
+def concat_rows(a, b):
+    """The rows of ``a`` over those of ``b``, on the tape. The engine stacks
+    no tensors, so this lives here: in ``composed_normalize`` and to stack
+    the outputs of the ``spmm`` and ``normalized_slices`` cases, whose FD
+    checks cover its backward rule too."""
+    na = a.shape[0]
+
+    def bw(go):
+        if a.requires_grad:
+            _accum(a, go[:na])
+        if b.requires_grad:
+            _accum(b, go[na:])
+
+    return _node(np.concatenate([a.data, b.data], axis=0), (a, b), bw)
+
+
+def composed_normalize(ctx, values):
+    """D^(-1/2) (V + I) D^(-1/2) of the (nnz, 1) support ``values`` as the
+    (``ctx.norm_pattern`` nnz, 1) values over ``ctx.norm_pattern``, composed
+    from small tape ops as ``NormContext`` built it before the fused
+    ``ad.normalized_slices``: the oracle that op must match bit for bit."""
+    n = ctx.pattern.n
+    floor = 1.0 if ctx.add_self_loops else DEG_EPS
+    deg = ad.add(ad.segment_sum(values, ctx.rows, n), ad.constant(np.full((n, 1), floor)))
+    dinv = ad.power(deg, -0.5)
+    edge = ad.hadamard(
+        ad.hadamard(values, ad.gather_rows(dinv, ctx.rows)),
+        ad.gather_rows(dinv, ctx.cols),
+    )
+    if not ctx.add_self_loops:
+        return edge
+    return ad.gather_rows(concat_rows(edge, ad.hadamard(dinv, dinv)), ctx.order)
 
 
 def _away_from_zero(rng, shape, low=0.2, high=2.0):
@@ -47,10 +83,6 @@ def _case_add(rng):
     else:
         arrs = [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))]
     return arrs, lambda a, b: ad.add(a, b)
-
-
-def _case_concat_rows(rng):
-    return [rng.normal(size=(2, 3)), rng.normal(size=(4, 3))], ad.concat_rows
 
 
 def _case_cross_entropy(rng):
@@ -95,7 +127,7 @@ def _case_normalized_slices(rng):
     ctx = NormContext(pattern, add_self_loops=bool(rng.random() < 0.5))
     field = ctx.receptive_field(rng.choice(pattern.n, size=2, replace=False))
     return [rng.uniform(0.2, 1.5, size=(pattern.nnz, 1))], \
-        lambda v: ad.concat_rows(*ad.normalized_slices(v, field.reads))
+        lambda v: concat_rows(*ad.normalized_slices(v, field.reads))
 
 
 def _case_power(rng):
@@ -151,8 +183,8 @@ def _case_spmm(rng):
 
     def products(v, x):
         adj = ad.SparseTensor(sliced, ad.gather_rows(v, pos))
-        return ad.concat_rows(ad.spmm(ad.SparseTensor(pattern, v), x),
-                              ad.spmm(adj, ad.gather_rows(x, support)))
+        return concat_rows(ad.spmm(ad.SparseTensor(pattern, v), x),
+                           ad.spmm(adj, ad.gather_rows(x, support)))
 
     return [
         rng.uniform(0.2, 1.5, size=(pattern.nnz, 1)),
@@ -166,7 +198,6 @@ def _case_transpose(rng):
 
 OP_CASES = {
     "add": _case_add,
-    "concat_rows": _case_concat_rows,
     "cross_entropy": _case_cross_entropy,
     "elu": _case_elu,
     "gather_rows": _case_gather_rows,

@@ -1,6 +1,8 @@
 """Tape, op, loss, optimizer and checkpoint tests."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,15 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("name", sorted(ad.REGISTERED_OPS))
     def test_analytic_matches_central_differences(self, name):
         assert fd_check_op(name, instances=5) <= 0.0
+
+    def test_every_registered_op_is_called_by_the_engine(self):
+        # so the sweep checks only ops the program runs; an op that only the
+        # tests use lives in the tests
+        package = Path(ad.__file__).parent
+        engine = "".join(p.read_text() for p in sorted(package.glob("*.py"))
+                         if p.name != "autodiff.py")
+        assert [op for op in ad.REGISTERED_OPS
+                if not re.search(rf"\bad\.{op}\(", engine)] == []
 
 
 # The small ops that GRACE composed its loss from before ``ad.info_nce``

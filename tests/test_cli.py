@@ -476,8 +476,9 @@ def test_missing_experiment_key_is_named(workspace, capsys, key):
 def bad_values(workspace, root):
     """Argument lists whose tune values or feature width are wrong, with the
     message each must print: a string k in an experiment spec, fractional k
-    and max_epochs in a tune config, a fractional k in a sweep grid, and a
-    graph wider than the encoder's input."""
+    and max_epochs in a tune config, a fractional k in a sweep grid, a graph
+    wider than the encoder's input, a NaN learning rate in a tune config or
+    flag and in pretraining, and a theorem sweep of no cases or no step."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
@@ -485,6 +486,7 @@ def bad_values(workspace, root):
                                                      "tune": {"default": {"k": "4"}}}))
     (root / "experiment.json").write_text(json.dumps(experiment))
     (root / "fractional.json").write_text(json.dumps({"k": 4.7, "max_epochs": 2.5}))
+    (root / "nan.json").write_text(json.dumps({"up_lr": float("nan")}))  # a NaN literal
     wide = root / "wide"
     assert dispatch(["make-sbm", "--n", "24", "--classes", "3", "--p-in", "0.4",
                      "--p-out", "0.05", "--feature-dim", "7", "--seed", "1",
@@ -502,11 +504,28 @@ def bad_values(workspace, root):
                                "sweep grid: k must be integers, got [2.5, 3.0]"),
         "tune-feature-width": ([*tune, "--dataset", str(wide)],
                                "feature width 7 != encoder input width 6"),
+        "tune-nan-config": ([*tune, "--dataset", str(bundle), "--config", str(root / "nan.json")],
+                            "up_lr must be finite, got nan"),
+        "tune-nan-flag": ([*tune, "--dataset", str(bundle), "--up-lr", "nan"],
+                          "up_lr must be finite, got nan"),
+        "pretrain-nan-lr": (["pretrain", "--dataset", str(bundle), "--objective", "dgi",
+                             "--lr", "nan", *out[:2]], "lr must be finite, got nan"),
+        "verify-theory-no-trials": (["verify-theory", "--trials", "0", *out[:2]],
+                                    "trials must be at least 1, got 0"),
+        "verify-theory-negative-trials": (["verify-theory", "--trials", "-3", *out[:2]],
+                                          "trials must be at least 1, got -3"),
+        "verify-theory-zero-eta": (["verify-theory", "--eta", "0", *out[:2]],
+                                   "eta must be finite and positive, got 0.0"),
+        "verify-theory-nan-eta": (["verify-theory", "--eta", "nan", *out[:2]],
+                                  "eta must be finite and positive, got nan"),
     }
 
 
 @pytest.mark.parametrize("case", ["eval-string-k", "tune-fractional-config",
-                                  "sweep-fractional-k", "tune-feature-width"])
+                                  "sweep-fractional-k", "tune-feature-width",
+                                  "tune-nan-config", "tune-nan-flag", "pretrain-nan-lr",
+                                  "verify-theory-no-trials", "verify-theory-negative-trials",
+                                  "verify-theory-zero-eta", "verify-theory-nan-eta"])
 def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, case):
     argv, message = bad_values(workspace, tmp_path)[case]
     capsys.readouterr()

@@ -43,6 +43,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="sce_gamma"):
             PretrainConfig("graphmae", sce_gamma=0.5).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lr", "temperature", "sce_gamma"])
+    def test_rejects_non_finite_value(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            PretrainConfig("graphmae", **{field: value}).validate()
+
     def test_rejects_graphmae_zero_mask_rate(self):
         with pytest.raises(ValueError, match="mask rate"):
             PretrainConfig("graphmae", mask_rate=0.0).validate()

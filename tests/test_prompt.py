@@ -36,7 +36,7 @@ from uniprompt.prompt import (
 )
 from uniprompt.seeds import rng_stream
 
-from fd_utils import to_scipy, total
+from fd_utils import composed_normalize, to_scipy, total
 
 
 @pytest.fixture(scope="module")
@@ -471,8 +471,8 @@ class TestAblations:
         support = knn_prompt_init(sbm.features, 4)
         w = ad.parameter(np.full((support.nnz, 1), -5.0))  # gates ~ exp(-60)
         ctx = NormContext(support, add_self_loops=False)
-        adj = ctx.normalize(gate_values(w, 10.0))
-        assert np.abs(adj.values.data).max() < 1e-12
+        adj = ctx.normalize(gate_values(w, 10.0).data)
+        assert np.abs(adj.data).max() < 1e-12
         h = encode(encoder, adj, ad.constant(sbm.features))
         # zero adjacency -> constant rows -> constant logits -> chance accuracy
         assert np.abs(h.data - h.data[0]).max() < 1e-12
@@ -510,6 +510,12 @@ class TestRunMethod:
         ("tau", None), ("alpha", "10"), ("min_delta", False)])
     def test_mistyped_tune_value_is_named(self, cfg, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), "):
+            replace(cfg, **{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["up_lr", "down_lr", "tau", "alpha", "min_delta"])
+    def test_non_finite_tune_value_is_named(self, cfg, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
             replace(cfg, **{field: value}).validate()
 
     def test_numpy_scalars_and_integer_rates_are_valid(self, cfg):
@@ -608,7 +614,8 @@ class TestReceptiveField:
         real = ad.spmm
 
         def recording(adj, x):
-            operators.append(adj.pattern)
+            # prediction passes a constant SparseAdj, training SparseTensors
+            operators.append(getattr(adj, "pattern", adj))
             return real(adj, x)
 
         monkeypatch.setattr(ad, "spmm", recording)
@@ -682,9 +689,9 @@ class TestReceptiveField:
 
 
 class TestNormalizeField:
-    """``NormContext.normalize_field`` gives the bits of the composed tape:
-    ``normalize`` over the whole pattern, then a gather of each slice's
-    entries."""
+    """``NormContext.normalize`` and ``normalize_field`` give the bits of the
+    composed tape ``composed_normalize``: the whole operator, and a gather of
+    each slice's entries from it."""
 
     @staticmethod
     def support(sbm, cfg, self_loops, isolated):
@@ -725,7 +732,7 @@ class TestNormalizeField:
         proj = [rng.normal(size=(layer.nnz, 1)) for layer in field.layers]
 
         def composed(v):
-            full = ctx.normalize(v).values
+            full = composed_normalize(ctx, v)
             return [ad.gather_rows(full, pos) for pos in field.positions]
 
         def fused(v):
@@ -739,6 +746,24 @@ class TestNormalizeField:
             assert np.array_equal(g, w)
         assert np.array_equal(got_grad, want_grad)
         assert np.abs(got_grad).max() > 0
+
+    @pytest.mark.parametrize("self_loops", [True, False], ids=["self-loops", "discard"])
+    @pytest.mark.parametrize("isolated", [False, True], ids=["connected", "isolated"])
+    def test_whole_operator_is_a_constant_equal_to_composed(self, sbm, cfg, self_loops,
+                                                            isolated):
+        support = self.support(sbm, cfg, self_loops, isolated)
+        ctx = NormContext(support, add_self_loops=self_loops)
+        rng = np.random.default_rng(7)
+        values = rng.uniform(0.0, 1.5, size=(support.nnz, 1))
+        values[rng.random(support.nnz) < 0.1] = 0.0  # saturated gates
+        out = ctx.normalize(values)
+        assert isinstance(out, SparseAdj) and not out.data.flags.writeable
+        assert (out.indptr is ctx.norm_pattern.indptr
+                and out.indices is ctx.norm_pattern.indices)
+        want = composed_normalize(ctx, ad.constant(values)).data.reshape(-1)
+        assert np.array_equal(out.data, want)
+        if isolated:  # node 0's row is its unit diagonal, or nothing
+            assert out.data[out.indptr[0]:out.indptr[1]].tolist() == [1.0] * self_loops
 
     def test_field_of_another_pattern_rejected(self, sbm, cfg):
         support = knn_prompt_init(sbm.features, cfg.k)

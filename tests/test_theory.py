@@ -1,5 +1,8 @@
 """Prompt/classifier equivalence verification tests."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,17 @@ class TestGradientEquivalence:
 
 
 class TestRunVerification:
+    @pytest.mark.parametrize("trials, eta, message", [
+        (0, 1e-4, "trials must be at least 1, got 0"),
+        (-3, 1e-4, "trials must be at least 1, got -3"),
+        (5, 0.0, "eta must be finite and positive, got 0.0"),
+        (5, -1e-4, "eta must be finite and positive, got -0.0001"),
+        (5, math.nan, "eta must be finite and positive, got nan"),
+        (5, math.inf, "eta must be finite and positive, got inf")])
+    def test_vacuous_sweep_rejected(self, trials, eta, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_verification(trials=trials, eta=eta)
+
     def test_summary_passes(self):
         summary = run_verification(trials=50, eta=1e-4, seed=0)
         assert all(summary.verdicts.values()), summary.verdicts
