@@ -33,6 +33,7 @@ from scipy.sparse import _sparsetools
 
 LOG_EPS = 1e-12  # additive floor inside info_nce's log / l2-normalize
 RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Ops with a registered backward rule. The finite-difference test sweep is
 # keyed off this tuple, so adding an op here without coverage fails the suite.
@@ -697,21 +698,19 @@ def spmm(adj, x):
 
 
 class AdamState:
-    """Bias-corrected Adam over a fixed list of parameter tensors.
+    """Bias-corrected Adam over a fixed list of parameter tensors, with
+    betas ``ADAM_BETA1``/``ADAM_BETA2`` and ``ADAM_EPS``.
 
     The first and second moments of all parameters live in one flat float64
     buffer each, ``m`` and ``v``: parameter i's entries, in C order, are
     ``m[spans[i]]`` and ``v[spans[i]]``. So a step runs each elementwise
     update once over every parameter."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         ends = np.cumsum([0] + [p.data.size for p in self.params])
         self.spans = [slice(start, end) for start, end in zip(ends[:-1], ends[1:])]
         self.m = np.zeros(ends[-1])
@@ -740,7 +739,7 @@ def adam_step(state, grads=None):
         raise RuntimeError(f"non-finite gradient for parameter '{name}'")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     # the per-parameter update's operations in its order, over the flat
     # buffers: elementwise, so every entry gets the same bits
     m, v = state.m, state.v
@@ -754,7 +753,7 @@ def adam_step(state, grads=None):
     step *= state.lr
     denom = v / (1.0 - b2**t)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     for p, span in zip(state.params, state.spans):
         p.data = p.data - step[span].reshape(p.data.shape)

@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +26,12 @@ from .harness import (
     sweep,
 )
 from .hyperparams import get_tuning_config
-from .prompt import ABLATION_VARIANTS, METHODS, run_method
+from .prompt import ABLATION_VARIANTS, INTEGER_FIELDS, METHODS, TuneConfig, run_method
 from .pretrain import OBJECTIVES, PretrainConfig, pretrain
 from .theory import format_report, run_verification
 
-TUNE_FLAG_FIELDS = ("up_lr", "down_lr", "k", "tau", "alpha", "max_epochs",
-                    "patience", "min_delta", "clf_hidden", "knn_sample")
+# a ``tune`` flag per TuneConfig field; the seed comes from --seed and --run
+TUNE_FIELDS = tuple(f.name for f in fields(TuneConfig) if f.name != "seed")
 
 
 def _data_dir(args):
@@ -88,7 +88,7 @@ def _tune_config(args, pretrain_name, dataset_name):
     overrides = {}
     if args.config:
         overrides = _json_object(_load_json(args.config), f"tune config {args.config}")
-    for name in TUNE_FLAG_FIELDS:
+    for name in TUNE_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -273,16 +273,9 @@ def build_parser():
     p.add_argument("--shot", type=int, required=True)
     p.add_argument("--run", type=int, default=0)
     p.add_argument("--config", default=None)
-    p.add_argument("--up-lr", dest="up_lr", type=float, default=None)
-    p.add_argument("--down-lr", dest="down_lr", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--min-delta", dest="min_delta", type=float, default=None)
-    p.add_argument("--clf-hidden", dest="clf_hidden", type=int, default=None)
-    p.add_argument("--knn-sample", dest="knn_sample", type=int, default=None)
+    for name in TUNE_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                       type=int if name in INTEGER_FIELDS else float)
     p.set_defaults(handler=_cmd_tune)
 
     p = sub.add_parser("ablate", help="run one component-replacement run")

@@ -1,4 +1,4 @@
-"""Two-layer graph convolutional encoder and the downstream MLP classifier."""
+"""Two-layer PReLU GCN encoder (as in DGI) and the downstream MLP classifier."""
 
 from __future__ import annotations
 
@@ -11,25 +11,20 @@ import numpy as np
 
 from . import autodiff as ad
 
-ACTIVATIONS = ("prelu", "relu", "identity")
+LAYER_TENSORS = ("weight", "bias", "prelu_slope")
 
 
 class GcnLayer:
-    """One graph convolution: act(A_hat @ X @ W + b)."""
+    """One graph convolution: prelu(A_hat @ X @ W + b) with a learned slope."""
 
-    __slots__ = ("weight", "bias", "activation", "prelu_slope")
+    __slots__ = LAYER_TENSORS
 
-    def __init__(self, weight, bias, activation, prelu_slope=None):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{activation}'")
+    def __init__(self, weight, bias, prelu_slope):
         if weight.shape[1] != bias.shape[1] or bias.shape[0] != 1:
             raise ValueError("bias width must match weight output width")
         self.weight = weight
         self.bias = bias
-        self.activation = activation
         self.prelu_slope = prelu_slope
-        if activation == "prelu" and prelu_slope is None:
-            raise ValueError("prelu layer needs a slope parameter")
 
 
 class Encoder:
@@ -60,13 +55,9 @@ class Encoder:
         return self.layer2.weight.shape[1]
 
     def named_parameters(self):
-        out = {}
-        for tag, layer in (("layer1", self.layer1), ("layer2", self.layer2)):
-            out[f"{tag}.weight"] = layer.weight
-            out[f"{tag}.bias"] = layer.bias
-            if layer.prelu_slope is not None:
-                out[f"{tag}.prelu_slope"] = layer.prelu_slope
-        return out
+        return {f"{tag}.{name}": getattr(layer, name)
+                for tag, layer in (("layer1", self.layer1), ("layer2", self.layer2))
+                for name in LAYER_TENSORS}
 
     def parameters(self):
         return list(self.named_parameters().values())
@@ -77,14 +68,13 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_encoder(in_dim, hidden_dim, out_dim, activation="prelu", rng=None):
+def init_encoder(in_dim, hidden_dim, out_dim, rng=None):
     rng = np.random.default_rng(rng)
     layers = []
     for fan_in, fan_out in ((in_dim, hidden_dim), (hidden_dim, out_dim)):
         weight = ad.parameter(_glorot(rng, fan_in, fan_out))
         bias = ad.parameter(np.zeros((1, fan_out)))
-        slope = ad.parameter(np.full((1, 1), 0.25)) if activation == "prelu" else None
-        layers.append(GcnLayer(weight, bias, activation, slope))
+        layers.append(GcnLayer(weight, bias, ad.parameter(np.full((1, 1), 0.25))))
     enc = Encoder(layers[0], layers[1])
     for name, p in enc.named_parameters().items():
         p.name = f"encoder.{name}"
@@ -108,26 +98,15 @@ def thaw(encoder):
 def clone_encoder(encoder):
     """Deep copy: independent parameter arrays, each with its source tensor's
     ``requires_grad``."""
-    def copy_tensor(t):
-        return None if t is None else ad.Tensor(t.data.copy(), t.requires_grad, t.name)
-
     def copy_layer(layer):
-        return GcnLayer(copy_tensor(layer.weight), copy_tensor(layer.bias),
-                        layer.activation, copy_tensor(layer.prelu_slope))
+        return GcnLayer(*(ad.Tensor(t.data.copy(), t.requires_grad, t.name)
+                          for t in (getattr(layer, name) for name in LAYER_TENSORS)))
 
     return Encoder(copy_layer(encoder.layer1), copy_layer(encoder.layer2))
 
 
-def _activate(x, layer):
-    if layer.activation == "relu":
-        return ad.relu(x)
-    if layer.activation == "prelu":
-        return ad.prelu(x, layer.prelu_slope)
-    return x
-
-
 def encode(encoder, adj_norm, x=None, xw1=None):
-    """H = act(A_hat @ act(A_hat @ X @ W1 + b1) @ W2 + b2).
+    """H = prelu(A_hat @ prelu(A_hat @ X @ W1 + b1) @ W2 + b2).
 
     ``adj_norm`` is a symmetric-normalized SparseAdj (constant) or a
     SparseTensor whose values carry prompt gradients, for both layers, or a
@@ -149,16 +128,15 @@ def encode(encoder, adj_norm, x=None, xw1=None):
     if (x is None) == (xw1 is None):
         raise ValueError("layer 1's input is exactly one of x and xw1")
     if xw1 is None:
-        if not isinstance(x, ad.Tensor):
-            x = ad.constant(x)
         if x.shape[1] != encoder.in_dim:
             raise ValueError(
                 f"feature width {x.shape[1]} != encoder input width {encoder.in_dim}")
         xw1 = ad.matmul(x, encoder.layer1.weight)
     first, second = adj_norm if isinstance(adj_norm, tuple) else (adj_norm, adj_norm)
     layer1, layer2 = encoder.layer1, encoder.layer2
-    h = _activate(ad.add(ad.spmm(first, xw1), layer1.bias), layer1)
-    return _activate(ad.add(ad.spmm(second, ad.matmul(h, layer2.weight)), layer2.bias), layer2)
+    h = ad.prelu(ad.add(ad.spmm(first, xw1), layer1.bias), layer1.prelu_slope)
+    h = ad.add(ad.spmm(second, ad.matmul(h, layer2.weight)), layer2.bias)
+    return ad.prelu(h, layer2.prelu_slope)
 
 
 class Classifier:
@@ -198,8 +176,6 @@ def init_classifier(in_dim, hidden_dim, num_classes, rng=None):
 
 
 def classify(classifier, h):
-    if not isinstance(h, ad.Tensor):
-        h = ad.constant(h)
     if h.shape[1] != classifier.in_dim:
         raise ValueError(
             f"representation width {h.shape[1]} != classifier input width {classifier.in_dim}"
@@ -210,8 +186,7 @@ def classify(classifier, h):
 
 def predictions_from_logits(logits):
     """Argmax per row; ties resolve to the lowest class index."""
-    data = logits.data if isinstance(logits, ad.Tensor) else np.asarray(logits)
-    return np.argmax(data, axis=1)
+    return np.argmax(logits.data, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +207,12 @@ def save_encoder(encoder, path, meta=None):
     the checkpoint's sha256 (``encoder_checkpoint_hash``)."""
     path = Path(path)
     ad.save_checkpoint(path, encoder_state_dict(encoder))
-    activation = encoder.layer1.activation
     sidecar = {
         "backbone": "gcn",
         "in_dim": encoder.in_dim,
         "hidden_dim": encoder.hidden_dim,
         "out_dim": encoder.out_dim,
-        "activation": activation,
+        "activation": "prelu",
     }
     if meta:
         sidecar.update(meta)
@@ -257,18 +231,17 @@ def load_encoder(path):
         meta = json.load(fh)
     if "activation" not in meta:
         raise ValueError("sidecar: missing key 'activation'")
-    activation = meta["activation"]
+    if meta["activation"] != "prelu":
+        raise ValueError(f"sidecar: activation {meta['activation']!r} is not 'prelu', "
+                         "the only encoder this package builds")
+    names = [f"{tag}.{name}" for tag in ("layer1", "layer2") for name in LAYER_TENSORS]
+    missing = [name for name in names if name not in state]
+    if missing:
+        raise ValueError(f"checkpoint: missing tensor {', '.join(missing)}")
 
     def build_layer(tag):
-        slope = None
-        if f"{tag}.prelu_slope" in state:
-            slope = ad.parameter(state[f"{tag}.prelu_slope"], name=f"encoder.{tag}.prelu_slope")
-        return GcnLayer(
-            ad.parameter(state[f"{tag}.weight"], name=f"encoder.{tag}.weight"),
-            ad.parameter(state[f"{tag}.bias"], name=f"encoder.{tag}.bias"),
-            activation,
-            slope,
-        )
+        return GcnLayer(*(ad.parameter(state[f"{tag}.{name}"], name=f"encoder.{tag}.{name}")
+                          for name in LAYER_TENSORS))
 
     enc = freeze(Encoder(build_layer("layer1"), build_layer("layer2")))
     for key in ("in_dim", "hidden_dim", "out_dim"):

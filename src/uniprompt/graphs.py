@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from . import autodiff as ad
 
 DEG_EPS = 1e-12  # degree floor when normalizing without self-loops
+KNN_BLOCK_ROWS = 512  # rows of the similarity matrix ``knn_prompt_init`` holds at once
 
 
 class SparseAdj:
@@ -417,14 +418,15 @@ class NormContext:
     ``normalize`` gives the whole operator over ``norm_pattern``, for
     constant values. ``normalize_field`` gives, on the tape, just the two
     slices a ``receptive_field`` reads: degrees still sum every value, but
-    only the entries the slices read are scaled. Both are one
-    ``ad.normalized_slices`` node over the reads that ``_reads`` builds."""
+    only the entries the slices read are scaled, over the reads that
+    ``_reads`` builds. Both are one ``ad.normalized_slices`` node."""
 
     def __init__(self, pattern, add_self_loops):
         self.pattern = pattern
         self.rows = pattern.row_ids()
         self.cols = pattern.indices
         self.add_self_loops = add_self_loops
+        self.floor = 1.0 if add_self_loops else DEG_EPS
         n = pattern.n
         if add_self_loops:
             # a CSR pattern holds no duplicates, so a clash with the appended
@@ -455,16 +457,20 @@ class NormContext:
         read_at = np.empty(entries.size, dtype=np.int64)
         read_at[is_edge] = np.arange(edges.size)
         read_at[~is_edge] = edges.size + np.arange(diag.size)
-        return ad.NormReads(
-            n=self.pattern.n, rows=self.rows, floor=1.0 if self.add_self_loops else DEG_EPS,
-            edges=edges, edge_rows=self.rows[edges], edge_cols=self.cols[edges], diag=diag,
-            slots=read_at[slots], split=split)
+        return ad.NormReads(self.pattern.n, self.rows, self.floor, edges, self.rows[edges],
+                            self.cols[edges], diag, read_at[slots], split)
 
     def normalize(self, values):
         """The normalized operator as a constant SparseAdj over
-        ``norm_pattern``, from the support's ``values``, one per entry."""
-        every = np.arange(self.norm_pattern.nnz)
-        reads = self._reads(every, every, every.size)
+        ``norm_pattern``, from the support's ``values``, one per entry; it
+        reads the support and the diagonal whole, in ``order``."""
+        n, nnz = self.pattern.n, self.rows.size
+        if self.order is None:
+            diag, slots = np.zeros(0, dtype=np.int64), np.arange(nnz)
+        else:
+            diag, slots = np.arange(n), self.order
+        reads = ad.NormReads(n, self.rows, self.floor, np.arange(nnz), self.rows, self.cols,
+                             diag, slots, slots.size)
         whole, _ = ad.normalized_slices(ad.constant(values), reads)
         return self.norm_pattern.with_values(whole.data.reshape(-1))
 
@@ -534,7 +540,7 @@ def _topk_per_row(sims, k, col_ids, self_col):
     return rows, col_ids[top]
 
 
-def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):
+def knn_prompt_init(features, k, sample_size=None, seed=0):
     """Cosine-similarity kNN support as the initial prompt graph.
 
     Exact mode keeps the k most similar neighbors of every node (self pairs
@@ -565,8 +571,8 @@ def knn_prompt_init(features, k, sample_size=None, seed=0, block=512):
     pos_of[candidates] = np.arange(candidates.size)
 
     rows_all, cols_all = [], []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, KNN_BLOCK_ROWS):
+        stop = min(start + KNN_BLOCK_ROWS, n)
         sims = xn[start:stop] @ cand.T
         self_col = pos_of[np.arange(start, stop)]
         r, c = _topk_per_row(sims, k, candidates, self_col)

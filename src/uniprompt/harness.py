@@ -56,17 +56,10 @@ def evaluate(predictions, task):
     """Fraction correct on the test ids only."""
     if task.test_ids.size == 0:
         raise ValueError("empty test split")
-    if isinstance(predictions, dict):
-        try:
-            preds = np.asarray([predictions[int(i)] for i in task.test_ids])
-        except KeyError as exc:
-            raise ValueError(f"missing prediction for node {exc.args[0]}") from exc
-    else:
-        preds = np.asarray(predictions)
-        if preds.ndim != 1 or preds.shape[0] <= int(task.test_ids.max()):
-            raise ValueError("missing prediction: vector does not cover test ids")
-        preds = preds[task.test_ids]
-    return float((preds == task.test_labels).mean())
+    preds = np.asarray(predictions)
+    if preds.ndim != 1 or preds.shape[0] <= int(task.test_ids.max()):
+        raise ValueError("missing prediction: vector does not cover test ids")
+    return float((preds[task.test_ids] == task.test_labels).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +85,6 @@ class ResultTable:
     def __init__(self, records=(), param_name=None):
         self.records = list(records)
         self.param_name = param_name
-
-    def add(self, record):
-        self.records.append(record)
 
     def extend(self, records):
         self.records.extend(records)
@@ -180,16 +170,15 @@ class ExperimentSpec:
     encoder: object
     methods: tuple
     shots: tuple
-    tune: dict                      # (method, shot), method or "default" -> TuneConfig
+    tune: dict                      # (method, shot) or "default" -> TuneConfig
     seeds: tuple = DEFAULT_SEEDS
     runs: int = DEFAULT_RUNS
     noise_sigma: float = 0.0
     workers: int = 1
 
     def config_for(self, method, shot):
-        """The most specific entry: (method, shot), then method, then
-        "default"."""
-        for key in ((method, shot), method, "default"):
+        """The (method, shot) entry, else the "default" one."""
+        for key in ((method, shot), "default"):
             if key in self.tune:
                 return self.tune[key]
         raise KeyError(f"no tune config for method '{method}' at {shot} shots")
@@ -232,6 +221,10 @@ def run_experiment(spec, param=None, param_name=None):
     for m in spec.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}'")
+    if not 0.0 <= spec.noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {spec.noise_sigma!r}")
+    if spec.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {spec.workers}")
     keys = [
         (method, shot, seed, run)
         for method in spec.methods
@@ -272,10 +265,11 @@ def sweep(param, grid, base_spec):
 def noise_robustness(levels, base_spec):
     """Features perturbed per level (kNN recomputed on noisy features inside
     each tuning run); level 0 reproduces the baseline exactly."""
+    for level in levels:
+        if not 0.0 <= level < np.inf:
+            raise ValueError(f"noise level must be finite and non-negative, got {level!r}")
     table = ResultTable(param_name="noise")
     for level in levels:
-        if level < 0:
-            raise ValueError("noise level must be non-negative")
         spec = replace(base_spec, noise_sigma=float(level))
         table.extend(
             run_experiment(spec, param=float(level), param_name="noise").records

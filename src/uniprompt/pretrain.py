@@ -26,6 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import _glorot, encode, freeze, init_encoder
 from .graphs import SparseAdj, symmetric_normalize
+from .prompt import check_types
 from .seeds import rng_stream
 
 
@@ -37,7 +38,6 @@ class PretrainConfig:
     seed: int = 0
     hidden_dim: int = 256
     embed_dim: int = 256
-    activation: str = "prelu"
     # grace
     edge_drop: float = 0.2
     feature_mask: float = 0.2
@@ -49,12 +49,13 @@ class PretrainConfig:
     def validate(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective '{self.objective}'")
+        check_types(self, ("epochs", "seed", "hidden_dim", "embed_dim"),
+                    ("lr", "temperature", "sce_gamma", "edge_drop", "feature_mask", "mask_rate"))
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        for name in ("lr", "temperature", "sce_gamma"):
-            value = getattr(self, name)
-            if not -np.inf < value < np.inf:  # an int of any size is finite
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("hidden_dim", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         for name in ("edge_drop", "feature_mask", "mask_rate"):
@@ -84,7 +85,7 @@ def pretrain_with_history(graph, cfg, probe_seed=None):
     """
     cfg.validate()
     enc = init_encoder(graph.num_features, cfg.hidden_dim, cfg.embed_dim,
-                       cfg.activation, rng_stream("encoder-init", cfg.seed))
+                       rng_stream("encoder-init", cfg.seed))
     loss_fn, extra, stream = OBJECTIVE_TABLE[cfg.objective](graph, cfg, enc)
     opt = ad.AdamState(enc.parameters() + extra, lr=cfg.lr)
     epoch_rng = rng_stream(stream, cfg.seed)
@@ -217,11 +218,8 @@ def _graphmae(graph, cfg, enc):
         keep_rows = np.ones((n, 1))
         keep_rows[masked] = 0.0
         indicator = ad.constant(1.0 - keep_rows)
-        x_masked = ad.add(
-            ad.hadamard(ad.constant(graph.features),
-                        ad.constant(np.repeat(keep_rows, f, axis=1))),
-            ad.matmul(indicator, mask_token),
-        )
+        x_masked = ad.add(ad.constant(graph.features * keep_rows),
+                          ad.matmul(indicator, mask_token))
         h = encode(enc, adj, x_masked)
         h_remasked = ad.hadamard(
             h, ad.constant(np.repeat(keep_rows, cfg.embed_dim, axis=1))

@@ -60,8 +60,23 @@ from .seeds import rng_stream
 _malloc_trim = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim",
                        lambda pad: 0)
 
-_INTEGER_FIELDS = ("k", "max_epochs", "patience", "clf_hidden", "seed", "knn_sample")
-_NUMBER_FIELDS = ("up_lr", "down_lr", "tau", "alpha", "min_delta")
+# TuneConfig's fields by type; knn_sample may also be None
+INTEGER_FIELDS = ("k", "max_epochs", "patience", "clf_hidden", "seed", "knn_sample")
+NUMBER_FIELDS = ("up_lr", "down_lr", "tau", "alpha", "min_delta")
+
+
+def check_types(config, integer_fields, number_fields):
+    """ValueError naming the first field of ``config`` that is not an
+    integer (of ``integer_fields``) or a number (of ``number_fields``), or
+    is not finite."""
+    for fields, kind, cls in ((integer_fields, "an integer", numbers.Integral),
+                              (number_fields, "a number", numbers.Real)):
+        for field in fields:
+            value = getattr(config, field)
+            if isinstance(value, bool) or not isinstance(value, cls):
+                raise ValueError(f"{field} must be {kind}, got {value!r}")
+            if not -math.inf < value < math.inf:  # unlike math.isfinite, any int passes
+                raise ValueError(f"{field} must be finite, got {value!r}")
 
 
 @dataclass
@@ -79,16 +94,8 @@ class TuneConfig:
     knn_sample: int | None = None  # sampled-kNN approximation (candidate count)
 
     def validate(self):
-        for fields, kind, cls in ((_INTEGER_FIELDS, "an integer", numbers.Integral),
-                                  (_NUMBER_FIELDS, "a number", numbers.Real)):
-            for field in fields:
-                value = getattr(self, field)
-                if field == "knn_sample" and value is None:
-                    continue
-                if isinstance(value, bool) or not isinstance(value, cls):
-                    raise ValueError(f"{field} must be {kind}, got {value!r}")
-                if not -math.inf < value < math.inf:  # unlike math.isfinite, any int passes
-                    raise ValueError(f"{field} must be finite, got {value!r}")
+        check_types(self, [f for f in INTEGER_FIELDS
+                           if f != "knn_sample" or self.knn_sample is not None], NUMBER_FIELDS)
         if self.up_lr <= 0 or self.down_lr <= 0:
             raise ValueError("learning rates must be positive")
         if self.k < 1:
@@ -99,6 +106,8 @@ class TuneConfig:
             raise ValueError("alpha must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.clf_hidden < 1:
+            raise ValueError(f"clf_hidden must be at least 1, got {self.clf_hidden}")
         if self.max_epochs < 0 or self.min_delta < 0:
             raise ValueError("max_epochs and min_delta must be non-negative")
         return self

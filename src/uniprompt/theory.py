@@ -23,6 +23,9 @@ ORTHO_TOL = 1e-10
 FUNCTION_TOL = 1e-12   # composed vs direct logits
 REMAINDER_RATIO = 4.0  # remainder(eta) / remainder(eta / 2) for an eta^2 term
 RATIO_SLACK = 0.8      # +- 20%
+NUM_SAMPLES = 8        # labeled representations per case, for the loss
+MAX_DIM = 16           # the sweep draws prompt widths from [2, MAX_DIM]
+MAX_CLASSES = 8        # and class counts from [2, MAX_CLASSES]
 
 
 @dataclass
@@ -52,18 +55,18 @@ class EquivalenceCase:
         return self.clf_weight.shape[1]
 
 
-def random_case(in_dim, out_dim, num_classes, num_samples=8, rng=None):
+def random_case(in_dim, out_dim, num_classes, rng=None):
     rng = np.random.default_rng(rng)
     return EquivalenceCase(
         prompt_weight=rng.normal(size=(out_dim, in_dim)),
         prompt_bias=rng.normal(size=out_dim),
         clf_weight=rng.normal(size=(out_dim, num_classes)),
-        samples=rng.normal(size=(num_samples, in_dim)),
-        labels=rng.integers(0, num_classes, size=num_samples),
+        samples=rng.normal(size=(NUM_SAMPLES, in_dim)),
+        labels=rng.integers(0, num_classes, size=NUM_SAMPLES),
     )
 
 
-def orthogonal_case(dim, num_classes, num_samples=8, rng=None):
+def orthogonal_case(dim, num_classes, rng=None):
     """Square orthogonal prompt (QR of a seeded Gaussian), orthonormal-column
     classifier, zero prompt bias."""
     if num_classes > dim:
@@ -75,8 +78,8 @@ def orthogonal_case(dim, num_classes, num_samples=8, rng=None):
         prompt_weight=q1,
         prompt_bias=np.zeros(dim),
         clf_weight=q2[:, :num_classes],
-        samples=rng.normal(size=(num_samples, dim)),
-        labels=rng.integers(0, num_classes, size=num_samples),
+        samples=rng.normal(size=(NUM_SAMPLES, dim)),
+        labels=rng.integers(0, num_classes, size=NUM_SAMPLES),
     )
 
 
@@ -150,11 +153,6 @@ class GradientPathReport:
         return max(self.clf_path_deviation, self.prompt_path_deviation,
                    self.bias_path_deviation)
 
-    @property
-    def deviation(self):
-        """Criterion quantity: path identities plus the cross-term remainder."""
-        return max(self.max_path_deviation, self.second_order_remainder)
-
 
 def verify_gradient_equivalence(case, eta):
     """One gradient-descent step at rate eta on the composed parameters;
@@ -219,7 +217,7 @@ class VerificationSummary:
         return all(self.verdicts.values())
 
 
-def run_verification(trials=1000, eta=1e-4, seed=0, max_dim=16, max_classes=8):
+def run_verification(trials=1000, eta=1e-4, seed=0):
     """Random-case sweep used by the CLI and the acceptance gate; a sweep of
     no trials or of a zero step would pass without checking anything."""
     if trials < 1:
@@ -231,9 +229,9 @@ def run_verification(trials=1000, eta=1e-4, seed=0, max_dim=16, max_classes=8):
     min_agree = 1.0
     ratios = []
     for _ in range(trials):
-        d_in = int(rng.integers(2, max_dim + 1))
-        d_out = int(rng.integers(2, max_dim + 1))
-        classes = int(rng.integers(2, max_classes + 1))
+        d_in = int(rng.integers(2, MAX_DIM + 1))
+        d_out = int(rng.integers(2, MAX_DIM + 1))
+        classes = int(rng.integers(2, MAX_CLASSES + 1))
         case = random_case(d_in, d_out, classes, rng=rng)
         max_fn_dev = max(max_fn_dev, verify_function_equivalence(case, 10, rng=rng))
         min_agree = min(min_agree, prediction_agreement(case, 10, rng=rng))

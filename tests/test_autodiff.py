@@ -447,9 +447,11 @@ class TestAdam:
         ad.adam_step(state, grads={p: np.zeros((2, 2))})
         assert np.array_equal(p.data, before)
 
-    def test_degenerate_betas_give_signed_step(self):
+    def test_degenerate_betas_give_signed_step(self, monkeypatch):
+        monkeypatch.setattr(ad, "ADAM_BETA1", 0.0)
+        monkeypatch.setattr(ad, "ADAM_BETA2", 0.0)
         p = ad.parameter(np.array([[5.0]]))
-        state = ad.AdamState([p], lr=0.1, beta1=0.0, beta2=0.0)
+        state = ad.AdamState([p], lr=0.1)
         ad.adam_step(state, grads={p: np.array([[2.0]])})
         # p <- p - lr * g / (|g| + eps), i.e. a step of ~lr
         assert p.data[0, 0] == pytest.approx(5.0 - 0.1, abs=1e-8)

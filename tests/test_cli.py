@@ -1,22 +1,24 @@
 """CLI smoke tests: make-sbm -> pretrain -> tune / ablate / eval / sweep / noise,
 plus inspect and verify-theory, through dispatch."""
 
+import argparse
 import csv
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uniprompt import cli, harness
+from uniprompt.autodiff import save_checkpoint
 from uniprompt.cli import dispatch
 from uniprompt.encoder import load_encoder
 from uniprompt.graphs import edge_homophily, load_graph_bundle
 from uniprompt.harness import run_seed, sample_k_shot
 from uniprompt.hyperparams import TUNING_TABLE, get_tuning_config
-from uniprompt.prompt import ABLATION_VARIANTS, METHODS, run_method
+from uniprompt.prompt import ABLATION_VARIANTS, METHODS, TuneConfig, run_method
 
 TUNE_OVERRIDES = {"k": 3, "max_epochs": 5, "clf_hidden": 6}
 MISSING_KEYS = ("dataset", "encoder", "methods")  # required in an experiment spec
@@ -285,6 +287,48 @@ def test_sidecar_without_activation_exits_one(workspace, capsys, tmp_path):
     assert err == "error: sidecar: missing key 'activation'\n"
 
 
+def test_tune_flags_are_the_tune_config_fields_but_the_seed():
+    verbs = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: (a.option_strings, a.type) for a in verbs.choices["tune"]._actions}
+    for own in ("help", "out", "seed", "data_dir", "method", "encoder", "dataset", "shot",
+                "run", "config"):
+        del flags[own]
+    # annotations are strings under ``from __future__ import annotations``
+    assert flags == {f.name: ([f"--{f.name.replace('_', '-')}"],
+                              int if f.type.startswith("int") else float)
+                     for f in fields(TuneConfig) if f.name != "seed"}
+
+
+def test_sidecar_naming_another_activation_exits_one(workspace, capsys, tmp_path):
+    bundle, checkpoint, config = workspace
+    copy = tmp_path / "enc.ckpt"
+    shutil.copyfile(checkpoint, copy)
+    sidecar = json.loads(Path(str(checkpoint) + ".json").read_text())
+    Path(str(copy) + ".json").write_text(json.dumps({**sidecar, "activation": "relu"}))
+    code, err = exit_code_and_err(["tune", "--method", "gpf", "--encoder", str(copy),
+                                   "--dataset", str(bundle), "--shot", "1",
+                                   "--config", str(config)], capsys)
+    assert code == 1
+    assert err == ("error: sidecar: activation 'relu' is not 'prelu', "
+                   "the only encoder this package builds\n")
+
+
+def test_checkpoint_without_a_slope_exits_one(workspace, capsys, tmp_path):
+    bundle, checkpoint, config = workspace
+    enc, meta = load_encoder(checkpoint)
+    state = {name: p.data for name, p in enc.named_parameters().items()
+             if name != "layer2.prelu_slope"}
+    copy = tmp_path / "enc.ckpt"
+    save_checkpoint(copy, state)
+    shutil.copyfile(str(checkpoint) + ".json", str(copy) + ".json")
+    code, err = exit_code_and_err(["tune", "--method", "gpf", "--encoder", str(copy),
+                                   "--dataset", str(bundle), "--shot", "1",
+                                   "--config", str(config)], capsys)
+    assert code == 1
+    assert err == "error: checkpoint: missing tensor layer2.prelu_slope\n"
+
+
 def test_runtime_abort_exits_two(workspace, capsys, monkeypatch):
     bundle, checkpoint, config = workspace
 
@@ -478,7 +522,8 @@ def bad_values(workspace, root):
     message each must print: a string k in an experiment spec, fractional k
     and max_epochs in a tune config, a fractional k in a sweep grid, a graph
     wider than the encoder's input, a NaN learning rate in a tune config or
-    flag and in pretraining, and a theorem sweep of no cases or no step."""
+    flag and in pretraining, a theorem sweep of no cases or no step, a width
+    or a worker count below 1, and a noise level that is not finite."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
@@ -518,6 +563,21 @@ def bad_values(workspace, root):
                                    "eta must be finite and positive, got 0.0"),
         "verify-theory-nan-eta": (["verify-theory", "--eta", "nan", *out[:2]],
                                   "eta must be finite and positive, got nan"),
+        "tune-zero-clf-hidden": ([*tune, "--dataset", str(bundle), "--clf-hidden", "0"],
+                                 "clf_hidden must be at least 1, got 0"),
+        "pretrain-zero-hidden": (["pretrain", "--dataset", str(bundle), "--objective", "dgi",
+                                  "--hidden", "0", *out[:2]], "hidden_dim must be at least 1, got 0"),
+        "pretrain-negative-embed": (["pretrain", "--dataset", str(bundle), "--objective", "dgi",
+                                     "--embed", "-3", *out[:2]],
+                                    "embed_dim must be at least 1, got -3"),
+        "eval-negative-jobs": (["eval", "--config", str(root / "experiment.json"), *out[:2],
+                                "--jobs", "-4"], "workers must be at least 1, got -4"),
+        "noise-nan-level": (["noise", "--config", str(root / "experiment.json"), *out,
+                             "--levels", "nan"],
+                            "noise level must be finite and non-negative, got nan"),
+        "noise-inf-level": (["noise", "--config", str(root / "experiment.json"), *out,
+                             "--levels", "0,inf"],
+                            "noise level must be finite and non-negative, got inf"),
     }
 
 
@@ -525,7 +585,10 @@ def bad_values(workspace, root):
                                   "sweep-fractional-k", "tune-feature-width",
                                   "tune-nan-config", "tune-nan-flag", "pretrain-nan-lr",
                                   "verify-theory-no-trials", "verify-theory-negative-trials",
-                                  "verify-theory-zero-eta", "verify-theory-nan-eta"])
+                                  "verify-theory-zero-eta", "verify-theory-nan-eta",
+                                  "tune-zero-clf-hidden", "pretrain-zero-hidden",
+                                  "pretrain-negative-embed", "eval-negative-jobs",
+                                  "noise-nan-level", "noise-inf-level"])
 def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, case):
     argv, message = bad_values(workspace, tmp_path)[case]
     capsys.readouterr()

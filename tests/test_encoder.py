@@ -34,11 +34,11 @@ def identity_adj(n):
 
 
 def make_identity_encoder(dim):
+    """Identity weights, zero biases and PReLU slopes of 1, the identity."""
     layers = []
     for _ in range(2):
-        layers.append(GcnLayer(
-            ad.parameter(np.eye(dim)), ad.parameter(np.zeros((1, dim))), "identity"
-        ))
+        layers.append(GcnLayer(ad.parameter(np.eye(dim)), ad.parameter(np.zeros((1, dim))),
+                               ad.parameter(np.ones((1, 1)))))
     return Encoder(layers[0], layers[1])
 
 
@@ -50,7 +50,7 @@ class TestEncode:
         assert np.abs(h.data - x).max() < 1e-15
 
     def test_zero_adjacency_gives_constant_rows(self):
-        enc = init_encoder(3, 5, 4, activation="relu", rng=0)
+        enc = init_encoder(3, 5, 4, rng=0)
         n = 6
         zero_adj = SparseAdj.from_coo(n, [0], [1], [0.0])
         x = np.random.default_rng(1).normal(size=(n, 3))
@@ -63,7 +63,7 @@ class TestEncode:
         mask = np.triu(rng.random((n, n)) < 0.5, 1)
         rows, cols = np.nonzero(mask | mask.T)
         adj = symmetric_normalize(SparseAdj.from_coo(n, rows, cols, np.ones(rows.size)))
-        enc = init_encoder(4, 5, 3, activation="prelu", rng=3)
+        enc = init_encoder(4, 5, 3, rng=3)
         x = rng.normal(size=(n, 4))
         h = encode(enc, adj, ad.constant(x))
 
@@ -170,7 +170,7 @@ class TestFreezeThaw:
         assert enc.layer1.weight.data[0, 0] != dup.layer1.weight.data[0, 0]
 
     def test_freeze_and_thaw_set_every_tensor(self):
-        enc = init_encoder(3, 4, 4, activation="prelu", rng=0)
+        enc = init_encoder(3, 4, 4, rng=0)
         assert len(enc.parameters()) == 6
         assert all(p.requires_grad for p in enc.parameters())
         assert not any(p.requires_grad for p in freeze(enc).parameters())
@@ -206,7 +206,7 @@ class TestFreezeThaw:
 
 class TestCheckpoints:
     def test_save_load_roundtrip(self, tmp_path):
-        enc = init_encoder(3, 5, 4, activation="prelu", rng=1)
+        enc = init_encoder(3, 5, 4, rng=1)
         save_encoder(enc, tmp_path / "enc.ckpt",
                      meta={"pretrain": "dgi", "dataset": "toy", "seed": 7})
         loaded, meta = load_encoder(tmp_path / "enc.ckpt")

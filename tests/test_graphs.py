@@ -1,6 +1,7 @@
 """Graph type, bundle I/O, normalization, kNN, homophily and noise tests."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uniprompt import autodiff as ad
+from uniprompt import graphs
 from uniprompt.harness import generate_sbm
 from uniprompt.graphs import (
     Graph,
@@ -303,6 +305,26 @@ class TestSymmetricNormalize:
         assert g.normalized_adjacency() is op
         assert op.data.tobytes() == symmetric_normalize(g.adjacency()).data.tobytes()
 
+    @pytest.mark.parametrize("add_self_loops", [True, False])
+    def test_whole_operator_peak_memory_is_bounded(self, add_self_loops):
+        # reads over every entry need no copy of the support's indices:
+        # about 7 (8 without self-loops) float64 arrays of the operator's nnz
+        # at the peak, against 11 when every index was gathered first
+        rng = np.random.default_rng(0)
+        n = 500
+        rows = np.repeat(np.arange(n), 20)
+        cols = (rows + rng.integers(1, n, size=rows.size)) % n
+        keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+        adj = SparseAdj.from_coo(n, keys // n, keys % n, rng.random(keys.size))
+        ctx = NormContext(adj, add_self_loops)
+        tracemalloc.start()
+        try:
+            ctx.normalize(adj.data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 8 * ctx.norm_pattern.nnz
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=50), st.integers(min_value=0, max_value=10**6))
     def test_random_graphs_match_dense_oracle(self, n, seed):
@@ -420,6 +442,14 @@ class TestKnnPromptInit:
             expected |= {(i, j) for j in order} | {(j, i) for j in order}
         adj = knn_prompt_init(x, k)
         assert set(zip(adj.row_ids().tolist(), adj.indices.tolist())) == expected
+
+    def test_blocks_of_rows_give_the_one_block_selection(self, monkeypatch):
+        x = np.random.default_rng(5).integers(-1, 2, size=(40, 3)).astype(float)
+        whole = knn_prompt_init(x, 3)
+        monkeypatch.setattr(graphs, "KNN_BLOCK_ROWS", 7)
+        blocked = knn_prompt_init(x, 3)
+        assert np.array_equal(blocked.indptr, whole.indptr)
+        assert np.array_equal(blocked.indices, whole.indices)
 
     def test_row_degree_at_least_k_after_symmetrization(self):
         rng = np.random.default_rng(1)

@@ -113,15 +113,8 @@ class TestEvaluate:
         oracle = confusion.trace() / confusion.sum()
         assert evaluate(preds, task) == pytest.approx(oracle, abs=1e-12)
 
-    def test_dict_predictions(self, sbm):
-        task = sample_k_shot(sbm, 1, 42, 0)
-        mapping = {int(i): int(sbm.labels[i]) for i in task.test_ids}
-        assert evaluate(mapping, task) == 1.0
-
     def test_missing_prediction(self, sbm):
         task = sample_k_shot(sbm, 1, 42, 0)
-        with pytest.raises(ValueError, match="missing prediction"):
-            evaluate({0: 1}, task)
         with pytest.raises(ValueError, match="missing prediction"):
             evaluate(np.zeros(3, dtype=int), task)
 
@@ -131,18 +124,12 @@ class TestEvaluate:
         assert task.test_ids.size == 0
         with pytest.raises(ValueError, match="empty test split"):
             evaluate(g.labels.copy(), task)
-        with pytest.raises(ValueError, match="empty test split"):
-            evaluate({int(i): 0 for i in task.train_ids}, task)
 
 
 class TestResultTable:
     def make_table(self):
-        table = ResultTable()
-        for seed in (1, 2):
-            for run in range(3):
-                table.add(RunRecord("d", "p", "m", 1, seed, run,
-                                    0.5 + 0.01 * run + 0.1 * seed))
-        return table
+        return ResultTable([RunRecord("d", "p", "m", 1, seed, run, 0.5 + 0.01 * run + 0.1 * seed)
+                            for seed in (1, 2) for run in range(3)])
 
     def test_aggregate_mean_and_population_std(self):
         table = self.make_table()
@@ -166,10 +153,9 @@ class TestResultTable:
         assert abs(accs.std() - std) < 1e-12
 
     def test_markdown_bolds_best_method(self, tmp_path):
-        table = ResultTable()
-        for run in range(2):
-            table.add(RunRecord("d", "p", "weak", 1, 42, run, 0.3))
-            table.add(RunRecord("d", "p", "strong", 1, 42, run, 0.9))
+        table = ResultTable([RunRecord("d", "p", method, 1, 42, run, acc)
+                             for run in range(2)
+                             for method, acc in (("weak", 0.3), ("strong", 0.9))])
         path = tmp_path / "results.md"
         table.to_markdown(path)
         text = path.read_text()
@@ -207,6 +193,11 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="unknown method"):
             run_experiment(tiny_spec(sbm, encoder, methods=("magic",)))
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, sbm, encoder, workers):
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            run_experiment(tiny_spec(sbm, encoder, workers=workers))
 
     def test_large_seed_runs(self, sbm, encoder):
         # run_seed(50000, run) passes 2**32; every seed the harness has
@@ -306,6 +297,19 @@ class TestNoiseRobustness:
     def test_negative_level_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="non-negative"):
             noise_robustness([-0.1], tiny_spec(sbm, encoder))
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_level_rejected_before_any_run(self, sbm, encoder, monkeypatch, level):
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=f"^noise level must be finite and non-negative, "
+                                             f"got {level}$"):
+            noise_robustness([0.0, level], tiny_spec(sbm, encoder))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_spec_noise_must_be_finite_and_non_negative(self, sbm, encoder, sigma):
+        with pytest.raises(ValueError, match=f"^noise_sigma must be finite and non-negative, "
+                                             f"got {sigma}$"):
+            run_experiment(tiny_spec(sbm, encoder, noise_sigma=sigma))
 
 
 def reference_sbm(n, classes, p_in, p_out, feature_dim, feature_sep, seed):

@@ -49,6 +49,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
             PretrainConfig("graphmae", **{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("hidden_dim", 0, "must be at least 1, got 0"),
+        ("embed_dim", -3, "must be at least 1, got -3"),
+        ("hidden_dim", 8.0, "must be an integer, got 8.0"),
+        ("epochs", True, "must be an integer, got True"),
+        ("seed", "1", "must be an integer, got '1'"),
+        ("edge_drop", "0.2", "must be a number, got '0.2'")])
+    def test_rejects_bad_width_or_type_by_name(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            PretrainConfig("grace", **{field: value}).validate()
+
     def test_rejects_graphmae_zero_mask_rate(self):
         with pytest.raises(ValueError, match="mask rate"):
             PretrainConfig("graphmae", mask_rate=0.0).validate()

@@ -104,7 +104,8 @@ class TestGradientEquivalence:
     def test_eta_zero_gives_zero_deviation(self):
         case = orthogonal_case(6, 3, rng=0)
         report = verify_gradient_equivalence(case, eta=0.0)
-        assert report.deviation == 0.0
+        assert report.max_path_deviation == 0.0
+        assert report.second_order_remainder == 0.0
         assert report.simultaneous_vs_direct == 0.0
 
     def test_paths_match_direct_step_within_tolerance(self):
