@@ -16,10 +16,13 @@ allocator trim and refault its heap on every step.
 
 ``info_nce`` is GRACE's contrastive loss fused into one node. Built from the
 small ops, its n x n similarity and exp matrices would sit on the tape until
-backward; the fused node holds three of them and gives the same bits.
-``normalized_slices`` does the same for a symmetric normalization, scaling
-only the entries read. The composed forms are the tests' oracles: InfoNCE's
-in ``tests/test_autodiff.py``, the normalization's in ``tests/fd_utils.py``.
+backward; the fused node works in tiles of ``INFONCE_BLOCK_ROWS`` rows, keeps
+O(n) values between the passes and recomputes the tiles in backward. It
+agrees with the composition to rounding on row-normalized views.
+``normalized_slices`` fuses a symmetric normalization, scaling only the
+entries read, and gives the same bits as its composition. The composed forms
+are the tests' oracles: InfoNCE's in ``tests/test_autodiff.py``, the
+normalization's in ``tests/fd_utils.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import _sparsetools
 
-LOG_EPS = 1e-12  # additive floor inside info_nce's log / l2-normalize
+LOG_EPS = 1e-12  # additive floor inside l2_normalize_rows' square root
+INFONCE_BLOCK_ROWS = 512  # rows of the stacked views per similarity tile ``info_nce`` holds
 RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -214,7 +218,8 @@ def sub(a, b):
 
 
 def hadamard(a, b):
-    if a.shape != b.shape:
+    """a * b; b may be an (n, 1) column broadcast across a's columns."""
+    if a.shape != b.shape and b.shape != (a.shape[0], 1):
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
     out_data = a.data * b.data
 
@@ -222,7 +227,8 @@ def hadamard(a, b):
         if a.requires_grad:
             _accum(a, go * b.data)
         if b.requires_grad:
-            _accum(b, go * a.data)
+            gb = go * a.data
+            _accum(b, gb if b.shape == a.shape else gb.sum(axis=1, keepdims=True))
 
     return _node(out_data, (a, b), bw)
 
@@ -453,85 +459,78 @@ def cross_entropy(logits, targets):
 
 
 def info_nce(z1, z2, temperature):
-    """Symmetric InfoNCE of two (n, d) views as one tape node.
+    """Symmetric InfoNCE of two (n, d) views as one tape node, in tiles.
 
-    With s_ab = z_a z_b^T / t, direction 1 scores row i by
-    log(sum_j exp(s12_ij) + sum_{j != i} exp(s11_ij) + 1e-12) - s12_ii,
-    direction 2 likewise with s12^T and s22, and the loss is half the sum of
-    the two row means. Views should be row-normalized, as GRACE's are: the
-    intra term subtracts exp(s_ii) from its row sum, which cancels when
-    s_ii dominates the row.
+    Stack the views as Z = [z1; z2] (2n x d) and let S = Z Z^T / t. Row k
+    scores LSE_{j != k} S_kj - S_k,pair(k), where pair(k) is the same node in
+    the other view, and the loss is the mean over all 2n rows: each view's
+    node is contrasted with every node of the other view and every other node
+    of its own, and the two directions are averaged.
 
-    Composed from elementwise exp and log, a diagonal pick and the other ops,
-    this loss leaves ten n x n matrices on the tape. This node keeps three, exp(s12), exp(s11) and
-    exp(s22), computed in place and freed as backward uses them. Forward and
-    backward run the composed tape's numpy calls on arrays of the same layout
-    and accumulate in the order it does, so values and gradients are the same
-    bits as the composition (pinned in tests against it). ``+ 0.0`` stands
-    for a first accumulation ``zeros + g``, which turns -0.0 into +0.0.
+    No n x n matrix is formed. Forward visits the tiles S_IJ, I <= J, of
+    ``INFONCE_BLOCK_ROWS`` rows and folds each into the log-sum-exps of its
+    rows and, off the diagonal, of its columns, shifted by each row's running
+    max and rescaled as that max grows (FlashAttention's online softmax).
+    Every row has 2n - 1 >= 1 terms, so no floor is needed; the max starts at
+    the positive pair's score, a term of every row. Only the 2n log-sum-exps
+    outlive forward. With P = softmax_rows(S) (zero diagonal) and Y the pair
+    indicator, dZ = (P + P^T - 2Y) Z / (2n t); backward recomputes each tile
+    to form its block of P + P^T, and Y Z is Z with its halves swapped.
     """
     if z1.shape != z2.shape:
         raise ValueError(f"info_nce views differ in shape: {z1.shape} vs {z2.shape}")
     n = z1.shape[0]
-    inv_t = 1.0 / temperature
-    e12 = z1.data @ z2.data.T
-    e11 = z1.data @ z1.data.T
-    e22 = z2.data @ z2.data.T
-    for m in (e12, e11, e22):
-        np.multiply(m, inv_t, out=m)
-    # the diagonal terms read the scaled products before the in-place exp
-    neg_pos = np.diag(e12).reshape(-1, 1) * -1.0
-    exp_diag = [np.exp(np.diag(m).reshape(-1, 1)) for m in (e11, e22)]
-    for m in (e12, e11, e22):
-        np.exp(m, out=m)
-    # exp(s12^T) is exp(s12).T bit for bit, with the same strides
-    shifted, halves = [], []
-    for cross, intra, ed in ((e12, e11, exp_diag[0]), (e12.T, e22, exp_diag[1])):
-        denom = cross.sum(axis=1, keepdims=True) + (
-            intra.sum(axis=1, keepdims=True) + ed * -1.0)
-        shifted.append(denom + LOG_EPS)
-        halves.append((np.log(shifted[-1]) + neg_pos).mean(axis=0, keepdims=True))
-    out_data = (halves[0] + halves[1]) * 0.5
-    saved = [e12, e11, e22]
+    root_inv_t = (1.0 / temperature) ** 0.5
+    z = np.concatenate([z1.data, z2.data]) * root_inv_t  # S = z z^T
+    pos = np.tile((z[:n] * z[n:]).sum(axis=1), 2)
+
+    def tiles():
+        """(rows, cols, S[rows, cols]) for every tile on or above the diagonal,
+        with S's diagonal at -inf."""
+        starts = range(0, 2 * n, INFONCE_BLOCK_ROWS)
+        for k, i in enumerate(starts):
+            rows = slice(i, i + INFONCE_BLOCK_ROWS)
+            for j in starts[k:]:
+                cols = slice(j, j + INFONCE_BLOCK_ROWS)
+                s = z[rows] @ z[cols].T
+                if i == j:
+                    np.fill_diagonal(s, -np.inf)
+                yield rows, cols, s
+
+    peak, total = pos.copy(), np.zeros(2 * n)
+
+    def fold(rows, s):
+        """Fold the tile ``s``, one row per entry of ``rows``, into their
+        log-sum-exps."""
+        new = np.maximum(peak[rows], s.max(axis=1))
+        e = s - new[:, None]
+        np.exp(e, out=e)
+        total[rows] = total[rows] * np.exp(peak[rows] - new) + e.sum(axis=1)
+        peak[rows] = new
+
+    for rows, cols, s in tiles():
+        fold(rows, s)
+        if rows != cols:
+            fold(cols, s.T)
+    lse = peak + np.log(total)
+    out_data = np.array([[(lse - pos).mean()]])
 
     def bw(go):
-        e12, e11, e22 = saved
-        saved.clear()
-        diagonal = lambda m: m.reshape(-1)[:: n + 1]  # a view of a C-order n x n
-        g_diff = np.repeat(go * 0.5 + 0.0, n, axis=0) / n + 0.0
-        g_pos = (g_diff * -1.0 + 0.0)[:, 0]
-        g_denom = [g_diff / sh + 0.0 for sh in shifted]
-        acc = [None, None]
-        # intra terms: s_zz gets its exp term, then its diagonal term
-        for k, (z, g) in enumerate(((z1, e11), (z2, e22))):
-            if z.requires_grad:
-                np.multiply(g, g_denom[k], out=g)
-                g += 0.0
-                diagonal(g)[:] += ((g_denom[k] * -1.0 + 0.0) * exp_diag[k] + 0.0)[:, 0]
-                np.multiply(g, inv_t, out=g)
-                g += 0.0
-                acc[k] = g @ z.data + 0.0
-                acc[k] += (z.data.T @ g).T
-        del e11, e22, g
-        # cross term: s12 gets direction 1's exp and diagonal terms, then the
-        # transpose of what direction 2 gave s12^T
-        g = e12 * g_denom[0]
-        g += 0.0
-        diag = diagonal(g) + g_pos
-        np.multiply(e12, g_denom[1].T, out=e12)
-        e12 += 0.0
-        diag += diagonal(e12) + g_pos
-        g += e12
-        del e12
-        diagonal(g)[:] = diag
-        np.multiply(g, inv_t, out=g)
-        g += 0.0
+        grad = np.concatenate([z[n:], z[:n]]) * -2.0
+        for rows, cols, s in tiles():
+            p = s - lse[rows, None]
+            np.exp(p, out=p)
+            s -= lse[None, cols]
+            np.exp(s, out=s)
+            p += s
+            grad[rows] += p @ z[cols]
+            if rows != cols:
+                grad[cols] += p.T @ z[rows]
+        grad *= go[0, 0] * root_inv_t / (2 * n)
         if z1.requires_grad:
-            acc[0] += g @ z2.data
-            _accum(z1, acc[0])
+            _accum(z1, grad[:n])
         if z2.requires_grad:
-            acc[1] += (z1.data.T @ g).T
-            _accum(z2, acc[1])
+            _accum(z2, grad[n:])
 
     return _node(out_data, (z1, z2), bw)
 

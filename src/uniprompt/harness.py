@@ -265,6 +265,8 @@ def sweep(param, grid, base_spec):
 def noise_robustness(levels, base_spec):
     """Features perturbed per level (kNN recomputed on noisy features inside
     each tuning run); level 0 reproduces the baseline exactly."""
+    if not levels:
+        raise ValueError("noise levels are empty")
     for level in levels:
         if not 0.0 <= level < np.inf:
             raise ValueError(f"noise level must be finite and non-negative, got {level!r}")

@@ -159,8 +159,7 @@ def _mask_feature_columns(x, rate, rng):
 def infonce_loss(z1, z2, temperature):
     """Symmetric InfoNCE: positives are the same node across views, negatives
     are all other nodes in both views. One ``ad.info_nce`` tape node, which
-    holds three n x n matrices where the composed ops held ten and gives the
-    same bits as them."""
+    works in tiles and holds no n x n matrix."""
     return ad.info_nce(z1, z2, temperature)
 
 
@@ -221,9 +220,7 @@ def _graphmae(graph, cfg, enc):
         x_masked = ad.add(ad.constant(graph.features * keep_rows),
                           ad.matmul(indicator, mask_token))
         h = encode(enc, adj, x_masked)
-        h_remasked = ad.hadamard(
-            h, ad.constant(np.repeat(keep_rows, cfg.embed_dim, axis=1))
-        )
+        h_remasked = ad.hadamard(h, ad.constant(keep_rows))
         x_hat = ad.add(ad.spmm(adj, ad.matmul(h_remasked, dec_w)), dec_b)
         return scaled_cosine_error(
             ad.constant(graph.features[masked]),

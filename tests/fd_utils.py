@@ -100,16 +100,17 @@ def _case_gather_rows(rng):
 
 
 def _case_hadamard(rng):
-    return [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))], ad.hadamard
+    # b of a's shape, or an (n, 1) column broadcast across a's columns
+    cols = 4 if rng.random() < 0.5 else 1
+    return [rng.normal(size=(3, 4)), rng.normal(size=(3, cols))], ad.hadamard
 
 
 def _case_info_nce(rng):
-    # rows of norm below 1, as GRACE's normalized views: the intra term
-    # subtracts exp(s_ii) from its row sum, which cancels when s_ii dominates
-    n = int(rng.integers(2, 6))
+    # raw views, not row-normalized ones as GRACE's: n = 1 leaves each row
+    # one term, its positive pair
+    n = int(rng.integers(1, 6))
     t = float(rng.choice([0.2, 0.5, 1.0]))
-    return [rng.uniform(-0.55, 0.55, size=(n, 3)) for _ in range(2)], \
-        lambda a, b: ad.info_nce(a, b, t)
+    return [rng.normal(size=(n, 3)) for _ in range(2)], lambda a, b: ad.info_nce(a, b, t)
 
 
 def _case_l2_normalize_rows(rng):

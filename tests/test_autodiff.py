@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from uniprompt import autodiff as ad
 from uniprompt.autodiff import LOG_EPS, _accum, _node
 from uniprompt.graphs import SparseAdj
 
-from fd_utils import OP_CASES, fd_check_op, to_scipy, total
+from fd_utils import OP_CASES, fd_check_case, fd_check_op, to_scipy, total
 
 
 class TestTensor:
@@ -165,9 +166,9 @@ def exp(a):
     return _node(out_data, (a,), bw)
 
 
-def log(a):
-    """log(x + 1e-12); the floor keeps zero inputs finite."""
-    shifted = a.data + LOG_EPS
+def log(a, floor=LOG_EPS):
+    """log(x + floor); the default 1e-12 keeps zero inputs finite."""
+    shifted = a.data + floor
 
     def bw(go):
         if a.requires_grad:
@@ -178,7 +179,9 @@ def log(a):
 
 def composed_info_nce(z1, z2, temperature):
     """The symmetric InfoNCE as GRACE built it from small ops before the
-    fused ``ad.info_nce``: the oracle that op must match bit for bit."""
+    fused ``ad.info_nce``, less the 1e-12 floor it put inside the log: that
+    op's oracle on row-normalized views. On raw views its intra term, a row
+    sum less exp(s_ii), cancels when s_ii dominates the row."""
     inv_t = 1.0 / temperature
     s12 = ad.scalar_scale(ad.matmul(z1, ad.transpose(z2)), inv_t)
     s11 = ad.scalar_scale(ad.matmul(z1, ad.transpose(z1)), inv_t)
@@ -190,7 +193,7 @@ def composed_info_nce(z1, z2, temperature):
             ad.row_sum(exp(cross)),
             ad.sub(ad.row_sum(exp(intra)), exp(take_diag(intra))),
         )
-        return ad.row_mean(ad.sub(log(denom), pos))
+        return ad.row_mean(ad.sub(log(denom, 0.0), pos))
 
     return ad.scalar_scale(
         ad.add(directed(s12, s11), directed(ad.transpose(s12), s22)), 0.5
@@ -206,31 +209,81 @@ class TestInfoNce:
         ad.backward(loss)
         return [loss.data] + [t.grad for t in leaves]
 
+    @staticmethod
+    def assert_close(got, want):
+        """Within 1e-12 of the largest entry of ``want``, or both None."""
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("limit", [ad.RELEASE_TAPE_BYTES, 0])
     @pytest.mark.parametrize("n, d", [(2, 3), (7, 4), (60, 16)])
-    def test_bit_identical_to_composed_ops(self, monkeypatch, n, d, limit):
+    def test_matches_composed_ops_on_normalized_views(self, monkeypatch, n, d, limit):
+        # one tile, then 3-row tiles
         monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
         rng = np.random.default_rng([n, d])
-        for temperature in (0.2, 0.5, 1.0):
-            for normalize in (True, False):
+        for block in (ad.INFONCE_BLOCK_ROWS, 3):
+            monkeypatch.setattr(ad, "INFONCE_BLOCK_ROWS", block)
+            for temperature in (0.2, 0.5, 1.0):
                 a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
-                fused = self.loss_and_grads(ad.info_nce, a, b, temperature, normalize)
-                oracle = self.loss_and_grads(composed_info_nce, a, b, temperature, normalize)
+                fused = self.loss_and_grads(ad.info_nce, a, b, temperature, True)
+                oracle = self.loss_and_grads(composed_info_nce, a, b, temperature, True)
                 for got, want in zip(fused, oracle):
-                    assert np.array_equal(got, want), (temperature, normalize)
+                    self.assert_close(got, want)
 
     @pytest.mark.parametrize("requires", [(True, False), (False, True)])
     def test_one_sided_gradient_matches_composed_ops(self, requires):
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
-        fused = self.loss_and_grads(ad.info_nce, a, b, 0.5, False, requires)
-        oracle = self.loss_and_grads(composed_info_nce, a, b, 0.5, False, requires)
+        fused = self.loss_and_grads(ad.info_nce, a, b, 0.5, True, requires)
+        oracle = self.loss_and_grads(composed_info_nce, a, b, 0.5, True, requires)
         for got, want in zip(fused, oracle):
-            assert (got is None and want is None) or np.array_equal(got, want)
+            self.assert_close(got, want)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             ad.info_nce(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 2))), 0.5)
+
+    def test_raw_views_where_the_composed_ops_cancel(self):
+        # scale-3 views at t = 0.2: exp(s_ii) dominates its row, so a row sum
+        # less exp(s_ii) loses every other term (the composed ops' gradient
+        # was off by up to 4e90); the running-max shift keeps each term
+        fn = lambda a, b: ad.info_nce(a, b, 0.2)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            views = [rng.normal(scale=3.0, size=(2, 3)) for _ in range(2)]
+            assert fd_check_case(views, fn, rng) <= 0.0, seed
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_finite_differences_across_tiles(self, monkeypatch, n):
+        # 3-row tiles over the 2n stacked rows: diagonal and off-diagonal
+        # tiles, a last tile of one row (n = 5), and positive pairs n rows
+        # apart in other tiles
+        monkeypatch.setattr(ad, "INFONCE_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(n)
+        for t in (0.2, 0.5, 1.0):
+            views = [rng.normal(size=(n, 3)) for _ in range(2)]
+            assert fd_check_case(views, lambda a, b: ad.info_nce(a, b, t), rng) <= 0.0, t
+
+    def test_one_pair_scores_zero(self):
+        # n = 1: each row's only term is its positive pair
+        rng = np.random.default_rng(0)
+        loss, g1, g2 = self.loss_and_grads(ad.info_nce, rng.normal(size=(1, 4)),
+                                           rng.normal(size=(1, 4)), 0.5, False)
+        assert abs(loss[0, 0]) < 1e-15
+        assert np.abs(g1).max() < 1e-15 and np.abs(g2).max() < 1e-15
+
+    def test_holds_no_n_by_n_matrix(self):
+        n = 2000
+        rng = np.random.default_rng(0)
+        views = [ad.parameter(rng.normal(size=(n, 16))) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            ad.backward(ad.info_nce(*views, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestOpValues:
@@ -394,6 +447,24 @@ class TestOpValues:
             expected = np.zeros((6, 2))
             np.add.at(expected, ids, go)
             assert a.grad.tobytes() == (np.zeros((6, 2)) + expected).tobytes(), ids
+
+    def test_hadamard_column_is_its_repeat_bit_for_bit(self):
+        # GraphMAE's re-mask: an (n, 1) row mask broadcast, not an n x d copy
+        rng = np.random.default_rng(3)
+        a = ad.parameter(rng.normal(size=(5, 4)))
+        mask = (rng.random((5, 1)) < 0.5).astype(np.float64)
+        proj = ad.constant(rng.normal(size=(5, 4)))
+        grads = []
+        for b in (mask, np.repeat(mask, 4, axis=1)):
+            out = ad.hadamard(a, ad.constant(b))
+            grads.append(ad.backward(total(ad.hadamard(out, proj)), params=[a])[a])
+            assert np.array_equal(out.data, a.data * np.repeat(mask, 4, axis=1))
+        assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("shape", [(1, 4), (5, 2), (4, 1)])
+    def test_hadamard_shape_mismatch(self, shape):
+        with pytest.raises(ValueError, match="hadamard shape mismatch"):
+            ad.hadamard(ad.constant(np.ones((5, 4))), ad.constant(np.ones(shape)))
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -523,7 +523,8 @@ def bad_values(workspace, root):
     and max_epochs in a tune config, a fractional k in a sweep grid, a graph
     wider than the encoder's input, a NaN learning rate in a tune config or
     flag and in pretraining, a theorem sweep of no cases or no step, a width
-    or a worker count below 1, and a noise level that is not finite."""
+    or a worker count below 1, a noise level that is not finite, and an empty
+    noise level list."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
@@ -578,6 +579,8 @@ def bad_values(workspace, root):
         "noise-inf-level": (["noise", "--config", str(root / "experiment.json"), *out,
                              "--levels", "0,inf"],
                             "noise level must be finite and non-negative, got inf"),
+        "noise-empty-levels": (["noise", "--config", str(root / "experiment.json"), *out,
+                                "--levels", ","], "noise levels are empty"),
     }
 
 
@@ -588,7 +591,8 @@ def bad_values(workspace, root):
                                   "verify-theory-zero-eta", "verify-theory-nan-eta",
                                   "tune-zero-clf-hidden", "pretrain-zero-hidden",
                                   "pretrain-negative-embed", "eval-negative-jobs",
-                                  "noise-nan-level", "noise-inf-level"])
+                                  "noise-nan-level", "noise-inf-level",
+                                  "noise-empty-levels"])
 def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, case):
     argv, message = bad_values(workspace, tmp_path)[case]
     capsys.readouterr()

@@ -294,6 +294,11 @@ class TestNoiseRobustness:
         fresh.normalized_adjacency()  # built by the noisy runs for the base graph too
         assert len(calls) == 1
 
+    def test_empty_level_list_rejected(self, sbm, encoder):
+        # as an empty sweep grid is: no table of only a header
+        with pytest.raises(ValueError, match="^noise levels are empty$"):
+            noise_robustness([], tiny_spec(sbm, encoder))
+
     def test_negative_level_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="non-negative"):
             noise_robustness([-0.1], tiny_spec(sbm, encoder))
