@@ -347,14 +347,14 @@ def relu(a):
 
 
 def elu(a):
-    pos = a.data > 0
     # clip only the exp argument; saturation keeps values in (-1, 0]
-    expm1 = np.expm1(np.minimum(a.data, 0.0))
-    out_data = np.where(pos, a.data, expm1)
+    out_data = np.where(a.data > 0, a.data, np.expm1(np.minimum(a.data, 0.0)))
 
     def bw(go):
+        # where x <= 0 the output is expm1(x), so out + 1 is the slope exp(x);
+        # the tape keeps no array beside the output
         if a.requires_grad:
-            _accum(a, go * np.where(pos, 1.0, expm1 + 1.0))
+            _accum(a, go * np.where(a.data > 0, 1.0, out_data + 1.0))
 
     return _node(out_data, (a,), bw)
 
@@ -363,14 +363,14 @@ def prelu(a, slope):
     """max(x, 0) + slope * min(x, 0) with a learnable (1, 1) slope."""
     if slope.shape != (1, 1):
         raise ValueError("prelu slope must be a (1, 1) tensor")
-    neg = np.minimum(a.data, 0.0)
-    out_data = np.maximum(a.data, 0.0) + slope.data[0, 0] * neg
+    out_data = np.maximum(a.data, 0.0) + slope.data[0, 0] * np.minimum(a.data, 0.0)
 
     def bw(go):
         if a.requires_grad:
             _accum(a, go * np.where(a.data > 0, 1.0, slope.data[0, 0]))
         if slope.requires_grad:
-            _accum(slope, (go * neg).sum().reshape(1, 1))
+            # min(x, 0) is recomputed, not kept on the tape beside the output
+            _accum(slope, (go * np.minimum(a.data, 0.0)).sum().reshape(1, 1))
 
     return _node(out_data, (a, slope), bw)
 

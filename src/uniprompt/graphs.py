@@ -506,12 +506,14 @@ def symmetric_normalize(adj):
 def _normalized_rows(x):
     """Rows scaled to unit norm; zero rows stay zero. A row whose largest
     magnitude lies outside [2**-500, 2**500] is first divided by it, so its
-    squares neither underflow nor overflow inside the norm."""
-    peak = np.abs(x).max(axis=1, keepdims=True)
+    squares neither underflow nor overflow inside the norm. The peak and the
+    norms are ``np.abs(x).max`` and ``np.linalg.norm``'s bits without their
+    n x F copies."""
+    peak = np.maximum(x.max(axis=1, keepdims=True), -x.min(axis=1, keepdims=True))
     extreme = (peak > 0) & ((peak < 2.0**-500) | (peak > 2.0**500))
     if extreme.any():
         x = np.where(extreme, x / np.where(extreme, peak, 1.0), x)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
     out = np.zeros_like(x)
     np.divide(x, norms, out=out, where=norms > 0)
     return out
@@ -603,5 +605,6 @@ def add_gaussian_noise(features, sigma, seed):
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     x = np.asarray(features, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    return x + rng.normal(0.0, sigma, size=x.shape)
+    noisy = np.random.default_rng(seed).normal(0.0, sigma, size=x.shape)
+    noisy += x  # in place: the bits of x + noise
+    return noisy

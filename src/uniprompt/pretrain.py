@@ -11,6 +11,12 @@ name)``: local-global mutual information with a corrupted negative graph
 (graphmae). ``loss_fn(rng)`` draws one corruption/view/mask instance from
 ``rng`` and returns the objective on it.
 
+GraphMAE works at hidden width wherever it can. Its mask token t enters as a
+shift of layer 1's product, (X*keep + 1_M t) W1 = keep*(X W1) + 1_M (t W1),
+and its decoder aggregates the masked rows M before projecting them,
+(A (H*keep) W_d)[M] = (A[M] (H*keep)) W_d. So an epoch forms no n x F array
+besides its constant inputs, and backward no gradient of the features.
+
 Per-epoch training losses are noisy because every epoch draws a fresh
 instance. With a ``probe_seed`` the engine also evaluates the live objective
 on one fixed instance before training and after every epoch; a probe that
@@ -204,6 +210,23 @@ def scaled_cosine_error(x_true, x_hat, gamma):
 
 
 def _graphmae(graph, cfg, enc):
+    """Masked-feature reconstruction: the masked rows M take a learned token,
+    the encoder runs, H is re-masked at M, and a GCN layer decodes M's rows
+    back to features. Two identities keep every per-epoch array at hidden
+    width or at M's rows:
+
+    - the token shifts layer 1's product: (X*keep + 1_M t) W1 equals
+      keep*(X W1) + 1_M (t W1), so layer 1 reads the constant features and
+      backward forms no input gradient;
+    - the decoder aggregates before it projects: (A (H*keep) W_d + b_d)[M]
+      equals (A[M] (H*keep)) W_d + b_d, with A[M] the masked rows of the
+      operator, so only |M| rows are ever F wide.
+
+    Besides its constant inputs, an epoch forms no n x F array. The objective
+    is the n x F composition's in exact arithmetic, not in its bits; that
+    composition is the tests' oracle (``composed_graphmae_loss`` in
+    ``tests/test_pretrain.py``).
+    """
     adj = graph.normalized_adjacency()
     n, f = graph.features.shape
     init_rng = rng_stream("encoder-init", cfg.seed, 1)
@@ -211,22 +234,20 @@ def _graphmae(graph, cfg, enc):
     dec_w = ad.parameter(_glorot(init_rng, cfg.embed_dim, f), name="graphmae.decoder.weight")
     dec_b = ad.parameter(np.zeros((1, f)), name="graphmae.decoder.bias")
     n_mask = max(1, int(round(cfg.mask_rate * n)))
+    x = ad.constant(graph.features)
 
     def loss_fn(rng):
         masked = np.sort(rng.choice(n, size=n_mask, replace=False))
-        keep_rows = np.ones((n, 1))
-        keep_rows[masked] = 0.0
-        indicator = ad.constant(1.0 - keep_rows)
-        x_masked = ad.add(ad.constant(graph.features * keep_rows),
-                          ad.matmul(indicator, mask_token))
-        h = encode(enc, adj, x_masked)
-        h_remasked = ad.hadamard(h, ad.constant(keep_rows))
-        x_hat = ad.add(ad.spmm(adj, ad.matmul(h_remasked, dec_w)), dec_b)
-        return scaled_cosine_error(
-            ad.constant(graph.features[masked]),
-            ad.gather_rows(x_hat, masked),
-            cfg.sce_gamma,
-        )
+        keep = np.ones((n, 1))
+        keep[masked] = 0.0
+        w1 = enc.layer1.weight
+        token = ad.matmul(ad.constant(1.0 - keep), ad.matmul(mask_token, w1))
+        xw1 = ad.add(ad.hadamard(ad.matmul(x, w1), ad.constant(keep)), token)
+        h = encode(enc, adj, xw1=xw1)
+        adj_masked, _, support = adj.restrict(masked)
+        h_read = ad.hadamard(ad.gather_rows(h, support), ad.constant(keep[support]))
+        x_hat = ad.add(ad.matmul(ad.spmm(adj_masked, h_read), dec_w), dec_b)
+        return scaled_cosine_error(ad.constant(graph.features[masked]), x_hat, cfg.sce_gamma)
 
     return loss_fn, [mask_token, dec_w, dec_b], "mask"
 

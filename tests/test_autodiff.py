@@ -286,6 +286,24 @@ class TestInfoNce:
         assert peak < n * n * 8
 
 
+class TestActivationTape:
+    @pytest.mark.parametrize("op", ["prelu", "elu"])
+    def test_forward_keeps_only_its_output(self, op):
+        # backward recomputes what it needs from the input and the output, so
+        # the tape holds one n x d array per activation, not two or three
+        n, d = 2000, 32
+        a = ad.parameter(np.random.default_rng(0).normal(size=(n, d)))
+        slope = ad.parameter(np.full((1, 1), 0.25))
+        tracemalloc.start()
+        try:
+            out = ad.prelu(a, slope) if op == "prelu" else ad.elu(a)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, d)
+        assert kept < 1.1 * n * d * 8
+
+
 class TestOpValues:
     def test_elu_at_zero_and_saturation(self):
         out = ad.elu(ad.constant(np.array([[0.0, -745.0, 2.0]])))

@@ -380,6 +380,29 @@ class TestCosineSimilarity:
         assert knn_similarity([1.0551537179735328e-159, 0.0], [1.0, 0.0]) == 1.0
         assert knn_similarity([1e300, 0.0], [1.0, 0.0]) == 1.0
 
+    def test_rows_keep_the_bits_of_abs_max_and_linalg_norm(self):
+        # the peak and the norms are taken without np.abs's and
+        # np.linalg.norm's n x F copies; the expressions they replace:
+        def composed(x):
+            peak = np.abs(x).max(axis=1, keepdims=True)
+            extreme = (peak > 0) & ((peak < 2.0**-500) | (peak > 2.0**500))
+            if extreme.any():
+                x = np.where(extreme, x / np.where(extreme, peak, 1.0), x)
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
+            out = np.zeros_like(x)
+            np.divide(x, norms, out=out, where=norms > 0)
+            return out
+
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(300, 64))
+        x[4] = 0.0
+        x[5] = -0.0
+        x[6, :32] = 0.0
+        x[7] = -np.abs(x[7])  # a row whose peak is its minimum
+        mixed = x * np.where(np.arange(300) % 3 == 0, 1e-300, 1e200)[:, None]
+        for rows in (x, x * 1e-300, x * 1e200, mixed):
+            assert _normalized_rows(rows).tobytes() == composed(rows).tobytes()
+
 
 class TestKnnPromptInit:
     def test_three_node_example(self):
@@ -523,6 +546,13 @@ class TestGaussianNoise:
         a = add_gaussian_noise(x, 0.3, seed=11)
         b = add_gaussian_noise(x, 0.3, seed=11)
         assert np.array_equal(a, b)
+
+    def test_bits_of_x_plus_noise(self):
+        # the features are added into the noise buffer in place
+        x = np.random.default_rng(0).normal(size=(40, 30))
+        x[0] = -0.0
+        expected = x + np.random.default_rng(9).normal(0.0, 0.3, size=x.shape)
+        assert add_gaussian_noise(x, 0.3, seed=9).tobytes() == expected.tobytes()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from uniprompt import autodiff as ad
-from uniprompt.encoder import encoder_checkpoint_hash
+from uniprompt import pretrain as pretrain_mod
+from uniprompt.encoder import encode, encoder_checkpoint_hash, init_encoder
 from uniprompt.harness import generate_sbm
 from uniprompt.pretrain import (
     PretrainConfig,
@@ -183,6 +184,64 @@ class TestGraphMae:
         assert enc.frozen
 
 
+def composed_graphmae_loss(graph, enc, mask_token, dec_w, dec_b, masked, gamma):
+    """The GraphMAE loss as composed over n x F arrays: the token is written
+    into a masked copy of X, and every row is decoded at width F before the
+    masked rows are gathered. The oracle of ``pretrain._graphmae``, which
+    computes the same objective at hidden width and at the masked rows."""
+    adj = graph.normalized_adjacency()
+    keep_rows = np.ones((graph.num_nodes, 1))
+    keep_rows[masked] = 0.0
+    indicator = ad.constant(1.0 - keep_rows)
+    x_masked = ad.add(ad.constant(graph.features * keep_rows),
+                      ad.matmul(indicator, mask_token))
+    h = encode(enc, adj, x_masked)
+    h_remasked = ad.hadamard(h, ad.constant(keep_rows))
+    x_hat = ad.add(ad.spmm(adj, ad.matmul(h_remasked, dec_w)), dec_b)
+    return scaled_cosine_error(
+        ad.constant(graph.features[masked]),
+        ad.gather_rows(x_hat, masked),
+        gamma,
+    )
+
+
+class TestGraphMaeAgainstComposition:
+    GRAPHS = {
+        "assortative": (60, 3, 0.3, 0.03, 8, 3.0, 0),
+        "heterophilous": (90, 3, 0.02, 0.2, 12, 2.0, 1),
+        "sparse": (120, 4, 0.04, 0.01, 24, 2.5, 2),
+    }
+
+    @pytest.mark.parametrize("limit", [ad.RELEASE_TAPE_BYTES, 0])
+    @pytest.mark.parametrize("mask", ["one", "half", "all_but_one"])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_loss_and_every_gradient_match(self, name, mask, limit, monkeypatch):
+        monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+        graph = generate_sbm(*self.GRAPHS[name])
+        n, f = graph.features.shape
+        size = {"one": 1, "half": n // 2, "all_but_one": n - 1}[mask]
+        cfg = small_cfg("graphmae", mask_rate=size / n, hidden_dim=6, embed_dim=5)
+        rng = np.random.default_rng(7)
+        enc = init_encoder(f, cfg.hidden_dim, cfg.embed_dim, rng)
+        loss_fn, extra, _ = pretrain_mod.OBJECTIVE_TABLE["graphmae"](graph, cfg, enc)
+        params = enc.parameters() + extra
+        for p in params:  # off the zero init, so no gradient vanishes by symmetry
+            p.data = p.data + rng.normal(scale=0.3, size=p.data.shape)
+
+        loss = loss_fn(np.random.default_rng(3))
+        got = ad.backward(loss, params=params)
+        # the mask that loss_fn drew from the same stream
+        masked = np.sort(np.random.default_rng(3).choice(n, size=size, replace=False))
+        oracle = composed_graphmae_loss(graph, enc, *extra, masked, cfg.sce_gamma)
+        want = ad.backward(oracle, params=params)
+
+        assert abs(loss.item() - oracle.item()) <= 1e-12 * abs(oracle.item())
+        for p in params:
+            scale = np.abs(want[p]).max()
+            assert scale > 0, p.name
+            assert np.abs(got[p] - want[p]).max() <= 1e-12 * scale, p.name
+
+
 class TestSharedProperties:
     @pytest.mark.parametrize("objective", ["dgi", "grace", "graphmae"])
     def test_deterministic_checkpoints(self, sbm, objective):
@@ -207,15 +266,23 @@ class TestSharedProperties:
 # the sha256 of the float64 loss-history bytes and the encoder checkpoint
 # hash. Recorded before the numpy normalization was folded into the tape
 # normalizer, grace's again when its InfoNCE moved to symmetric tiles with a
-# running-max shift; any change to an objective's numbers changes its digests.
+# running-max shift, and graphmae's again when its mask token became a shift
+# of X W1 and its decoder aggregated the masked rows at hidden width before
+# projecting: the same objective in exact arithmetic, summed in another
+# order (``TestGraphMaeAgainstComposition``). Any change to an objective's
+# numbers changes its digests.
 PINNED_PRETRAIN = {
     "dgi": ("35107e8dad4e7910dcb9f2a368262a43eea163b7fdfebfe46e6a49bdec6b813e",
             "b6895dcb559d2ac7eb6f537692237490b7e103dc395e377d4be807df0ecbb49c"),
     "grace": ("1d69b4322fdf01958e8269a2af788c53dc1c724c20c1e93ede6d3f4be2e834a5",
               "74b99e3f342017355c019256db2246a9fceda7ce84497980a443124328d98498"),
-    "graphmae": ("7783ffe6d43dec80b4b5b6420be7d59e551567ba614010f1baa995bc86e4a935",
-                 "fbc2d6c4652c4dc206a1d71ba09c867ca27c61a94d4010a9ff2060a65e30b572"),
+    "graphmae": ("3faafe5a30ae3e73dc26da27ef1c65f25959770061f619e3f737ef90eafe1f0c",
+                 "72f16925189cf2c5c59e1c16f891520009d0a91408558de4da97c487e6905beb"),
 }
+
+
+def test_every_objective_is_pinned():
+    assert sorted(PINNED_PRETRAIN) == sorted(pretrain_mod.OBJECTIVES)
 
 
 class TestPretrainPin:
@@ -246,14 +313,25 @@ def sbm600():
 
 
 def test_released_tape_lowers_graphmae_peak_memory(sbm600, monkeypatch):
-    # one GraphMAE epoch: the released tape peaked at 0.61x the kept tape's
-    # traced bytes (2.65 vs 4.39 MiB)
+    # one GraphMAE epoch: the released tape peaked at 0.53x the kept tape's
+    # traced bytes (1.72 vs 3.24 MiB)
     cfg = small_cfg("graphmae", epochs=1, hidden_dim=16, embed_dim=16)
     peaks = {}
     for limit in (2**62, 0):
         monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
         peaks[limit] = traced_peak(sbm600, cfg)
     assert peaks[0] < 0.75 * peaks[2**62]
+
+
+def test_graphmae_epoch_forms_no_n_by_f_array_beyond_its_inputs():
+    # one GraphMAE epoch on 512 features peaked at 14.0 MiB traced, 6.0
+    # n x F float64 arrays, all of them at the masked rows (|M| = n / 2) in
+    # the loss. Decoding every row at width F and masking a copy of X, the
+    # epoch peaked at 36.9 MiB, 15.7 such arrays.
+    graph = generate_sbm(600, 3, 0.05, 0.01, 512, 3.0, seed=0)
+    cfg = small_cfg("graphmae", epochs=1, hidden_dim=16, embed_dim=16)
+    n, f = graph.features.shape
+    assert traced_peak(graph, cfg) < 8 * n * f * 8
 
 
 def test_fused_infonce_bounds_grace_peak_memory(sbm600):
