@@ -19,9 +19,13 @@ small ops, its n x n similarity and exp matrices would sit on the tape until
 backward; the fused node works in tiles of ``INFONCE_BLOCK_ROWS`` rows, keeps
 O(n) values between the passes and recomputes the tiles in backward. It
 agrees with the composition to rounding on row-normalized views.
-``normalized_slices`` fuses a symmetric normalization, scaling only the
-entries read, and gives the same bits as its composition. The composed forms
-are the tests' oracles: InfoNCE's in ``tests/test_autodiff.py``, the
+``decoded_cosine`` is GraphMAE's decoder projection and its cosine to the
+feature rows as one node in the same style: tiles of ``COSINE_BLOCK_ROWS``
+rows at feature width, one scalar per row kept between the passes, and the
+composition's bits when the rows fit one tile. ``normalized_slices`` fuses a
+symmetric normalization, scaling only the entries read, and gives the same
+bits as its composition. The composed forms are the tests' oracles:
+InfoNCE's in ``tests/test_autodiff.py``, the cosine's and the
 normalization's in ``tests/fd_utils.py``.
 """
 
@@ -34,8 +38,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import _sparsetools
 
-LOG_EPS = 1e-12  # additive floor inside l2_normalize_rows' square root
+LOG_EPS = 1e-12  # additive floor inside the row norms of l2_normalize_rows and decoded_cosine
 INFONCE_BLOCK_ROWS = 512  # rows of the stacked views per similarity tile ``info_nce`` holds
+COSINE_BLOCK_ROWS = 256  # decoded rows per feature-width tile ``decoded_cosine`` holds
 RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -44,6 +49,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 REGISTERED_OPS = (
     "add",
     "cross_entropy",
+    "decoded_cosine",
     "elu",
     "gather_rows",
     "hadamard",
@@ -55,7 +61,6 @@ REGISTERED_OPS = (
     "prelu",
     "relu",
     "row_mean",
-    "row_sum",
     "scalar_scale",
     "segment_sum",
     "sigmoid",
@@ -275,16 +280,6 @@ def row_mean(a):
     return _node(a.data.mean(axis=0, keepdims=True), (a,), bw)
 
 
-def row_sum(a):
-    """Sum each row: (n, c) -> (n, 1)."""
-
-    def bw(go):
-        if a.requires_grad:
-            _accum(a, np.repeat(go, a.shape[1], axis=1))
-
-    return _node(a.data.sum(axis=1, keepdims=True), (a,), bw)
-
-
 def gather_rows(a, ids):
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
@@ -412,9 +407,24 @@ def power(a, p):
     return _node(out_data, (a,), bw)
 
 
+def _squared_norms(x):
+    """sum(x^2) + LOG_EPS per row of the array ``x``, as an (n, 1) column."""
+    return (x * x).sum(axis=1, keepdims=True) + LOG_EPS
+
+
+def unit_row_scales(x):
+    """The factor ``l2_normalize_rows`` scales each row of the array ``x``
+    by, as an (n, 1) column: the same bits, row by row. Rows are squared
+    ``COSINE_BLOCK_ROWS`` at a time, so no array of x's size is formed."""
+    sq = np.empty((x.shape[0], 1))
+    for i in range(0, x.shape[0], COSINE_BLOCK_ROWS):
+        sq[i:i + COSINE_BLOCK_ROWS] = _squared_norms(x[i:i + COSINE_BLOCK_ROWS])
+    return sq**-0.5
+
+
 def l2_normalize_rows(a):
     """x / sqrt(sum(x^2) + 1e-12) per row; the floor keeps zero rows finite."""
-    sq = (a.data * a.data).sum(axis=1, keepdims=True) + LOG_EPS
+    sq = _squared_norms(a.data)
     inv = sq**-0.5
     out_data = a.data * inv
 
@@ -533,6 +543,78 @@ def info_nce(z1, z2, temperature):
             _accum(z2, grad[n:])
 
     return _node(out_data, (z1, z2), bw)
+
+
+def decoded_cosine(r, weight, bias, x, x_scale, rows):
+    """cos(r_i W + b, x[rows_i]) for every row i of the (m, d) ``r``, as one
+    (m, 1) tape node, in tiles of ``COSINE_BLOCK_ROWS`` rows.
+
+    ``x`` is a constant (n, F) array, ``x_scale`` its ``unit_row_scales``
+    (computed once by the caller) and ``rows`` one id into ``x`` per row of
+    ``r``. Each side is normalized as ``l2_normalize_rows`` does, floor
+    included, and the cosine is the row sum of their product: the composed
+    tape's expressions, so a single tile gives its bits in forward and
+    backward. With y = rW + b, q = |y|^2 + LOG_EPS and the unit target v,
+    dy = g q^-1/2 (v - y <v, y> q^-1) for an upstream g; W's and b's
+    gradients are summed tile by tile, so several tiles round differently.
+
+    Only each decoded row's q outlives forward: no (m, F) array is kept
+    between the passes, and backward recomputes each tile's y and v.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m, f = r.shape[0], x.shape[1]
+    if weight.shape != (r.shape[1], f) or bias.shape != (1, f):
+        raise ValueError(f"decoded_cosine shape mismatch: {r.shape} @ {weight.shape} "
+                         f"+ {bias.shape} against targets of width {f}")
+    if rows.shape != (m,) or x_scale.shape != (x.shape[0], 1):
+        raise ValueError("decoded_cosine needs one target id per row and one scale per target")
+    if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
+        raise ValueError("decoded_cosine target id out of range")
+    tiles = [slice(i, i + COSINE_BLOCK_ROWS) for i in range(0, m, COSINE_BLOCK_ROWS)]
+
+    def decode(tile):
+        """The tile's decoded rows y and its unit targets v."""
+        ids = rows[tile]
+        y = r.data[tile] @ weight.data
+        y += bias.data
+        target = x[ids]
+        target *= x_scale[ids]
+        return y, target
+
+    sq = np.empty((m, 1))
+    out_data = np.empty((m, 1))
+
+    for tile in tiles:
+        y, target = decode(tile)
+        sq[tile] = _squared_norms(y)
+        y *= sq[tile] ** -0.5
+        target *= y
+        out_data[tile] = target.sum(axis=1, keepdims=True)
+        del y, target  # one tile at a time: free it before the next is decoded
+
+    def bw(go):
+        g_r = np.empty_like(r.data)
+        g_w, g_b = np.zeros_like(weight.data), np.zeros_like(bias.data)
+        for tile in tiles:
+            y, g_y = decode(tile)
+            g_y *= go[tile]  # the unit decoded rows' gradient, then y's
+            inv = sq[tile] ** -0.5
+            dot = (g_y * y).sum(axis=1, keepdims=True)
+            g_y *= inv
+            y *= dot * inv / sq[tile]
+            g_y -= y
+            if r.requires_grad:
+                g_r[tile] = g_y @ weight.data.T
+            if weight.requires_grad:
+                g_w += r.data[tile].T @ g_y
+            if bias.requires_grad:
+                g_b += g_y.sum(axis=0, keepdims=True)
+            del y, g_y
+        for t, g in ((r, g_r), (weight, g_w), (bias, g_b)):
+            if t.requires_grad:
+                _accum(t, g)
+
+    return _node(out_data, (r, weight, bias), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,8 @@ def encode(encoder, adj_norm, x=None, xw1=None):
     adjacency values and the features. Layer 1's input is exactly one of
     ``x``, the features, and ``xw1``, a caller's ``X @ W1``: a caller with a
     frozen encoder and constant features builds it once for many forwards,
-    and GraphMAE builds it on the tape with its mask token as a shift.
+    GRACE builds it on the tape with its feature mask on W1's rows, and
+    GraphMAE with its mask token as a shift.
 
     A node's output reads only its 2-hop receptive field. Given the pair of
     a ``graphs.ReceptiveField``'s slices (``field.layers``, or

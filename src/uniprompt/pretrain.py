@@ -11,11 +11,20 @@ name)``: local-global mutual information with a corrupted negative graph
 (graphmae). ``loss_fn(rng)`` draws one corruption/view/mask instance from
 ``rng`` and returns the objective on it.
 
-GraphMAE works at hidden width wherever it can. Its mask token t enters as a
-shift of layer 1's product, (X*keep + 1_M t) W1 = keep*(X W1) + 1_M (t W1),
-and its decoder aggregates the masked rows M before projecting them,
-(A (H*keep) W_d)[M] = (A[M] (H*keep)) W_d. So an epoch forms no n x F array
-besides its constant inputs, and backward no gradient of the features.
+GRACE and GraphMAE form no n x F array besides the features X:
+- GRACE masks a view's feature columns on W1's rows, (X*m) W1 = X (m*W1)
+  for a 0/1 column mask m: the same products in the same GEMM, so the same
+  bits as the masked copy of X it replaces.
+- GraphMAE works at hidden width wherever it can. Its mask token t enters
+  as a shift of layer 1's product, (X*keep + 1_M t) W1 = keep*(X W1) +
+  1_M (t W1), and its decoder aggregates the masked rows M before
+  projecting them, (A (H*keep) W_d)[M] = (A[M] (H*keep)) W_d. The
+  projection and the cosine to X's rows are one ``ad.decoded_cosine``
+  node, which reads X's rows by id, takes their scales from one pass over
+  X per run, and holds a tile of ``ad.COSINE_BLOCK_ROWS`` masked rows at
+  width F at a time.
+- DGI keeps its corrupted copy X[perm]. Permuting the rows of X W1 instead
+  would change DGI's bits, and every tuning pin is taken on a DGI encoder.
 
 Per-epoch training losses are noisy because every epoch draws a fresh
 instance. With a ``probe_seed`` the engine also evaluates the live objective
@@ -157,11 +166,6 @@ def _drop_edges(graph, rate, rng):
     return SparseAdj.from_coo(graph.num_nodes, rows, cols, np.ones(rows.size))
 
 
-def _mask_feature_columns(x, rate, rng):
-    keep = (rng.random(x.shape[1]) >= rate).astype(np.float64)
-    return x * keep
-
-
 def infonce_loss(z1, z2, temperature):
     """Symmetric InfoNCE: positives are the same node across views, negatives
     are all other nodes in both views. One ``ad.info_nce`` tape node, which
@@ -183,13 +187,19 @@ def _grace(graph, cfg, enc):
         hidden = ad.elu(ad.add(ad.matmul(h, head[0]), head[1]))
         return ad.l2_normalize_rows(ad.add(ad.matmul(hidden, head[2]), head[3]))
 
+    x = ad.constant(graph.features)
+
+    def masked_xw1(rng):
+        """(X*keep) W1 for a fresh 0/1 column mask, as X (keep*W1): the mask
+        falls on W1's rows, and no masked copy of X is formed."""
+        keep = ad.constant(rng.random((graph.num_features, 1)) >= cfg.feature_mask)
+        return ad.matmul(x, ad.hadamard(enc.layer1.weight, keep))
+
     def loss_fn(rng):
         adj1 = symmetric_normalize(_drop_edges(graph, cfg.edge_drop, rng))
         adj2 = symmetric_normalize(_drop_edges(graph, cfg.edge_drop, rng))
-        x1 = ad.constant(_mask_feature_columns(graph.features, cfg.feature_mask, rng))
-        x2 = ad.constant(_mask_feature_columns(graph.features, cfg.feature_mask, rng))
-        z1 = project(encode(enc, adj1, x1))
-        z2 = project(encode(enc, adj2, x2))
+        z1 = project(encode(enc, adj1, xw1=masked_xw1(rng)))
+        z2 = project(encode(enc, adj2, xw1=masked_xw1(rng)))
         return infonce_loss(z1, z2, cfg.temperature)
 
     return loss_fn, head, "views"
@@ -200,11 +210,9 @@ def _grace(graph, cfg, enc):
 # ---------------------------------------------------------------------------
 
 
-def scaled_cosine_error(x_true, x_hat, gamma):
-    """Mean over rows of (1 - cos(x, x_hat))^gamma."""
-    xn = ad.l2_normalize_rows(x_true)
-    hn = ad.l2_normalize_rows(x_hat)
-    cos = ad.row_sum(ad.hadamard(xn, hn))
+def scaled_cosine_error(cos, gamma):
+    """Mean over rows of (1 - cos)^gamma for an (m, 1) column of cosines
+    between the masked rows' features and their reconstructions."""
     one = ad.constant(np.ones_like(cos.data))
     return ad.row_mean(ad.power(ad.sub(one, cos), gamma))
 
@@ -220,7 +228,8 @@ def _graphmae(graph, cfg, enc):
       backward forms no input gradient;
     - the decoder aggregates before it projects: (A (H*keep) W_d + b_d)[M]
       equals (A[M] (H*keep)) W_d + b_d, with A[M] the masked rows of the
-      operator, so only |M| rows are ever F wide.
+      operator, so only |M| rows are ever F wide, and those a tile at a
+      time inside ``ad.decoded_cosine``.
 
     Besides its constant inputs, an epoch forms no n x F array. The objective
     is the n x F composition's in exact arithmetic, not in its bits; that
@@ -235,6 +244,7 @@ def _graphmae(graph, cfg, enc):
     dec_b = ad.parameter(np.zeros((1, f)), name="graphmae.decoder.bias")
     n_mask = max(1, int(round(cfg.mask_rate * n)))
     x = ad.constant(graph.features)
+    x_scale = ad.unit_row_scales(graph.features)
 
     def loss_fn(rng):
         masked = np.sort(rng.choice(n, size=n_mask, replace=False))
@@ -246,8 +256,9 @@ def _graphmae(graph, cfg, enc):
         h = encode(enc, adj, xw1=xw1)
         adj_masked, _, support = adj.restrict(masked)
         h_read = ad.hadamard(ad.gather_rows(h, support), ad.constant(keep[support]))
-        x_hat = ad.add(ad.matmul(ad.spmm(adj_masked, h_read), dec_w), dec_b)
-        return scaled_cosine_error(ad.constant(graph.features[masked]), x_hat, cfg.sce_gamma)
+        cos = ad.decoded_cosine(ad.spmm(adj_masked, h_read), dec_w, dec_b,
+                                graph.features, x_scale, masked)
+        return scaled_cosine_error(cos, cfg.sce_gamma)
 
     return loss_fn, [mask_token, dec_w, dec_b], "mask"
 

@@ -3,7 +3,9 @@
 Every op named in autodiff.REGISTERED_OPS has at least one case builder here;
 the tests assert full coverage, so a newly registered op without a case fails
 the suite. ``composed_normalize`` and the ``concat_rows`` it uses are the
-small-op oracle of the fused ``autodiff.normalized_slices``.
+small-op oracle of the fused ``autodiff.normalized_slices``, and
+``composed_cosine`` that of ``autodiff.decoded_cosine``; ``row_sum`` serves
+the composed oracles and ``total``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,25 @@ def concat_rows(a, b):
             _accum(b, go[na:])
 
     return _node(np.concatenate([a.data, b.data], axis=0), (a, b), bw)
+
+
+def row_sum(a):
+    """Sum each row on the tape: (n, c) -> (n, 1). No engine path sums rows
+    since GraphMAE's cosine became ``ad.decoded_cosine``, so this lives here:
+    in ``total`` and the composed oracles, whose FD checks cover its rule."""
+
+    def bw(go):
+        if a.requires_grad:
+            _accum(a, np.repeat(go, a.shape[1], axis=1))
+
+    return _node(a.data.sum(axis=1, keepdims=True), (a,), bw)
+
+
+def composed_cosine(x_true, x_hat):
+    """The cosine of each row pair, composed from small tape ops as GraphMAE's
+    scaled cosine error built it before ``ad.decoded_cosine``: that op's
+    oracle, equal bit for bit when it runs in one tile."""
+    return row_sum(ad.hadamard(ad.l2_normalize_rows(x_true), ad.l2_normalize_rows(x_hat)))
 
 
 def composed_normalize(ctx, values):
@@ -88,6 +109,14 @@ def _case_add(rng):
 def _case_cross_entropy(rng):
     targets = rng.integers(0, 3, size=4)
     return [rng.normal(size=(4, 3))], lambda a: ad.cross_entropy(a, targets)
+
+
+def _case_decoded_cosine(rng):
+    """Four decoded rows against targets drawn with repeats from six rows."""
+    x = rng.normal(size=(6, 5))
+    rows = rng.integers(0, 6, size=4)
+    return [rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(1, 5))], \
+        lambda r, w, b: ad.decoded_cosine(r, w, b, x, ad.unit_row_scales(x), rows)
 
 
 def _case_elu(rng):
@@ -151,10 +180,6 @@ def _case_row_mean(rng):
     return [rng.normal(size=(4, 3))], ad.row_mean
 
 
-def _case_row_sum(rng):
-    return [rng.normal(size=(4, 3))], ad.row_sum
-
-
 def _case_scalar_scale(rng):
     s = float(rng.normal())
     return [rng.normal(size=(3, 4))], lambda a: ad.scalar_scale(a, s)
@@ -200,6 +225,7 @@ def _case_transpose(rng):
 OP_CASES = {
     "add": _case_add,
     "cross_entropy": _case_cross_entropy,
+    "decoded_cosine": _case_decoded_cosine,
     "elu": _case_elu,
     "gather_rows": _case_gather_rows,
     "hadamard": _case_hadamard,
@@ -211,7 +237,6 @@ OP_CASES = {
     "prelu": _case_prelu,
     "relu": _case_relu,
     "row_mean": _case_row_mean,
-    "row_sum": _case_row_sum,
     "scalar_scale": _case_scalar_scale,
     "segment_sum": _case_segment_sum,
     "sigmoid": _case_sigmoid,
@@ -223,7 +248,7 @@ OP_CASES = {
 
 def total(t):
     """The sum of every entry of ``t`` as a (1, 1) tensor."""
-    return ad.matmul(ad.constant(np.ones((1, t.shape[0]))), ad.row_sum(t))
+    return ad.matmul(ad.constant(np.ones((1, t.shape[0]))), row_sum(t))
 
 
 def fd_check_case(arrays, fn, rng):

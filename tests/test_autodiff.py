@@ -12,7 +12,15 @@ from uniprompt import autodiff as ad
 from uniprompt.autodiff import LOG_EPS, _accum, _node
 from uniprompt.graphs import SparseAdj
 
-from fd_utils import OP_CASES, fd_check_case, fd_check_op, to_scipy, total
+from fd_utils import (
+    OP_CASES,
+    composed_cosine,
+    fd_check_case,
+    fd_check_op,
+    row_sum,
+    to_scipy,
+    total,
+)
 
 
 class TestTensor:
@@ -190,8 +198,8 @@ def composed_info_nce(z1, z2, temperature):
     def directed(cross, intra):
         pos = take_diag(cross)
         denom = ad.add(
-            ad.row_sum(exp(cross)),
-            ad.sub(ad.row_sum(exp(intra)), exp(take_diag(intra))),
+            row_sum(exp(cross)),
+            ad.sub(row_sum(exp(intra)), exp(take_diag(intra))),
         )
         return ad.row_mean(ad.sub(log(denom, 0.0), pos))
 
@@ -284,6 +292,88 @@ class TestInfoNce:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+
+class TestDecodedCosine:
+    @staticmethod
+    def problem(seed, m=7, d=4, f=6, n=10):
+        """Decoder inputs r, W, b (parameters) and targets x with repeated ids."""
+        rng = np.random.default_rng(seed)
+        tensors = [ad.parameter(rng.normal(size=shape)) for shape in ((m, d), (d, f), (1, f))]
+        return tensors, rng.normal(size=(n, f)), rng.integers(0, n, size=m), rng.normal(size=(m, 1))
+
+    @staticmethod
+    def value_and_grads(cos, tensors, projection):
+        ad.backward(total(ad.hadamard(cos, ad.constant(projection))))
+        return [cos.data] + [t.grad for t in tensors]
+
+    def fused_and_composed(self, seed):
+        tensors, x, rows, projection = self.problem(seed)
+        fused = self.value_and_grads(
+            ad.decoded_cosine(*tensors, x, ad.unit_row_scales(x), rows), tensors, projection)
+        tensors = [ad.parameter(t.data) for t in tensors]
+        r, w, b = tensors
+        composed = composed_cosine(ad.constant(x[rows]), ad.add(ad.matmul(r, w), b))
+        return fused, self.value_and_grads(composed, tensors, projection)
+
+    @pytest.mark.parametrize("limit", [ad.RELEASE_TAPE_BYTES, 0])
+    def test_one_tile_is_bit_identical_to_composed_ops(self, monkeypatch, limit):
+        monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+        for seed in range(5):
+            for got, want in zip(*self.fused_and_composed(seed)):
+                assert np.array_equal(got, want), seed
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_tiles_match_composed_ops(self, monkeypatch, block):
+        # 7 rows in tiles of 1 or 3: the decoder gradients are summed tile by
+        # tile, so only rounding separates them from the composition
+        monkeypatch.setattr(ad, "COSINE_BLOCK_ROWS", block)
+        for seed in range(5):
+            for got, want in zip(*self.fused_and_composed(seed)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), seed
+
+    def test_finite_differences_across_tiles(self, monkeypatch):
+        monkeypatch.setattr(ad, "COSINE_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            arrays, fn = OP_CASES["decoded_cosine"](rng)
+            assert fd_check_case(arrays, fn, rng) <= 0.0
+
+    def test_unit_row_scales_are_l2_normalize_rows_factors_row_by_row(self):
+        x = np.random.default_rng(0).normal(size=(50, 33)) * np.logspace(-150, 150, 50)[:, None]
+        x[3] = 0.0
+        ids = np.array([7, 3, 49, 7, 0])
+        scales = ad.unit_row_scales(x)
+        assert np.array_equal(scales[ids], ad.unit_row_scales(x[ids]))
+        assert np.array_equal(x[ids] * scales[ids], ad.l2_normalize_rows(ad.constant(x[ids])).data)
+
+    def test_bad_shapes_and_ids_rejected(self):
+        (r, w, b), x, rows, _ = self.problem(0)
+        scales = ad.unit_row_scales(x)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.decoded_cosine(r, w, b, x[:, :5], scales, rows)
+        with pytest.raises(ValueError, match="one target id per row"):
+            ad.decoded_cosine(r, w, b, x, scales, rows[:-1])
+        with pytest.raises(ValueError, match="out of range"):
+            ad.decoded_cosine(r, w, b, x, scales, np.full(rows.size, x.shape[0]))
+
+    def test_holds_no_m_by_f_array(self):
+        # forward keeps one squared norm per row. Backward holds one tile's y,
+        # its gradient and their product, plus r's (m, d) gradient: 3.75
+        # tile-sized arrays here, where one m x F array is 15.6
+        (r, w, b), x, rows, _ = self.problem(0, m=4000, d=16, f=512, n=4000)
+        scales = ad.unit_row_scales(x)
+        tracemalloc.start()
+        try:
+            cos = ad.decoded_cosine(r, w, b, x, scales, rows)
+            kept = tracemalloc.get_traced_memory()[0]
+            ad.backward(total(cos))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, f = r.shape[0], x.shape[1]
+        assert kept < 0.01 * m * f * 8
+        assert peak < 4 * ad.COSINE_BLOCK_ROWS * f * 8
 
 
 class TestActivationTape:

@@ -19,6 +19,8 @@ from uniprompt.pretrain import (
     scaled_cosine_error,
 )
 
+from fd_utils import composed_cosine
+
 
 @pytest.fixture(scope="module")
 def sbm():
@@ -157,22 +159,32 @@ class TestGrace:
         assert enc.frozen
 
 
+def reconstruction_error(x, x_hat, gamma):
+    """The scaled cosine error of ``x_hat``'s rows against ``x``'s, each
+    cosine taken by ``ad.decoded_cosine`` through an identity decoder."""
+    f = x.shape[1]
+    cos = ad.decoded_cosine(ad.constant(x_hat), ad.constant(np.eye(f)),
+                            ad.constant(np.zeros((1, f))), x, ad.unit_row_scales(x),
+                            np.arange(x.shape[0]))
+    return scaled_cosine_error(cos, gamma)
+
+
 class TestGraphMae:
     def test_perfect_reconstruction_loss_zero(self):
         x = np.random.default_rng(0).normal(size=(5, 4))
-        loss = scaled_cosine_error(ad.constant(x), ad.constant(x.copy()), gamma=2.0)
+        loss = reconstruction_error(x, x.copy(), gamma=2.0)
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_reconstruction_gamma_one(self):
         x = np.array([[1.0, 0.0]])
         x_hat = np.array([[0.0, 1.0]])
-        loss = scaled_cosine_error(ad.constant(x), ad.constant(x_hat), gamma=1.0)
+        loss = reconstruction_error(x, x_hat, gamma=1.0)
         assert loss.item() == pytest.approx(1.0, abs=1e-6)
 
     def test_gamma_two_cos_half(self):
         x = np.array([[1.0, 0.0]])
         half = np.array([[1.0, np.sqrt(3.0)]])  # cos = 0.5 with x
-        loss = scaled_cosine_error(ad.constant(x), ad.constant(half), gamma=2.0)
+        loss = reconstruction_error(x, half, gamma=2.0)
         assert loss.item() == pytest.approx(0.25, abs=1e-6)
 
     def test_zero_mask_rate_rejected(self, sbm):
@@ -186,9 +198,10 @@ class TestGraphMae:
 
 def composed_graphmae_loss(graph, enc, mask_token, dec_w, dec_b, masked, gamma):
     """The GraphMAE loss as composed over n x F arrays: the token is written
-    into a masked copy of X, and every row is decoded at width F before the
-    masked rows are gathered. The oracle of ``pretrain._graphmae``, which
-    computes the same objective at hidden width and at the masked rows."""
+    into a masked copy of X, every row is decoded at width F before the
+    masked rows are gathered, and both sides are normalized at width F. The
+    oracle of ``pretrain._graphmae``, which computes the same objective at
+    hidden width, at the masked rows and in tiles of the masked rows."""
     adj = graph.normalized_adjacency()
     keep_rows = np.ones((graph.num_nodes, 1))
     keep_rows[masked] = 0.0
@@ -198,11 +211,8 @@ def composed_graphmae_loss(graph, enc, mask_token, dec_w, dec_b, masked, gamma):
     h = encode(enc, adj, x_masked)
     h_remasked = ad.hadamard(h, ad.constant(keep_rows))
     x_hat = ad.add(ad.spmm(adj, ad.matmul(h_remasked, dec_w)), dec_b)
-    return scaled_cosine_error(
-        ad.constant(graph.features[masked]),
-        ad.gather_rows(x_hat, masked),
-        gamma,
-    )
+    cos = composed_cosine(ad.constant(graph.features[masked]), ad.gather_rows(x_hat, masked))
+    return scaled_cosine_error(cos, gamma)
 
 
 class TestGraphMaeAgainstComposition:
@@ -217,6 +227,20 @@ class TestGraphMaeAgainstComposition:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_loss_and_every_gradient_match(self, name, mask, limit, monkeypatch):
         monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+        self.check(name, mask)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("mask", ["half", "all_but_one"])
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_cosine_tiles_match(self, name, mask, block, monkeypatch):
+        # the masked rows span many tiles, whose decoder gradients are summed
+        # tile by tile
+        monkeypatch.setattr(ad, "COSINE_BLOCK_ROWS", block)
+        self.check(name, mask)
+
+    def check(self, name, mask):
+        """Loss and the gradient of every parameter within 1e-12 of the
+        oracle's largest entry, on the named graph and mask size."""
         graph = generate_sbm(*self.GRAPHS[name])
         n, f = graph.features.shape
         size = {"one": 1, "half": n // 2, "all_but_one": n - 1}[mask]
@@ -269,8 +293,10 @@ class TestSharedProperties:
 # running-max shift, and graphmae's again when its mask token became a shift
 # of X W1 and its decoder aggregated the masked rows at hidden width before
 # projecting: the same objective in exact arithmetic, summed in another
-# order (``TestGraphMaeAgainstComposition``). Any change to an objective's
-# numbers changes its digests.
+# order (``TestGraphMaeAgainstComposition``). graphmae's held when its
+# cosine became one ``ad.decoded_cosine`` node: the fixture's 30 masked rows
+# fit one tile, which gives the composition's bits. Any change to an
+# objective's numbers changes its digests.
 PINNED_PRETRAIN = {
     "dgi": ("35107e8dad4e7910dcb9f2a368262a43eea163b7fdfebfe46e6a49bdec6b813e",
             "b6895dcb559d2ac7eb6f537692237490b7e103dc395e377d4be807df0ecbb49c"),
@@ -314,7 +340,7 @@ def sbm600():
 
 def test_released_tape_lowers_graphmae_peak_memory(sbm600, monkeypatch):
     # one GraphMAE epoch: the released tape peaked at 0.53x the kept tape's
-    # traced bytes (1.72 vs 3.24 MiB)
+    # traced bytes (1.38 vs 2.59 MiB)
     cfg = small_cfg("graphmae", epochs=1, hidden_dim=16, embed_dim=16)
     peaks = {}
     for limit in (2**62, 0):
@@ -323,15 +349,28 @@ def test_released_tape_lowers_graphmae_peak_memory(sbm600, monkeypatch):
     assert peaks[0] < 0.75 * peaks[2**62]
 
 
-def test_graphmae_epoch_forms_no_n_by_f_array_beyond_its_inputs():
-    # one GraphMAE epoch on 512 features peaked at 14.0 MiB traced, 6.0
-    # n x F float64 arrays, all of them at the masked rows (|M| = n / 2) in
-    # the loss. Decoding every row at width F and masking a copy of X, the
-    # epoch peaked at 36.9 MiB, 15.7 such arrays.
-    graph = generate_sbm(600, 3, 0.05, 0.01, 512, 3.0, seed=0)
-    cfg = small_cfg("graphmae", epochs=1, hidden_dim=16, embed_dim=16)
-    n, f = graph.features.shape
-    assert traced_peak(graph, cfg) < 8 * n * f * 8
+# n x F arrays an epoch may form beyond its input X. DGI's corrupted graph is
+# a row-permuted copy of X. Feeding it through X W1 with the rows of layer
+# 1's product permuted instead would change DGI's bits, and every tuning pin
+# is taken on a DGI encoder, so the copy stays.
+FEATURE_COPIES = {"dgi": 1, "grace": 0, "graphmae": 0}
+
+
+@pytest.mark.parametrize("objective", sorted(FEATURE_COPIES))
+def test_epoch_forms_no_n_by_f_array_beyond_its_inputs(objective, monkeypatch):
+    # what 512 features add to one epoch's traced peak over 16 features on the
+    # same graph, in n x F float64 arrays: dgi 1.16, grace 0.13, graphmae 0.39
+    # (the F-wide parameters with their gradients and Adam moments; 1.04 at
+    # the default tiles of 256 rows). Masking copies of X, grace added 2.0;
+    # decoding and scoring at width F, graphmae added 4.7. GraphMAE may also
+    # hold three tile-sized arrays of its cosine, here of 32 rows.
+    monkeypatch.setattr(ad, "COSINE_BLOCK_ROWS", 32)
+    wide, narrow = (generate_sbm(600, 3, 0.05, 0.01, f, 3.0, seed=0) for f in (512, 16))
+    cfg = small_cfg(objective, epochs=1, hidden_dim=16, embed_dim=16)
+    n, f = wide.features.shape
+    tiles = 3 * ad.COSINE_BLOCK_ROWS * f * 8 if objective == "graphmae" else 0
+    extra = traced_peak(wide, cfg) - traced_peak(narrow, cfg)
+    assert extra < (FEATURE_COPIES[objective] + 0.5) * n * f * 8 + tiles
 
 
 def test_fused_infonce_bounds_grace_peak_memory(sbm600):
