@@ -7,12 +7,21 @@ subgraphs reachable from tensors created with ``requires_grad=True``;
 constant subgraphs are pruned at construction time and cost nothing at
 backward.
 
-``backward`` consumes its tape. A tape whose forward values reach
-``RELEASE_TAPE_BYTES`` is released while it is walked: each node's gradient,
+The tape holds slots, not values. A tensor that needs a gradient owns a
+``_Slot``: its gradient, its parents' slots, its rule, and the shape and
+byte count of its value. A rule keeps its inputs' slots and only the arrays
+its backward reads, never a parent tensor: ``matmul`` keeps a's value only
+when b needs a gradient, ``elu`` its output, ``prelu`` its input, and
+``add`` no value at all. So a value lives while a tensor or a rule holds
+it, and an intermediate that no rule reads is freed as soon as the caller
+drops its tensor, long before backward.
+
+``backward`` consumes its tape. A tape whose values reach
+``RELEASE_TAPE_BYTES`` is released while it is walked: each slot's gradient,
 rule and parent links are dropped as soon as its rule has run, so every
-forward activation and gradient is freed once no remaining rule needs it.
-Smaller tapes are kept whole, because freeing many small buffers makes the
-allocator trim and refault its heap on every step.
+array a rule kept and every gradient is freed once no remaining rule needs
+it. Smaller tapes are kept whole, because freeing many small buffers makes
+the allocator trim and refault its heap on every step.
 
 ``info_nce`` is GRACE's contrastive loss fused into one node. Built from the
 small ops, its n x n similarity and exp matrices would sit on the tape until
@@ -41,7 +50,9 @@ from scipy.sparse import _sparsetools
 LOG_EPS = 1e-12  # additive floor inside the row norms of l2_normalize_rows and decoded_cosine
 INFONCE_BLOCK_ROWS = 512  # rows of the stacked views per similarity tile ``info_nce`` holds
 COSINE_BLOCK_ROWS = 256  # decoded rows per feature-width tile ``decoded_cosine`` holds
-RELEASE_TAPE_BYTES = 32 << 20  # forward bytes from which backward releases its tape
+# backward releases its tape from this many bytes of values produced by the
+# tape's tensors, counted whether or not a rule still holds them
+RELEASE_TAPE_BYTES = 32 << 20
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Ops with a registered backward rule. The finite-difference test sweep is
@@ -70,10 +81,26 @@ REGISTERED_OPS = (
 )
 
 
-class Tensor:
-    """A 2-D float64 value on the tape."""
+class _Slot:
+    """A tensor's place on the tape: its gradient, its parents' slots, the
+    rule that hands its gradient to them, and the shape and byte count of the
+    value it stands for. A slot holds no value; a rule keeps only the arrays
+    it reads."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward_fn")
+    __slots__ = ("grad", "parents", "rule", "shape", "nbytes")
+
+    def __init__(self, data, parents=(), rule=None):
+        self.grad = None
+        self.parents = parents
+        self.rule = rule
+        self.shape = data.shape
+        self.nbytes = data.nbytes
+
+
+class Tensor:
+    """A 2-D float64 value, with a tape slot exactly when it needs a gradient."""
+
+    __slots__ = ("data", "name", "_slot")
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -84,11 +111,32 @@ class Tensor:
         if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
         self.name = name
-        self._parents = ()
-        self._backward_fn = None
+        self._slot = _Slot(arr) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._slot is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        # turning it off drops the slot and its gradient; turning it on keeps
+        # a slot the tensor has, or makes a fresh one
+        if not value:
+            self._slot = None
+        elif self._slot is None:
+            self._slot = _Slot(self.data)
+
+    @property
+    def grad(self):
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._slot is not None:
+            self._slot.grad = value
+        elif value is not None:
+            raise ValueError("a tensor that requires no gradient holds none")
 
     @property
     def shape(self):
@@ -114,38 +162,42 @@ def parameter(data, name=None):
     return Tensor(data, requires_grad=True, name=name)
 
 
-def _node(data, parents, backward_fn):
-    """Build an op output; prune the tape when no parent needs gradients."""
+def _node(data, parents, rule):
+    """Build an op output. It gets a slot, linked to its parents' slots, only
+    when some parent needs gradients; otherwise the tape is pruned here. So
+    a rule runs only when some input has a slot, and a one-input rule may
+    accumulate into its input's slot unchecked."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    slots = tuple(p._slot for p in parents if p._slot is not None)
+    if slots:
+        out._slot = _Slot(out.data, slots, rule)
     return out
 
 
-def _accum(tensor, grad):
-    if grad.shape != tensor.data.shape:
-        raise ValueError(f"gradient shape {grad.shape} != tensor shape {tensor.data.shape}")
-    if tensor.grad is None:
+def _accum(target, grad):
+    """Add ``grad`` to the gradient of ``target``, a slot or a Tensor."""
+    slot = target._slot if isinstance(target, Tensor) else target
+    if grad.shape != slot.shape:
+        raise ValueError(f"gradient shape {grad.shape} != tensor shape {slot.shape}")
+    if slot.grad is None:
         # a fresh buffer with the bits of zeros + grad: -0.0 becomes +0.0
-        tensor.grad = grad + 0.0
+        slot.grad = grad + 0.0
     else:
-        tensor.grad += grad
+        slot.grad += grad
 
 
 def backward(root, params=None):
     """Accumulate d(root)/d(leaf) through the tape in reverse topological order.
 
     Returns a dict mapping each tensor in ``params`` (if given) to its
-    gradient; tensors disconnected from ``root`` map to zeros. Each node's
-    rule runs exactly once. A tensor's first gradient contribution is copied
+    gradient; tensors disconnected from ``root`` map to zeros. Each slot's
+    rule runs exactly once. A slot's first gradient contribution is copied
     into a fresh buffer as ``grad + 0.0``, the bits of adding it to zeros;
-    later ones add in place, and every contribution must match the tensor's
-    shape. The tape is consumed: when its forward values total at least
-    ``RELEASE_TAPE_BYTES``, every non-leaf node not in ``params`` loses its
-    gradient, rule and parent links once its rule has run. Leaves and
-    ``params`` entries keep their gradients either way.
+    later ones add in place, and every contribution must match the slot's
+    shape. The tape is consumed: when the values its slots stand for total
+    at least ``RELEASE_TAPE_BYTES``, every non-leaf slot not of a ``params``
+    entry loses its gradient, rule and parent links once its rule has run.
+    Leaves and ``params`` entries keep their gradients either way.
     """
     if root.data.shape != (1, 1):
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -153,37 +205,38 @@ def backward(root, params=None):
     topo = []
     tape_bytes = 0
     visited = set()
-    stack = [(root, False)]
+    stack = [(root._slot, False)] if root._slot is not None else []
     while stack:
-        node, expanded = stack.pop()
+        slot, expanded = stack.pop()
         if expanded:
-            topo.append(node)
-            tape_bytes += node.data.nbytes
+            topo.append(slot)
+            tape_bytes += slot.nbytes
             continue
-        if id(node) in visited:
+        if id(slot) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited and parent.requires_grad:
+        visited.add(id(slot))
+        stack.append((slot, True))
+        for parent in slot.parents:
+            if id(parent) not in visited:
                 stack.append((parent, False))
 
-    for node in topo:
-        node.grad = None
-    root.grad = np.ones((1, 1))
+    for slot in topo:
+        slot.grad = None
+    if topo:
+        topo[-1].grad = np.ones((1, 1))
     release = tape_bytes >= RELEASE_TAPE_BYTES
-    named = {id(p) for p in params or ()}
+    named = {id(p._slot) for p in params or ()}
 
     while topo:
-        node = topo.pop()
-        if node._backward_fn is None:
+        slot = topo.pop()
+        if slot.rule is None:
             continue
-        node._backward_fn(node.grad)
+        slot.rule(slot.grad)
         if release:
-            if id(node) not in named:
-                node.grad = None
-            node._backward_fn = None
-            node._parents = ()
+            if id(slot) not in named:
+                slot.grad = None
+            slot.rule = None
+            slot.parents = ()
 
     if params is None:
         return None
@@ -198,22 +251,30 @@ def backward(root, params=None):
 # ---------------------------------------------------------------------------
 
 
+def _cross_reads(a, b):
+    """The slots of ``a`` and ``b`` (None for a constant) and the values a
+    product's rule reads: a's only for b's gradient, b's only for a's."""
+    sa, sb = a._slot, b._slot
+    return sa, sb, (a.data if sb is not None else None), (b.data if sa is not None else None)
+
+
 def add(a, b):
     """a + b; b may be a (1, c) row or (1, 1) scalar broadcast against a."""
     if a.shape != b.shape and not (b.shape in ((1, a.shape[1]), (1, 1))):
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     out_data = a.data + b.data
+    sa, sb = a._slot, b._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go)
-        if b.requires_grad:
-            if b.shape == a.shape:
-                _accum(b, go)
-            elif b.shape == (1, 1):
-                _accum(b, go.sum().reshape(1, 1))
+        if sa is not None:
+            _accum(sa, go)
+        if sb is not None:
+            if sb.shape == go.shape:
+                _accum(sb, go)
+            elif sb.shape == (1, 1):
+                _accum(sb, go.sum().reshape(1, 1))
             else:
-                _accum(b, go.sum(axis=0, keepdims=True))
+                _accum(sb, go.sum(axis=0, keepdims=True))
 
     return _node(out_data, (a, b), bw)
 
@@ -227,23 +288,24 @@ def hadamard(a, b):
     if a.shape != b.shape and b.shape != (a.shape[0], 1):
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
     out_data = a.data * b.data
+    sa, sb, a_data, b_data = _cross_reads(a, b)
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go * b.data)
-        if b.requires_grad:
-            gb = go * a.data
-            _accum(b, gb if b.shape == a.shape else gb.sum(axis=1, keepdims=True))
+        if sa is not None:
+            _accum(sa, go * b_data)
+        if sb is not None:
+            gb = go * a_data
+            _accum(sb, gb if sb.shape == gb.shape else gb.sum(axis=1, keepdims=True))
 
     return _node(out_data, (a, b), bw)
 
 
 def scalar_scale(a, s):
     s = float(s)
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go * s)
+        _accum(sa, go * s)
 
     return _node(a.data * s, (a,), bw)
 
@@ -252,30 +314,32 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
+    sa, sb, a_data, b_data = _cross_reads(a, b)
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ go)
+        if sa is not None:
+            _accum(sa, go @ b_data.T)
+        if sb is not None:
+            _accum(sb, a_data.T @ go)
 
     return _node(out_data, (a, b), bw)
 
 
 def transpose(a):
+    sa = a._slot
+
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go.T)
+        _accum(sa, go.T)
 
     return _node(a.data.T, (a,), bw)
 
 
 def row_mean(a):
     n = a.shape[0]
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, np.repeat(go, n, axis=0) / n)
+        _accum(sa, np.repeat(go, n, axis=0) / n)
 
     return _node(a.data.mean(axis=0, keepdims=True), (a,), bw)
 
@@ -286,21 +350,21 @@ def gather_rows(a, ids):
         raise ValueError("gather_rows ids must be a 1-D index array")
     if ids.size and (ids.min() < 0 or ids.max() >= a.shape[0]):
         raise ValueError("gather_rows index out of range")
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            if go.shape[1] == 1:
-                g = np.bincount(ids, weights=go[:, 0], minlength=a.shape[0])
-                _accum(a, g.reshape(-1, 1))
+        if go.shape[1] == 1:
+            g = np.bincount(ids, weights=go[:, 0], minlength=sa.shape[0])
+            _accum(sa, g.reshape(-1, 1))
+        else:
+            g = np.zeros(sa.shape)
+            if np.unique(ids).size == ids.size:
+                # distinct ids scatter by assignment: the same bits once
+                # _accum adds 0.0, which turns -0.0 into +0.0
+                g[ids] = go
             else:
-                g = np.zeros_like(a.data)
-                if np.unique(ids).size == ids.size:
-                    # distinct ids scatter by assignment: the same bits once
-                    # _accum adds 0.0, which turns -0.0 into +0.0
-                    g[ids] = go
-                else:
-                    np.add.at(g, ids, go)
-                _accum(a, g)
+                np.add.at(g, ids, go)
+            _accum(sa, g)
 
     return _node(a.data[ids], (a,), bw)
 
@@ -318,10 +382,10 @@ def segment_sum(a, seg_ids, num_segments):
     else:
         out_data = np.zeros((num_segments, a.shape[1]))
         np.add.at(out_data, seg_ids, a.data)
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go[seg_ids])
+        _accum(sa, go[seg_ids])
 
     return _node(out_data, (a,), bw)
 
@@ -333,10 +397,10 @@ def segment_sum(a, seg_ids, num_segments):
 
 def relu(a):
     mask = a.data > 0
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go * mask)
+        _accum(sa, go * mask)
 
     return _node(np.where(mask, a.data, 0.0), (a,), bw)
 
@@ -344,12 +408,12 @@ def relu(a):
 def elu(a):
     # clip only the exp argument; saturation keeps values in (-1, 0]
     out_data = np.where(a.data > 0, a.data, np.expm1(np.minimum(a.data, 0.0)))
+    sa = a._slot
 
     def bw(go):
-        # where x <= 0 the output is expm1(x), so out + 1 is the slope exp(x);
-        # the tape keeps no array beside the output
-        if a.requires_grad:
-            _accum(a, go * np.where(a.data > 0, 1.0, out_data + 1.0))
+        # the rule reads only the output: it is positive exactly where x is,
+        # as expm1(x) <= 0 for x <= 0, and there out + 1 is the slope exp(x)
+        _accum(sa, go * np.where(out_data > 0, 1.0, out_data + 1.0))
 
     return _node(out_data, (a,), bw)
 
@@ -358,14 +422,16 @@ def prelu(a, slope):
     """max(x, 0) + slope * min(x, 0) with a learnable (1, 1) slope."""
     if slope.shape != (1, 1):
         raise ValueError("prelu slope must be a (1, 1) tensor")
-    out_data = np.maximum(a.data, 0.0) + slope.data[0, 0] * np.minimum(a.data, 0.0)
+    x, s = a.data, slope.data[0, 0]
+    out_data = np.maximum(x, 0.0) + s * np.minimum(x, 0.0)
+    sa, ss = a._slot, slope._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go * np.where(a.data > 0, 1.0, slope.data[0, 0]))
-        if slope.requires_grad:
-            # min(x, 0) is recomputed, not kept on the tape beside the output
-            _accum(slope, (go * np.minimum(a.data, 0.0)).sum().reshape(1, 1))
+        # the rule reads the input, not the output; min(x, 0) is recomputed
+        if sa is not None:
+            _accum(sa, go * np.where(x > 0, 1.0, s))
+        if ss is not None:
+            _accum(ss, (go * np.minimum(x, 0.0)).sum().reshape(1, 1))
 
     return _node(out_data, (a, slope), bw)
 
@@ -376,10 +442,10 @@ def sigmoid(a):
     out_data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
     ex = np.exp(a.data[~pos])
     out_data[~pos] = ex / (1.0 + ex)
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go * out_data * (1.0 - out_data))
+        _accum(sa, go * out_data * (1.0 - out_data))
 
     return _node(out_data, (a,), bw)
 
@@ -387,10 +453,10 @@ def sigmoid(a):
 def softplus(a):
     out_data = np.logaddexp(0.0, a.data)
     sig = 1.0 / (1.0 + np.exp(-np.clip(a.data, -700, 700)))
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go * sig)
+        _accum(sa, go * sig)
 
     return _node(out_data, (a,), bw)
 
@@ -398,11 +464,12 @@ def softplus(a):
 def power(a, p):
     """Elementwise x**p for a constant exponent; callers keep x in the domain."""
     p = float(p)
-    out_data = a.data**p
+    x = a.data
+    out_data = x**p
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            _accum(a, go * p * a.data ** (p - 1.0))
+        _accum(sa, go * p * x ** (p - 1.0))
 
     return _node(out_data, (a,), bw)
 
@@ -424,14 +491,15 @@ def unit_row_scales(x):
 
 def l2_normalize_rows(a):
     """x / sqrt(sum(x^2) + 1e-12) per row; the floor keeps zero rows finite."""
-    sq = _squared_norms(a.data)
+    x = a.data
+    sq = _squared_norms(x)
     inv = sq**-0.5
-    out_data = a.data * inv
+    out_data = x * inv
+    sa = a._slot
 
     def bw(go):
-        if a.requires_grad:
-            dot = (go * a.data).sum(axis=1, keepdims=True)
-            _accum(a, go * inv - a.data * (dot * inv / sq))
+        dot = (go * x).sum(axis=1, keepdims=True)
+        _accum(sa, go * inv - x * (dot * inv / sq))
 
     return _node(out_data, (a,), bw)
 
@@ -458,12 +526,12 @@ def cross_entropy(logits, targets):
     lse = np.log(denom[:, 0]) + peak[:, 0]
     losses = lse - logits.data[np.arange(n), targets]
     out_data = np.array([[losses.mean()]])
+    sl = logits._slot
 
     def bw(go):
-        if logits.requires_grad:
-            g = probs.copy()
-            g[np.arange(n), targets] -= 1.0
-            _accum(logits, go[0, 0] * g / n)
+        g = probs.copy()
+        g[np.arange(n), targets] -= 1.0
+        _accum(sl, go[0, 0] * g / n)
 
     return _node(out_data, (logits,), bw)
 
@@ -524,6 +592,7 @@ def info_nce(z1, z2, temperature):
             fold(cols, s.T)
     lse = peak + np.log(total)
     out_data = np.array([[(lse - pos).mean()]])
+    s1, s2 = z1._slot, z2._slot
 
     def bw(go):
         grad = np.concatenate([z[n:], z[:n]]) * -2.0
@@ -537,10 +606,10 @@ def info_nce(z1, z2, temperature):
             if rows != cols:
                 grad[cols] += p.T @ z[rows]
         grad *= go[0, 0] * root_inv_t / (2 * n)
-        if z1.requires_grad:
-            _accum(z1, grad[:n])
-        if z2.requires_grad:
-            _accum(z2, grad[n:])
+        if s1 is not None:
+            _accum(s1, grad[:n])
+        if s2 is not None:
+            _accum(s2, grad[n:])
 
     return _node(out_data, (z1, z2), bw)
 
@@ -571,12 +640,14 @@ def decoded_cosine(r, weight, bias, x, x_scale, rows):
     if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
         raise ValueError("decoded_cosine target id out of range")
     tiles = [slice(i, i + COSINE_BLOCK_ROWS) for i in range(0, m, COSINE_BLOCK_ROWS)]
+    r_data, w_data, b_data = r.data, weight.data, bias.data
+    s_r, s_w, s_b = r._slot, weight._slot, bias._slot
 
     def decode(tile):
         """The tile's decoded rows y and its unit targets v."""
         ids = rows[tile]
-        y = r.data[tile] @ weight.data
-        y += bias.data
+        y = r_data[tile] @ w_data
+        y += b_data
         target = x[ids]
         target *= x_scale[ids]
         return y, target
@@ -593,8 +664,8 @@ def decoded_cosine(r, weight, bias, x, x_scale, rows):
         del y, target  # one tile at a time: free it before the next is decoded
 
     def bw(go):
-        g_r = np.empty_like(r.data)
-        g_w, g_b = np.zeros_like(weight.data), np.zeros_like(bias.data)
+        g_r = np.empty_like(r_data)
+        g_w, g_b = np.zeros_like(w_data), np.zeros_like(b_data)
         for tile in tiles:
             y, g_y = decode(tile)
             g_y *= go[tile]  # the unit decoded rows' gradient, then y's
@@ -603,16 +674,16 @@ def decoded_cosine(r, weight, bias, x, x_scale, rows):
             g_y *= inv
             y *= dot * inv / sq[tile]
             g_y -= y
-            if r.requires_grad:
-                g_r[tile] = g_y @ weight.data.T
-            if weight.requires_grad:
-                g_w += r.data[tile].T @ g_y
-            if bias.requires_grad:
+            if s_r is not None:
+                g_r[tile] = g_y @ w_data.T
+            if s_w is not None:
+                g_w += r_data[tile].T @ g_y
+            if s_b is not None:
                 g_b += g_y.sum(axis=0, keepdims=True)
             del y, g_y
-        for t, g in ((r, g_r), (weight, g_w), (bias, g_b)):
-            if t.requires_grad:
-                _accum(t, g)
+        for slot, g in ((s_r, g_r), (s_w, g_w), (s_b, g_b)):
+            if slot is not None:
+                _accum(slot, g)
 
     return _node(out_data, (r, weight, bias), bw)
 
@@ -684,6 +755,7 @@ def normalized_slices(values, reads):
     scaled = v_read * d_rows
     d_diag = d[reads.diag]
     read = np.concatenate([scaled * d_cols, d_diag * d_diag])[reads.slots]
+    sv = values._slot
     handed = []
 
     def hand_over(go):
@@ -710,7 +782,7 @@ def normalized_slices(values, reads):
             g_dinv += via_diag
         g_values = (g_dinv.reshape(-1, 1) * -0.5 * deg**-1.5)[reads.rows]
         g_values[reads.edges, 0] += g_v
-        _accum(values, g_values)
+        _accum(sv, g_values)
 
     first = _node(read[:reads.split].reshape(-1, 1), (values,), bw)
     second = _node(read[reads.split:].reshape(-1, 1), (first,), hand_over)
@@ -746,29 +818,33 @@ def spmm(adj, x):
     out_data = np.zeros((n, width))
     _sparsetools.csr_matvecs(n, n_cols, width, pattern.indptr, pattern.indices, v,
                              x.data.ravel(), out_data.ravel())
+    sv, sx = values._slot, x._slot
+    # x's gradient reads the values, and the values' gradient reads x
+    v_read = v if sx is not None else None
+    x_read = x.data if sv is not None else None
 
     def edge_grads(go):
         # d(loss)/d(value at (i, j)) = go[i] . x[j]; up to ~4k x 4k the dense
         # product is far cheaper than per-edge gathers
-        if go.shape[0] * x.shape[0] <= 16_777_216:
-            return (go @ x.data.T).take(pattern.flat_index())
+        if go.shape[0] * n_cols <= 16_777_216:
+            return (go @ x_read.T).take(pattern.flat_index())
         out_rows, cols = pattern.row_ids(), pattern.indices
         out = np.empty(out_rows.size)
         for start in range(0, out_rows.size, 65536):
             stop = min(start + 65536, out_rows.size)
             out[start:stop] = np.einsum(
-                "ij,ij->i", go[out_rows[start:stop]], x.data[cols[start:stop]]
+                "ij,ij->i", go[out_rows[start:stop]], x_read[cols[start:stop]]
             )
         return out
 
     def bw(go):
-        if x.requires_grad:
+        if sx is not None:
             g = np.zeros((n_cols, width))
-            _sparsetools.csc_matvecs(n_cols, n, width, pattern.indptr, pattern.indices, v,
+            _sparsetools.csc_matvecs(n_cols, n, width, pattern.indptr, pattern.indices, v_read,
                                      go.ravel(), g.ravel())
-            _accum(x, g)
-        if values.requires_grad:
-            _accum(values, edge_grads(go).reshape(-1, 1))
+            _accum(sx, g)
+        if sv is not None:
+            _accum(sv, edge_grads(go).reshape(-1, 1))
 
     return _node(out_data, (values, x), bw)
 

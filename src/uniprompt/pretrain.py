@@ -26,6 +26,12 @@ GRACE and GraphMAE form no n x F array besides the features X:
 - DGI keeps its corrupted copy X[perm]. Permuting the rows of X W1 instead
   would change DGI's bits, and every tuning pin is taken on a DGI encoder.
 
+An epoch's tape keeps only the arrays its backward rules read (see
+``autodiff``). A value that no rule reads is freed while forward still runs:
+every objective's layer products X W1 and H W2, which only constants
+multiply; GRACE's pre-ELU head output; and its unit projections, which
+``ad.info_nce`` copies into one scaled stack.
+
 Per-epoch training losses are noisy because every epoch draws a fresh
 instance. With a ``probe_seed`` the engine also evaluates the live objective
 on one fixed instance before training and after every epoch; a probe that

@@ -40,6 +40,20 @@ class TestTensor:
         p = ad.parameter(np.ones((2, 2)))
         assert not p.detach().requires_grad
 
+    def test_requires_grad_drops_or_makes_the_slot(self):
+        p = ad.parameter(np.ones((2, 2)))
+        slot = p._slot
+        p.requires_grad = True  # already on: the slot and its gradient stay
+        p.grad = np.ones((2, 2))
+        assert p._slot is slot and p.grad is not None
+        p.requires_grad = False  # freezing drops both
+        assert p._slot is None and p.grad is None
+        p.grad = None
+        with pytest.raises(ValueError, match="requires no gradient"):
+            p.grad = np.ones((2, 2))
+        p.requires_grad = True  # thawing makes a fresh slot
+        assert p._slot is not slot and p._slot.shape == (2, 2) and p.grad is None
+
 
 class TestBackward:
     def test_root_must_be_scalar(self):
@@ -91,7 +105,7 @@ class TestBackward:
     def test_constant_subgraph_is_pruned(self):
         a = ad.constant(np.ones((2, 2)))
         out = ad.matmul(a, ad.constant(np.ones((2, 2))))
-        assert out._backward_fn is None and not out.requires_grad
+        assert out._slot is None and not out.requires_grad
 
     def test_repeated_backward_on_fresh_tapes_is_deterministic(self):
         def run():
@@ -114,17 +128,58 @@ class TestBackward:
 
         w, x, h, mid, loss, kept = run()
         assert all(t.grad is not None for t in (w, x, h, mid, loss))
-        assert h._backward_fn is not None and h._parents == (w, x)
+        assert h._slot.rule is not None and h._slot.parents == (w._slot, x._slot)
 
         monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", 0)
         w, x, h, mid, loss, released = run()
         for node in (h, mid, loss):
-            assert node._backward_fn is None and node._parents == ()
+            assert node._slot.rule is None and node._slot.parents == ()
         assert h.grad is None and loss.grad is None
         # the leaves and the tensors named in params keep their gradients
         assert x.grad is not None
         assert released[mid] is mid.grad and released[w] is w.grad
         assert all(np.array_equal(a, b) for a, b in zip(kept.values(), released.values()))
+
+
+def captured_objects(fn):
+    """Every object a function's closure holds, through the functions,
+    tuples and lists in it: a rule's nested functions (spmm's
+    ``edge_grads``, decoded_cosine's ``decode``) and the slots and reads it
+    bundles. Slots are not entered; the tape's walk reaches them."""
+    seen, stack = set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, ad._Slot):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+
+
+class TestRulesHoldNoTensor:
+    @pytest.mark.parametrize("name", sorted(ad.REGISTERED_OPS))
+    def test_no_rule_captures_a_tensor(self, name):
+        # a rule that held a Tensor would keep its whole value alive until
+        # backward, whether or not any gradient reads it. The cases compose
+        # the op with test-side ops (concat_rows, row_sum); only the
+        # engine's rules are walked, every one on the tape
+        arrays, fn = OP_CASES[name](np.random.default_rng(0))
+        out = fn(*(ad.parameter(arr) for arr in arrays))
+        rules, stack, seen = [], [out._slot], set()
+        while stack:
+            slot = stack.pop()
+            if id(slot) not in seen:
+                seen.add(id(slot))
+                stack.extend(slot.parents)
+                if slot.rule is not None and slot.rule.__module__ == ad.__name__:
+                    rules.append(slot.rule)
+        assert any(rule.__qualname__.startswith(f"{name}.") for rule in rules)
+        for rule in rules:
+            held = [obj for obj in captured_objects(rule) if isinstance(obj, ad.Tensor)]
+            assert held == [], rule.__qualname__
 
 
 class TestFiniteDifferences:
@@ -378,19 +433,23 @@ class TestDecodedCosine:
 
 class TestActivationTape:
     @pytest.mark.parametrize("op", ["prelu", "elu"])
-    def test_forward_keeps_only_its_output(self, op):
-        # backward recomputes what it needs from the input and the output, so
-        # the tape holds one n x d array per activation, not two or three
+    def test_tape_keeps_only_the_array_its_rule_reads(self, op):
+        # elu's rule reads only its output and prelu's only its input, so
+        # once the caller drops both tensors the tape holds one n x d array
+        # per activation: elu frees its input, prelu its output
         n, d = 2000, 32
         a = ad.parameter(np.random.default_rng(0).normal(size=(n, d)))
         slope = ad.parameter(np.full((1, 1), 0.25))
         tracemalloc.start()
         try:
-            out = ad.prelu(a, slope) if op == "prelu" else ad.elu(a)
+            x = ad.scalar_scale(a, 1.0)  # an op output, as every activation's input is
+            out = ad.prelu(x, slope) if op == "prelu" else ad.elu(x)
+            tail = ad.row_mean(out)  # a rule that keeps no value
+            del x, out
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert out.shape == (n, d)
+        assert tail.requires_grad and tail.shape == (1, d)
         assert kept < 1.1 * n * d * 8
 
 
@@ -500,7 +559,7 @@ class TestOpValues:
         rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
         for go in (rng.normal(size=out.shape), rng.normal(size=out.shape[::-1]).T):
             values.grad = xt.grad = None
-            out._backward_fn(go)
+            out._slot.rule(go)
             assert np.array_equal(xt.grad, mat.T @ go), name
             assert np.array_equal(values.grad[:, 0], (go @ x.T)[rows, pattern.indices]), name
 
@@ -516,7 +575,7 @@ class TestOpValues:
         v = rng.uniform(-1.0, 1.0, size=(pattern.nnz, 1))
         x, go = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
         values, xt = ad.parameter(v), ad.parameter(x)
-        ad.spmm(ad.SparseTensor(pattern, values), xt)._backward_fn(go)
+        ad.spmm(ad.SparseTensor(pattern, values), xt)._slot.rule(go)
         i, j = pattern.row_ids(), pattern.indices
         np.testing.assert_allclose(values.grad[:, 0], (go[i] * x[j]).sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
@@ -551,7 +610,7 @@ class TestOpValues:
         go[0, 0] = -0.0
         for ids in ([4, 0, 2], [4, 0, 4]):
             a = ad.parameter(np.ones((6, 2)))
-            ad.gather_rows(a, ids)._backward_fn(go)
+            ad.gather_rows(a, ids)._slot.rule(go)
             expected = np.zeros((6, 2))
             np.add.at(expected, ids, go)
             assert a.grad.tobytes() == (np.zeros((6, 2)) + expected).tobytes(), ids

@@ -359,8 +359,8 @@ FEATURE_COPIES = {"dgi": 1, "grace": 0, "graphmae": 0}
 @pytest.mark.parametrize("objective", sorted(FEATURE_COPIES))
 def test_epoch_forms_no_n_by_f_array_beyond_its_inputs(objective, monkeypatch):
     # what 512 features add to one epoch's traced peak over 16 features on the
-    # same graph, in n x F float64 arrays: dgi 1.16, grace 0.13, graphmae 0.39
-    # (the F-wide parameters with their gradients and Adam moments; 1.04 at
+    # same graph, in n x F float64 arrays: dgi 1.16, grace 0.08, graphmae 0.42
+    # (the F-wide parameters with their gradients and Adam moments; 1.12 at
     # the default tiles of 256 rows). Masking copies of X, grace added 2.0;
     # decoding and scoring at width F, graphmae added 4.7. GraphMAE may also
     # hold three tile-sized arrays of its cosine, here of 32 rows.
@@ -371,6 +371,31 @@ def test_epoch_forms_no_n_by_f_array_beyond_its_inputs(objective, monkeypatch):
     tiles = 3 * ad.COSINE_BLOCK_ROWS * f * 8 if objective == "graphmae" else 0
     extra = traced_peak(wide, cfg) - traced_peak(narrow, cfg)
     assert extra < (FEATURE_COPIES[objective] + 0.5) * n * f * 8 + tiles
+
+
+# What one epoch's tape holds once its loss is built, on the 600-node SBM at
+# hidden = embed = 64, in n x d float64 arrays: dgi 8.6, grace 15.0,
+# graphmae 3.9. Each rule keeps only the arrays its backward reads. When
+# every node held its parent tensors, so that every intermediate value lived
+# until backward, they read 16.7, 31.1 and 13.9.
+FORWARD_END_ARRAYS = {"dgi": 10.5, "grace": 18.0, "graphmae": 4.7}
+
+
+@pytest.mark.parametrize("objective", sorted(FORWARD_END_ARRAYS))
+def test_forward_end_tape_holds_only_what_backward_reads(sbm600, objective):
+    d = 64
+    cfg = small_cfg(objective, epochs=1, hidden_dim=d, embed_dim=d)
+    enc = init_encoder(sbm600.num_features, d, d, rng=0)
+    loss_fn, _, _ = pretrain_mod.OBJECTIVE_TABLE[objective](sbm600, cfg, enc)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        loss = loss_fn(rng)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert kept < FORWARD_END_ARRAYS[objective] * sbm600.num_nodes * d * 8
 
 
 def test_fused_infonce_bounds_grace_peak_memory(sbm600):
