@@ -36,16 +36,52 @@ symmetric normalization, scaling only the entries read, and gives the same
 bits as its composition. The composed forms are the tests' oracles:
 InfoNCE's in ``tests/test_autodiff.py``, the cosine's and the
 normalization's in ``tests/fd_utils.py``.
+
+``sparsetools`` is scipy's compiled module of CSR kernels,
+``scipy.sparse._sparsetools``, loaded from its extension file alone:
+``spmm`` and ``graphs.SparseAdj.from_coo`` call nothing else of scipy, and
+importing the ``scipy.sparse`` package to reach it would load some 300
+modules and about 18 MB more into every process.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import os
 import struct
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import _sparsetools
+
+
+def _load_sparsetools():
+    """``scipy.sparse._sparsetools``, from the file in scipy's installed
+    ``sparse`` directory, under its own name and without running the
+    package's ``__init__``. A module ``sys.modules`` holds already is reused,
+    and the one loaded here is registered there, so an import of
+    ``scipy.sparse`` later shares it. A missing file raises ``ImportError``."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    stem = os.path.join(spec.submodule_search_locations[0], "sparse", "_sparsetools")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's CSR kernels are missing: no file {paths[0]}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+sparsetools = _load_sparsetools()
 
 LOG_EPS = 1e-12  # additive floor inside the row norms of l2_normalize_rows and decoded_cosine
 INFONCE_BLOCK_ROWS = 512  # rows of the stacked views per similarity tile ``info_nce`` holds
@@ -190,7 +226,8 @@ def backward(root, params=None):
     """Accumulate d(root)/d(leaf) through the tape in reverse topological order.
 
     Returns a dict mapping each tensor in ``params`` (if given) to its
-    gradient; tensors disconnected from ``root`` map to zeros. Each slot's
+    gradient; tensors disconnected from ``root`` map to zeros, and their
+    ``.grad`` from an earlier backward is cleared. Each slot's
     rule runs exactly once. A slot's first gradient contribution is copied
     into a fresh buffer as ``grad + 0.0``, the bits of adding it to zeros;
     later ones add in place, and every contribution must match the slot's
@@ -222,6 +259,9 @@ def backward(root, params=None):
 
     for slot in topo:
         slot.grad = None
+    for p in params or ():
+        if p._slot is not None and id(p._slot) not in visited:
+            p._slot.grad = None  # off the tape: its gradient is zeros
     if topo:
         topo[-1].grad = np.ones((1, 1))
     release = tape_bytes >= RELEASE_TAPE_BYTES
@@ -799,10 +839,12 @@ def spmm(adj, x):
     ``A^T @ go`` runs ``csc_matvecs`` on the same three arrays (A in CSR is
     A^T in CSC), each into a fresh zeroed output. These are the kernels that
     ``csr_matrix @ x`` and ``.T @ go`` call, so the bits are theirs, without
-    building a scipy matrix per call. The kernels do not bounds-check: they
-    rely on SparseAdj's invariants (validated, read-only offsets and column
-    indices) and on the values being a contiguous float64 vector of one value
-    per entry, which is checked here.
+    building a scipy matrix per call. Both come from ``sparsetools``, the
+    kernel module loaded from its file; the ``scipy.sparse`` package, which
+    nothing here needs beyond these kernels, is never imported. The kernels
+    do not bounds-check: they rely on SparseAdj's invariants (validated,
+    read-only offsets and column indices) and on the values being a
+    contiguous float64 vector of one value per entry, which is checked here.
     """
     if isinstance(adj, SparseTensor):
         pattern, values = adj.pattern, adj.values
@@ -816,8 +858,8 @@ def spmm(adj, x):
         raise ValueError("spmm values must be a contiguous float64 vector, one per entry")
     n, n_cols, width = pattern.n, pattern.n_cols, x.shape[1]
     out_data = np.zeros((n, width))
-    _sparsetools.csr_matvecs(n, n_cols, width, pattern.indptr, pattern.indices, v,
-                             x.data.ravel(), out_data.ravel())
+    sparsetools.csr_matvecs(n, n_cols, width, pattern.indptr, pattern.indices, v,
+                            x.data.ravel(), out_data.ravel())
     sv, sx = values._slot, x._slot
     # x's gradient reads the values, and the values' gradient reads x
     v_read = v if sx is not None else None
@@ -840,8 +882,8 @@ def spmm(adj, x):
     def bw(go):
         if sx is not None:
             g = np.zeros((n_cols, width))
-            _sparsetools.csc_matvecs(n_cols, n, width, pattern.indptr, pattern.indices, v_read,
-                                     go.ravel(), g.ravel())
+            sparsetools.csc_matvecs(n_cols, n, width, pattern.indptr, pattern.indices, v_read,
+                                    go.ravel(), g.ravel())
             _accum(sx, g)
         if sv is not None:
             _accum(sv, edge_grads(go).reshape(-1, 1))

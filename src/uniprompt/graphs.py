@@ -15,12 +15,12 @@ import json
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 
 DEG_EPS = 1e-12  # degree floor when normalizing without self-loops
 KNN_BLOCK_ROWS = 512  # rows of the similarity matrix ``knn_prompt_init`` holds at once
+KNN_SELECT_ROWS = 64  # rows per top-k selection, which copies its rows to partition them
 
 
 class SparseAdj:
@@ -29,9 +29,11 @@ class SparseAdj:
     ``n_cols`` defaults to ``n``; ``restrict`` builds the rectangular slices.
 
     The arrays are validated here and then read-only, so ``autodiff.spmm``
-    hands them to scipy's CSR kernels, which do not bounds-check. Facts of
-    the pattern (``row_ids``, ``flat_index``) are computed once, on first
-    use."""
+    hands them to scipy's CSR kernels, which do not bounds-check. Those
+    kernels, and the ones ``from_coo`` runs, come from ``ad.sparsetools``,
+    scipy's compiled kernel module loaded without the ``scipy.sparse``
+    package, which nothing else here needs. Facts of the pattern
+    (``row_ids``, ``flat_index``) are computed once, on first use."""
 
     __slots__ = ("n", "n_cols", "indptr", "indices", "data", "_row_ids", "_flat_index")
 
@@ -62,13 +64,46 @@ class SparseAdj:
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
-        """Build from unordered triplets; duplicate positions are summed."""
-        mat = sp.coo_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-        ).tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
-        return cls(n, mat.indptr, mat.indices, mat.data)
+        """Build an n x n matrix from unordered triplets; duplicate positions
+        are summed.
+
+        The triplets are checked here, since the kernels do not bounds-check,
+        and then go through the kernels that scipy's
+        ``coo_matrix(...).tocsr()``, ``sum_duplicates()`` and
+        ``sort_indices()`` run, under the same conditions, so the arrays have
+        their bits: ``coo_tocsr`` places the entries row by row in input
+        order; if the rows are not canonical, ``csr_sort_indices`` sorts
+        unsorted ones and ``csr_sum_duplicates`` sums repeated positions."""
+        n = int(n)
+        if n < 0:
+            raise ValueError("negative dimension")
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        vals = np.asarray(vals, dtype=np.float64)
+        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != vals.shape:
+            raise ValueError("rows, columns and values must be parallel 1-D arrays")
+        for idx, axis in ((rows, "row"), (cols, "column")):
+            # an empty list arrives as float64; other indices must be integers
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ValueError(f"{axis} indices must be integers, got dtype {idx.dtype}")
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise ValueError(f"{axis} index out of range")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+        kernels = ad.sparsetools
+        indptr = np.empty(n + 1, dtype=np.int64)
+        indices = np.empty(rows.size, dtype=np.int64)
+        data = np.empty(rows.size)
+        kernels.coo_tocsr(n, n, rows.size, rows, cols, vals, indptr, indices, data)
+        if not kernels.csr_has_canonical_format(n, indptr, indices):
+            if not kernels.csr_has_sorted_indices(n, indptr, indices):
+                kernels.csr_sort_indices(n, indptr, indices, data)
+            kernels.csr_sum_duplicates(n, n, indptr, indices, data)
+            # scipy's prune: keep a view of the first nnz entries, or a copy
+            # when that frees more than half the buffer
+            nnz = int(indptr[-1])
+            indices, data = indices[:nnz], data[:nnz]
+            if 2 * nnz < rows.size:
+                indices, data = indices.copy(), data.copy()
+        return cls(n, indptr, indices, data)
 
     def row_ids(self):
         """Row index of every stored entry, aligned with ``indices``
@@ -519,14 +554,14 @@ def _normalized_rows(x):
     return out
 
 
-def _topk_per_row(sims, k, col_ids, self_col):
-    """Row and column of the k largest entries per row, self column
-    excluded: every entry above the k-th largest value, then the entries
+def _topk_per_row(neg, k, col_ids, self_col):
+    """Row and column of the k largest similarities per row, self column
+    excluded, from ``neg``, the negated similarities, whose self columns it
+    overwrites: every entry above the k-th largest value, then the entries
     equal to it with the smallest column ids."""
     has_self = self_col >= 0
-    if (sims.shape[1] - has_self).min() < k:
+    if (neg.shape[1] - has_self).min() < k:
         raise ValueError("k out of range")
-    neg = -sims
     neg[has_self, self_col[has_self]] = np.inf
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     above = neg < kth
@@ -550,6 +585,11 @@ def knn_prompt_init(features, k, sample_size=None, seed=0):
     nodes. The directed selection is symmetrized by union, and every entry
     of the support is 1: the prompt learns its own values, so the
     similarities only rank the candidates.
+
+    The similarities are computed ``KNN_BLOCK_ROWS`` rows at a time into one
+    reused buffer, negated in place, and selected from ``KNN_SELECT_ROWS``
+    rows at a time, so a block and a selection's copy are the largest arrays
+    beside the normalized features.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -573,13 +613,18 @@ def knn_prompt_init(features, k, sample_size=None, seed=0):
     pos_of[candidates] = np.arange(candidates.size)
 
     rows_all, cols_all = [], []
+    block = np.empty((min(KNN_BLOCK_ROWS, n), candidates.size))
     for start in range(0, n, KNN_BLOCK_ROWS):
         stop = min(start + KNN_BLOCK_ROWS, n)
-        sims = xn[start:stop] @ cand.T
-        self_col = pos_of[np.arange(start, stop)]
-        r, c = _topk_per_row(sims, k, candidates, self_col)
-        rows_all.append(r + start)
-        cols_all.append(c)
+        neg = block[:stop - start]
+        np.matmul(xn[start:stop], cand.T, out=neg)
+        np.negative(neg, out=neg)
+        for lo in range(start, stop, KNN_SELECT_ROWS):
+            hi = min(lo + KNN_SELECT_ROWS, stop)
+            r, c = _topk_per_row(neg[lo - start:hi - start], k, candidates, pos_of[lo:hi])
+            rows_all.append(r + lo)
+            cols_all.append(c)
+    del x, xn, cand, block, neg
     rows = np.concatenate(rows_all)
     cols = np.concatenate(cols_all)
 

@@ -77,6 +77,20 @@ class TestBackward:
         assert np.allclose(grads[q], 0.0)
         assert np.allclose(grads[p], 1.0)
 
+    def test_parameter_off_the_tape_loses_an_earlier_gradient(self):
+        # q's gradient from the first tape must not survive a second tape
+        # that does not reach q, or adam_step would apply it again
+        p = ad.parameter(np.ones((1, 1)))
+        q = ad.parameter(np.ones((1, 1)))
+        ad.backward(ad.add(p, q))
+        assert q.grad.tolist() == [[1.0]]
+        grads = ad.backward(ad.scalar_scale(p, 2.0), params=[p, q])
+        assert grads[q].tolist() == [[0.0]] and q.grad is None
+        assert grads[p].tolist() == [[2.0]]
+        state = ad.AdamState([q], lr=0.1)
+        ad.adam_step(state)
+        assert q.data.tolist() == [[1.0]]
+
     def test_reused_node_accumulates_once_per_path(self):
         p = ad.parameter(np.full((1, 1), 3.0))
         loss = total(ad.add(p, p))  # d/dp (2p) = 2

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,81 @@ class TestSparseAdj:
         assert (sliced.n, sliced.n_cols) == (picked.size, support.size)
         assert np.array_equal(to_scipy(sliced).toarray(), dense[picked][:, support])
         assert np.array_equal(sliced.data, adj.data[pos])
+
+
+def scipy_csr(n, rows, cols, vals):
+    """The CSR arrays of scipy's public COO -> CSR conversion."""
+    mat = sp.coo_matrix((np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def random_triplets(rng, n):
+    """Triplets drawn from a few positions of half the rows, so rows stay
+    empty and positions repeat, shuffled, with +0.0/-0.0 pairs among the
+    repeats and a value sum whose bits depend on the summation order."""
+    pool = rng.integers(0, n, size=(max(1, 2 * n), 2))
+    pool[:, 0] = pool[:, 0] // 2 * 2  # odd rows stay empty (unless n == 1)
+    picks = rng.integers(0, pool.shape[0], size=int(rng.integers(0, 4 * n + 2)))
+    rows, cols = pool[picks, 0], pool[picks, 1]
+    vals = rng.normal(size=picks.size) * 10.0 ** rng.integers(-8, 9, size=picks.size)
+    zeros = rng.random(picks.size) < 0.2
+    vals[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    order = rng.permutation(picks.size)
+    return rows[order], cols[order], vals[order]
+
+
+class TestFromCoo:
+    """``SparseAdj.from_coo`` runs scipy's COO -> CSR kernels without the
+    ``scipy.sparse`` package; the package's public API is the oracle."""
+
+    @staticmethod
+    def assert_bits(adj, mat):
+        assert adj.indptr.tolist() == mat.indptr.tolist()
+        assert adj.indices.tolist() == mat.indices.tolist()
+        assert adj.data.tobytes() == mat.data.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_arrays_are_scipys_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(75):
+            rows, cols, vals = random_triplets(rng, n)
+            self.assert_bits(SparseAdj.from_coo(n, rows, cols, vals),
+                             scipy_csr(n, rows, cols, vals))
+
+    def test_signed_zero_duplicates_and_order_keep_scipys_sums(self):
+        # one position holding -0.0 twice, one +0.0 and -0.0, and one whose
+        # three values round differently in each order of summation
+        rows = [1, 0, 1, 2, 2, 0, 2, 1]
+        cols = [0, 2, 0, 1, 1, 2, 1, 2]
+        vals = [-0.0, 0.0, -0.0, 1e16, 1.0, -0.0, -1e16, 3.0]
+        adj = SparseAdj.from_coo(3, rows, cols, vals)
+        self.assert_bits(adj, scipy_csr(3, rows, cols, vals))
+        assert np.signbit(adj.data).tolist() == [False, True, False, False]
+
+    def test_sorted_canonical_input_and_no_entries(self):
+        adj = SparseAdj.from_coo(3, [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0])
+        self.assert_bits(adj, scipy_csr(3, [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0]))
+        empty = SparseAdj.from_coo(4, [], [], [])
+        assert empty.nnz == 0 and empty.indptr.tolist() == [0] * 5
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([0, -1], [1, 0], "row index out of range"),
+        ([0, 1], [1, -1], "column index out of range"),
+        ([0, 3], [1, 0], "row index out of range"),
+        ([0, 1], [3, 0], "column index out of range"),
+        ([0, 1, 2], [1, 0], "parallel"),
+    ])
+    def test_triplets_are_checked_before_the_kernels(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            SparseAdj.from_coo(3, rows, cols, np.ones(2))
+
+    def test_values_of_another_length_and_float_indices_rejected(self):
+        with pytest.raises(ValueError, match="parallel"):
+            SparseAdj.from_coo(3, [0, 1], [1, 0], np.ones(3))
+        with pytest.raises(ValueError, match="integers"):
+            SparseAdj.from_coo(3, [0.0, 1.0], [1, 0], np.ones(2))
 
 
 class TestReceptiveField:
@@ -473,6 +549,33 @@ class TestKnnPromptInit:
         blocked = knn_prompt_init(x, 3)
         assert np.array_equal(blocked.indptr, whole.indptr)
         assert np.array_equal(blocked.indices, whole.indices)
+
+    @pytest.mark.parametrize("block, select", [(64, 5), (16, 3)])
+    def test_selection_chunks_give_the_one_chunk_selection(self, monkeypatch, block, select):
+        # tie-heavy rows, selected a few at a time inside each block
+        x = np.random.default_rng(5).integers(-1, 2, size=(40, 3)).astype(float)
+        whole = knn_prompt_init(x, 3)
+        monkeypatch.setattr(graphs, "KNN_BLOCK_ROWS", block)
+        monkeypatch.setattr(graphs, "KNN_SELECT_ROWS", select)
+        chunked = knn_prompt_init(x, 3)
+        assert np.array_equal(chunked.indptr, whole.indptr)
+        assert np.array_equal(chunked.indices, whole.indices)
+
+    def test_peak_memory_is_one_similarity_block_beside_the_features(self):
+        # the similarities go into one reused block, negated in place, and
+        # the k-th values are taken a few rows at a time: about one block
+        # beside the normalized features, against four before
+        rng = np.random.default_rng(7)
+        n, width, k = 1100, 300, 10
+        x = (rng.random((n, width)) < 0.05) + rng.normal(0.0, 0.3, size=(n, width))
+        block_bytes = min(graphs.KNN_BLOCK_ROWS, n) * n * 8
+        tracemalloc.start()
+        try:
+            knn_prompt_init(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes + 1.5 * block_bytes
 
     def test_row_degree_at_least_k_after_symmetrization(self):
         rng = np.random.default_rng(1)
