@@ -50,7 +50,6 @@ import importlib.machinery
 import importlib.util
 import json
 import os
-import struct
 import sys
 from typing import NamedTuple
 

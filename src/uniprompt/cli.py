@@ -88,6 +88,8 @@ def _tune_config(args, pretrain_name, dataset_name):
     overrides = {}
     if args.config:
         overrides = _json_object(_load_json(args.config), f"tune config {args.config}")
+        if "seed" in overrides:
+            raise ValueError("a tune config cannot set seed: it comes from --seed and --run")
     for name in TUNE_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -158,7 +160,9 @@ def _experiment_spec(args):
     for key, section in overrides.items():
         if key != "default" and key not in methods:
             raise ValueError(f"tune section '{key}' is neither a listed method nor 'default'")
-        _json_object(section, f"tune section '{key}'")
+        if "seed" in _json_object(section, f"tune section '{key}'"):
+            raise ValueError(f"tune section '{key}' cannot set seed: it comes from the "
+                             "experiment's seeds and runs")
     graph = _resolve_dataset(args, dataset)
     enc, meta = load_encoder(encoder)
     pretrain_name = meta.get("pretrain", "unknown")

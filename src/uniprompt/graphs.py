@@ -554,15 +554,14 @@ def _normalized_rows(x):
     return out
 
 
-def _topk_per_row(neg, k, col_ids, self_col):
+def _topk_per_row(neg, k, first_row):
     """Row and column of the k largest similarities per row, self column
-    excluded, from ``neg``, the negated similarities, whose self columns it
+    excluded, from ``neg``, the negated similarities of rows ``first_row``,
+    ``first_row + 1``, ... against every node, whose self columns it
     overwrites: every entry above the k-th largest value, then the entries
     equal to it with the smallest column ids."""
-    has_self = self_col >= 0
-    if (neg.shape[1] - has_self).min() < k:
-        raise ValueError("k out of range")
-    neg[has_self, self_col[has_self]] = np.inf
+    m = neg.shape[0]
+    neg[np.arange(m), first_row + np.arange(m)] = np.inf
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
     above = neg < kth
     keep = neg <= kth
@@ -573,18 +572,16 @@ def _topk_per_row(neg, k, col_ids, self_col):
         ties = keep[crowded] & ~first
         ties &= np.cumsum(ties, axis=1) <= k - first.sum(axis=1, keepdims=True)
         keep[crowded] = first | ties
-    rows, top = np.nonzero(keep)
-    return rows, col_ids[top]
+    return np.nonzero(keep)
 
 
-def knn_prompt_init(features, k, sample_size=None, seed=0):
+def knn_prompt_init(features, k):
     """Cosine-similarity kNN support as the initial prompt graph.
 
-    Exact mode keeps the k most similar neighbors of every node (self pairs
-    excluded); sampled mode restricts candidates to ``sample_size`` seeded
-    nodes. The directed selection is symmetrized by union, and every entry
-    of the support is 1: the prompt learns its own values, so the
-    similarities only rank the candidates.
+    Every node keeps its k most similar other nodes, ties broken toward the
+    smallest node id. The directed selection is symmetrized by union, and
+    every entry of the support is 1: the prompt learns its own values, so
+    the similarities only rank the candidates.
 
     The similarities are computed ``KNN_BLOCK_ROWS`` rows at a time into one
     reused buffer, negated in place, and selected from ``KNN_SELECT_ROWS``
@@ -595,36 +592,23 @@ def knn_prompt_init(features, k, sample_size=None, seed=0):
     if x.ndim != 2 or x.size == 0:
         raise ValueError("empty feature matrix")
     n = x.shape[0]
-    if sample_size is None:
-        if not 1 <= k <= n - 1:
-            raise ValueError("k out of range")
-        candidates = np.arange(n)
-    else:
-        if not 1 <= sample_size <= n:
-            raise ValueError("sample size out of range")
-        if not 1 <= k <= sample_size:
-            raise ValueError("k out of range")
-        rng = np.random.default_rng(seed)
-        candidates = np.sort(rng.choice(n, size=sample_size, replace=False))
+    if not 1 <= k <= n - 1:
+        raise ValueError("k out of range")
 
     xn = _normalized_rows(x)
-    cand = xn if sample_size is None else xn[candidates]
-    pos_of = -np.ones(n, dtype=np.int64)
-    pos_of[candidates] = np.arange(candidates.size)
-
     rows_all, cols_all = [], []
-    block = np.empty((min(KNN_BLOCK_ROWS, n), candidates.size))
+    block = np.empty((min(KNN_BLOCK_ROWS, n), n))
     for start in range(0, n, KNN_BLOCK_ROWS):
         stop = min(start + KNN_BLOCK_ROWS, n)
         neg = block[:stop - start]
-        np.matmul(xn[start:stop], cand.T, out=neg)
+        np.matmul(xn[start:stop], xn.T, out=neg)
         np.negative(neg, out=neg)
         for lo in range(start, stop, KNN_SELECT_ROWS):
             hi = min(lo + KNN_SELECT_ROWS, stop)
-            r, c = _topk_per_row(neg[lo - start:hi - start], k, candidates, pos_of[lo:hi])
+            r, c = _topk_per_row(neg[lo - start:hi - start], k, lo)
             rows_all.append(r + lo)
             cols_all.append(c)
-    del x, xn, cand, block, neg
+    del x, xn, block, neg
     rows = np.concatenate(rows_all)
     cols = np.concatenate(cols_all)
 

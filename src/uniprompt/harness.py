@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Graph, add_gaussian_noise
-from .prompt import METHODS, TuneConfig, run_method
+from .prompt import METHODS, run_method
 from .seeds import rng_stream
 
 DEFAULT_SEEDS = (42, 12345, 23344, 38108, 39788)

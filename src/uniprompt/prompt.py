@@ -44,7 +44,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoder import (
-    Classifier,
     classify,
     clone_encoder,
     encode,
@@ -53,6 +52,7 @@ from .encoder import (
     predictions_from_logits,
     thaw,
 )
+# knn_prompt_init is unused here; perfbench's tracer wraps it in this namespace too
 from .graphs import NormContext, ReceptiveField, SparseAdj, knn_prompt_init
 from .seeds import rng_stream
 
@@ -60,8 +60,8 @@ from .seeds import rng_stream
 _malloc_trim = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim",
                        lambda pad: 0)
 
-# TuneConfig's fields by type; knn_sample may also be None
-INTEGER_FIELDS = ("k", "max_epochs", "patience", "clf_hidden", "seed", "knn_sample")
+# TuneConfig's fields by type
+INTEGER_FIELDS = ("k", "max_epochs", "patience", "clf_hidden", "seed")
 NUMBER_FIELDS = ("up_lr", "down_lr", "tau", "alpha", "min_delta")
 
 
@@ -91,11 +91,9 @@ class TuneConfig:
     min_delta: float = 1e-6
     seed: int = 0
     clf_hidden: int = 256
-    knn_sample: int | None = None  # sampled-kNN approximation (candidate count)
 
     def validate(self):
-        check_types(self, [f for f in INTEGER_FIELDS
-                           if f != "knn_sample" or self.knn_sample is not None], NUMBER_FIELDS)
+        check_types(self, INTEGER_FIELDS, NUMBER_FIELDS)
         if self.up_lr <= 0 or self.down_lr <= 0:
             raise ValueError("learning rates must be positive")
         if self.k < 1:
@@ -179,7 +177,6 @@ class TuneResult:
     method: str
     predictions: np.ndarray
     loss_history: list
-    classifier: Classifier
     upstream: list  # trained upstream parameters; empty for the linear probe
 
     @property
@@ -224,28 +221,18 @@ def _train_loop(cfg, step_fn):
     return history
 
 
-def _prompt_support(graph, cfg, topology):
-    """The run's prompt support: the graph's cached exact kNN support, a
-    sampled kNN drawn for this run, or a random support with as many entries
-    as the exact kNN."""
-    if topology == "random":
-        knn = graph.knn_support(cfg.k)
-        return random_support_like(knn, graph.num_nodes, rng_stream("prompt-init", cfg.seed))
-    if cfg.knn_sample is not None:
-        sample_seed = int(rng_stream("prompt-init", cfg.seed).integers(2**31))
-        return knn_prompt_init(
-            graph.features, cfg.k, sample_size=cfg.knn_sample, seed=sample_seed
-        )
-    return graph.knn_support(cfg.k)
-
-
 def _graph_prompt(topology, integration):
-    """Builder of a gated prompt over a ``knn`` or ``random`` support, merged
-    with the graph by ``bootstrap`` fusion, by ``simple_add`` or not at all
-    (``discard``). The upstream parameters are the gate weights."""
+    """Builder of a gated prompt over a support, merged with the graph by
+    ``bootstrap`` fusion, by ``simple_add`` or not at all (``discard``). The
+    ``knn`` support is the graph's cached exact kNN support; the ``random``
+    one, drawn per run, has as many entries. The upstream parameters are the
+    gate weights."""
 
     def build(graph, encoder, cfg, ids):
-        support = _prompt_support(graph, cfg, topology)
+        support = graph.knn_support(cfg.k)
+        if topology == "random":
+            support = random_support_like(support, graph.num_nodes,
+                                          rng_stream("prompt-init", cfg.seed))
         union, positions = _union_with_graph(graph.adjacency(), support)
         w = ad.parameter(np.ones((support.nnz, 1)), name="prompt.gate_weights")
         if integration == "discard":
@@ -407,4 +394,4 @@ def _tune(method, graph, encoder, train_ids, cfg):
     preds = predictions_from_logits(classify(clf, represent(False)))
     if encoder_checkpoint_hash(encoder) != hash_before:
         raise RuntimeError("frozen encoder parameters changed during tuning")
-    return TuneResult(method, preds, history, clf, upstream)
+    return TuneResult(method, preds, history, upstream)

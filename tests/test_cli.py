@@ -455,8 +455,8 @@ def test_noise_levels_write_rows(workspace, tmp_path):
 
 def misuses(bundle, checkpoint, config):
     """Argument lists each verb must reject: a missing --out where the verb
-    writes a file, shared flags the verb does not read, and tune keys that
-    name no TuneConfig field."""
+    writes a file, shared flags the verb does not read, and tune keys and
+    flags that name no TuneConfig field."""
     graph = ["--dataset", str(bundle)]
     tune = graph + ["--encoder", str(checkpoint), "--shot", "1"]
     experiment = ["--config", str(config)]
@@ -483,6 +483,7 @@ def misuses(bundle, checkpoint, config):
         "verify-theory-data-dir": ["verify-theory", "--data-dir", str(bundle.parent)],
         "tune-unknown-config-key": ["tune", *tune, "--method", "gpf",
                                     "--config", str(config.parent / "typo-tune.json")],
+        "tune-knn-sample-flag": ["tune", *tune, "--method", "gpf", "--knn-sample", "20"],
         "eval-unknown-tune-key": ["eval", "--config", str(config.parent / "typo-eval.json"),
                                   *out],
         "tune-config-not-object": ["tune", *tune, "--method", "gpf",
@@ -524,7 +525,8 @@ def bad_values(workspace, root):
     wider than the encoder's input, a NaN learning rate in a tune config or
     flag and in pretraining, a theorem sweep of no cases or no step, a width
     or a worker count below 1, a noise level that is not finite, and an empty
-    noise level list."""
+    noise level list; a tune config file or an eval tune section that sets
+    the seed or names the removed ``knn_sample`` key."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
@@ -533,6 +535,10 @@ def bad_values(workspace, root):
     (root / "experiment.json").write_text(json.dumps(experiment))
     (root / "fractional.json").write_text(json.dumps({"k": 4.7, "max_epochs": 2.5}))
     (root / "nan.json").write_text(json.dumps({"up_lr": float("nan")}))  # a NaN literal
+    for key, value in (("seed", 7), ("knn_sample", 20)):
+        (root / f"{key}-tune.json").write_text(json.dumps({key: value, "max_epochs": 2}))
+        (root / f"{key}-eval.json").write_text(json.dumps(
+            {**experiment, "tune": {"default": {key: value}}}))
     wide = root / "wide"
     assert dispatch(["make-sbm", "--n", "24", "--classes", "3", "--p-in", "0.4",
                      "--p-out", "0.05", "--feature-dim", "7", "--seed", "1",
@@ -581,6 +587,17 @@ def bad_values(workspace, root):
                             "noise level must be finite and non-negative, got inf"),
         "noise-empty-levels": (["noise", "--config", str(root / "experiment.json"), *out,
                                 "--levels", ","], "noise levels are empty"),
+        "tune-seed-config": ([*tune, "--dataset", str(bundle),
+                              "--config", str(root / "seed-tune.json")],
+                             "a tune config cannot set seed: it comes from --seed and --run"),
+        "eval-seed-section": (["eval", "--config", str(root / "seed-eval.json"), *out],
+                              "tune section 'default' cannot set seed: it comes from the "
+                              "experiment's seeds and runs"),
+        "tune-knn-sample-config": ([*tune, "--dataset", str(bundle),
+                                    "--config", str(root / "knn_sample-tune.json")],
+                                   "unknown tune config keys: knn_sample"),
+        "eval-knn-sample-section": (["eval", "--config", str(root / "knn_sample-eval.json"),
+                                     *out], "unknown tune config keys: knn_sample"),
     }
 
 
@@ -592,7 +609,9 @@ def bad_values(workspace, root):
                                   "tune-zero-clf-hidden", "pretrain-zero-hidden",
                                   "pretrain-negative-embed", "eval-negative-jobs",
                                   "noise-nan-level", "noise-inf-level",
-                                  "noise-empty-levels"])
+                                  "noise-empty-levels", "tune-seed-config",
+                                  "eval-seed-section", "tune-knn-sample-config",
+                                  "eval-knn-sample-section"])
 def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, case):
     argv, message = bad_values(workspace, tmp_path)[case]
     capsys.readouterr()

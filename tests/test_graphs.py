@@ -585,25 +585,6 @@ class TestKnnPromptInit:
         degrees = np.diff(adj.indptr)
         assert (degrees >= k).all()
 
-    def test_sampled_mode_restricts_candidates(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(30, 4))
-        adj = knn_prompt_init(x, 2, sample_size=10, seed=0)
-        sample_rng = np.random.default_rng(0)
-        candidates = set(np.sort(sample_rng.choice(30, size=10, replace=False)).tolist())
-        # before symmetrization columns are candidates; after union-symmetrize
-        # every edge touches at least one candidate
-        for r, c in zip(adj.row_ids(), adj.indices):
-            assert int(r) in candidates or int(c) in candidates
-
-    def test_sampled_mode_deterministic(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(25, 4))
-        a = knn_prompt_init(x, 2, sample_size=8, seed=5)
-        b = knn_prompt_init(x, 2, sample_size=8, seed=5)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data, b.data)
-
 
 class TestEdgeHomophily:
     def test_single_class_is_one(self):

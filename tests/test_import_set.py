@@ -1,10 +1,14 @@
-"""scipy's CSR kernels are loaded without the ``scipy.sparse`` package.
+"""What the uniprompt modules import.
 
+scipy's CSR kernels are loaded without the ``scipy.sparse`` package:
 ``autodiff`` loads the one extension module ``scipy.sparse._sparsetools``
 from its file, so no uniprompt process pays for the package's ~300 modules.
 The guard runs in a fresh interpreter, since this test process imports
-``scipy.sparse`` for its oracles."""
+``scipy.sparse`` for its oracles.
 
+No module imports a name it never uses, apart from the listed exemptions."""
+
+import ast
 import os
 import subprocess
 import sys
@@ -78,3 +82,50 @@ def test_a_missing_kernel_file_raises_naming_its_path(monkeypatch, tmp_path):
         ad._load_sparsetools()
     assert expected in str(raised.value)
     assert KERNELS not in sys.modules
+
+
+# (module, imported name) pairs that are bound for other modules' use
+UNUSED_IMPORT_EXEMPTIONS = {
+    # the package's submodules, bound on ``uniprompt`` and listed in __all__
+    **{("__init__", name): "a submodule re-export"
+       for name in ("autodiff", "graphs", "harness", "hyperparams", "pretrain", "prompt",
+                    "theory")},
+    ("prompt", "knn_prompt_init"): "perfbench's tracer wraps it in every namespace that "
+                                   "imported it, and its test asserts this one",
+}
+
+
+def _unused_imports(tree):
+    """Names bound by the imports of ``tree`` that it never reads. A dotted
+    ``import a.b`` counts as used only where ``a.b`` itself is read."""
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            # a.b.c reads a, a.b and a.b.c; ast.walk visits the inner nodes too
+            base, path = node.value, [node.attr]
+            while isinstance(base, ast.Attribute):
+                base, path = base.value, [base.attr, *path]
+            if isinstance(base, ast.Name):
+                read.add(".".join([base.id, *path]))
+    return sorted(name for name in imported if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(Path(uniprompt.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_every_imported_name_is_used(path):
+    unused = [name for name in _unused_imports(ast.parse(path.read_text()))
+              if (path.stem, name) not in UNUSED_IMPORT_EXEMPTIONS]
+    assert unused == []
+
+
+def test_unused_import_guard_reads_names_and_dotted_paths():
+    tree = ast.parse("import a.b\nimport a.c\nimport d as e\nfrom f import g, h as i\n"
+                     "from __future__ import annotations\nx = a.b.run(g)\n")
+    assert _unused_imports(tree) == ["a.c", "e", "i"]

@@ -506,7 +506,7 @@ class TestRunMethod:
     # one value of the wrong type per field: a string, a fraction or a bool
     @pytest.mark.parametrize("field, value", [
         ("k", "4"), ("max_epochs", 2.5), ("patience", True), ("clf_hidden", 6.0),
-        ("seed", "1"), ("knn_sample", 10.5), ("up_lr", "0.01"), ("down_lr", True),
+        ("seed", "1"), ("up_lr", "0.01"), ("down_lr", True),
         ("tau", None), ("alpha", "10"), ("min_delta", False)])
     def test_mistyped_tune_value_is_named(self, cfg, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), "):
@@ -519,8 +519,8 @@ class TestRunMethod:
             replace(cfg, **{field: value}).validate()
 
     def test_numpy_scalars_and_integer_rates_are_valid(self, cfg):
-        replace(cfg, k=np.int64(4), seed=np.int32(3), knn_sample=np.int64(20),
-                tau=np.float64(0.5), up_lr=1, min_delta=0).validate()
+        replace(cfg, k=np.int64(4), seed=np.int32(3), tau=np.float64(0.5), up_lr=1,
+                min_delta=0).validate()
 
     def test_heap_trimmed_before_and_after_each_run_even_a_failed_one(
             self, sbm, encoder, cfg, monkeypatch):
@@ -773,37 +773,6 @@ class TestNormalizeField:
         for field in (looped, ReceptiveField(support, [0, 1])):
             with pytest.raises(ValueError, match="not built by this normalization"):
                 discard.normalize_field(values, field)
-
-
-KNN_METHODS = ("uniprompt", "ablate:simple_add", "ablate:discard_topo")
-
-
-@pytest.fixture(scope="module")
-def sbm80():
-    return generate_sbm(80, 3, 0.25, 0.05, 8, 3.0, seed=3)
-
-
-class TestSampledKnn:
-    """``TuneConfig.knn_sample`` restricts each node's kNN candidates to a
-    sample drawn from the run's prompt-init stream."""
-
-    @staticmethod
-    def outcome(graph, encoder, cfg, method):
-        res = run_method(method, graph, encoder, train_ids(graph), cfg)
-        return res.loss_history, res.predictions.tolist()
-
-    @pytest.mark.parametrize("method", KNN_METHODS)
-    def test_full_sample_equals_exact_support(self, sbm80, encoder, cfg, method):
-        sampled = replace(cfg, knn_sample=sbm80.num_nodes)
-        assert (self.outcome(sbm80, encoder, sampled, method)
-                == self.outcome(sbm80, encoder, cfg, method))
-
-    @pytest.mark.parametrize("method", KNN_METHODS)
-    def test_smaller_sample_is_deterministic_per_seed(self, sbm80, encoder, cfg, method):
-        sampled = replace(cfg, knn_sample=20)
-        first = self.outcome(sbm80, encoder, sampled, method)
-        assert self.outcome(sbm80, encoder, sampled, method) == first
-        assert first != self.outcome(sbm80, encoder, cfg, method)
 
 
 # sha256 of float64 loss_history bytes then int64 predictions bytes, per
