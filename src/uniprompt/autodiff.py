@@ -298,8 +298,8 @@ def _cross_reads(a, b):
 
 
 def add(a, b):
-    """a + b; b may be a (1, c) row or (1, 1) scalar broadcast against a."""
-    if a.shape != b.shape and not (b.shape in ((1, a.shape[1]), (1, 1))):
+    """a + b; b may be a (1, c) row broadcast down a's rows."""
+    if a.shape != b.shape and b.shape != (1, a.shape[1]):
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     out_data = a.data + b.data
     sa, sb = a._slot, b._slot
@@ -308,12 +308,7 @@ def add(a, b):
         if sa is not None:
             _accum(sa, go)
         if sb is not None:
-            if sb.shape == go.shape:
-                _accum(sb, go)
-            elif sb.shape == (1, 1):
-                _accum(sb, go.sum().reshape(1, 1))
-            else:
-                _accum(sb, go.sum(axis=0, keepdims=True))
+            _accum(sb, go if sb.shape == go.shape else go.sum(axis=0, keepdims=True))
 
     return _node(out_data, (a, b), bw)
 
@@ -392,35 +387,29 @@ def gather_rows(a, ids):
     sa = a._slot
 
     def bw(go):
-        if go.shape[1] == 1:
-            g = np.bincount(ids, weights=go[:, 0], minlength=sa.shape[0])
-            _accum(sa, g.reshape(-1, 1))
+        g = np.zeros(sa.shape)
+        if np.unique(ids).size == ids.size:
+            # distinct ids scatter by assignment: the same bits once
+            # _accum adds 0.0, which turns -0.0 into +0.0
+            g[ids] = go
         else:
-            g = np.zeros(sa.shape)
-            if np.unique(ids).size == ids.size:
-                # distinct ids scatter by assignment: the same bits once
-                # _accum adds 0.0, which turns -0.0 into +0.0
-                g[ids] = go
-            else:
-                np.add.at(g, ids, go)
-            _accum(sa, g)
+            np.add.at(g, ids, go)
+        _accum(sa, g)
 
     return _node(a.data[ids], (a,), bw)
 
 
 def segment_sum(a, seg_ids, num_segments):
-    """Scatter-add rows of a (n, c) tensor into ``num_segments`` output rows."""
+    """Scatter-add the rows of an (n, 1) column into ``num_segments`` rows."""
     seg_ids = np.asarray(seg_ids, dtype=np.int64)
+    if a.shape[1] != 1:
+        raise ValueError(f"segment_sum needs an (n, 1) column, got {a.shape}")
     if seg_ids.shape != (a.shape[0],):
         raise ValueError("segment_sum needs one segment id per row")
     if seg_ids.size and (seg_ids.min() < 0 or seg_ids.max() >= num_segments):
         raise ValueError("segment_sum segment id out of range")
-    if a.shape[1] == 1:
-        out_data = np.bincount(seg_ids, weights=a.data[:, 0],
-                               minlength=num_segments).reshape(-1, 1)
-    else:
-        out_data = np.zeros((num_segments, a.shape[1]))
-        np.add.at(out_data, seg_ids, a.data)
+    out_data = np.bincount(seg_ids, weights=a.data[:, 0],
+                           minlength=num_segments).reshape(-1, 1)
     sa = a._slot
 
     def bw(go):

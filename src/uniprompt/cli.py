@@ -26,7 +26,7 @@ from .harness import (
     sweep,
 )
 from .hyperparams import get_tuning_config
-from .prompt import ABLATION_VARIANTS, INTEGER_FIELDS, METHODS, TuneConfig, run_method
+from .prompt import INTEGER_FIELDS, METHODS, TuneConfig, run_method
 from .pretrain import OBJECTIVES, PretrainConfig, pretrain
 from .theory import format_report, run_verification
 
@@ -139,11 +139,6 @@ def _cmd_tune(args):
         Path(args.out).write_text(text + "\n")
     print(text)
     return 0
-
-
-def _cmd_ablate(args):
-    args.method = f"ablate:{args.variant}"
-    return _cmd_tune(args)
 
 
 def _experiment_spec(args):
@@ -281,16 +276,6 @@ def build_parser():
         p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
                        type=int if name in INTEGER_FIELDS else float)
     p.set_defaults(handler=_cmd_tune)
-
-    p = sub.add_parser("ablate", help="run one component-replacement run")
-    common(p, "seed", "data-dir")
-    p.add_argument("--variant", required=True, choices=ABLATION_VARIANTS)
-    p.add_argument("--encoder", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--shot", type=int, required=True)
-    p.add_argument("--run", type=int, default=0)
-    p.add_argument("--config", default=None)
-    p.set_defaults(handler=_cmd_ablate)
 
     p = sub.add_parser("eval", help="full repeated-run experiment")
     common(p, "jobs", "data-dir", out_required=True)

@@ -215,9 +215,9 @@ def _pool_run(args):
     return _run_one(_WORKER_SPEC, *args)
 
 
-def run_experiment(spec, param=None, param_name=None):
-    """Every (method, shot, seed, run) combination; exactly
-    len(seeds) * runs records per (method, shot) cell."""
+def _checked(spec):
+    """``spec`` once its methods, noise level, worker count and every
+    (method, shot) tune config are valid, so a bad value fails before any run."""
     for m in spec.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}'")
@@ -225,6 +225,16 @@ def run_experiment(spec, param=None, param_name=None):
         raise ValueError(f"noise_sigma must be finite and non-negative, got {spec.noise_sigma!r}")
     if spec.workers < 1:
         raise ValueError(f"workers must be at least 1, got {spec.workers}")
+    for m in spec.methods:
+        for shot in spec.shots:
+            spec.config_for(m, shot).validate()
+    return spec
+
+
+def run_experiment(spec, param=None, param_name=None):
+    """Every (method, shot, seed, run) combination; exactly
+    len(seeds) * runs records per (method, shot) cell."""
+    _checked(spec)
     keys = [
         (method, shot, seed, run)
         for method in spec.methods
@@ -246,18 +256,23 @@ def run_experiment(spec, param=None, param_name=None):
 
 
 def sweep(param, grid, base_spec):
-    """One experiment per grid value of 'tau' | 'k' | 'alpha'."""
+    """One experiment per grid value of 'tau' | 'k' | 'alpha', all checked before any run."""
     if param not in ("tau", "k", "alpha"):
         raise ValueError(f"unknown sweep parameter '{param}'")
     if not grid:
         raise ValueError("sweep grid is empty")
     if param == "k" and not all(float(v).is_integer() for v in grid):
         raise ValueError(f"sweep grid: k must be integers, got {list(grid)!r}")
-    table = ResultTable(param_name=param)
+    n = base_spec.graph.num_nodes
+    if param == "k" and max(grid) >= n:
+        raise ValueError(f"sweep grid: k must be below the {n} nodes, got {max(grid):g}")
+    specs = []
     for value in grid:
         value = int(value) if param == "k" else float(value)
         tune = {key: replace(c, **{param: value}) for key, c in base_spec.tune.items()}
-        spec = replace(base_spec, tune=tune)
+        specs.append((value, _checked(replace(base_spec, tune=tune))))
+    table = ResultTable(param_name=param)
+    for value, spec in specs:
         table.extend(run_experiment(spec, param=value, param_name=param).records)
     return table
 

@@ -187,7 +187,7 @@ def _case_scalar_scale(rng):
 
 def _case_segment_sum(rng):
     seg = rng.integers(0, 4, size=6)
-    return [rng.normal(size=(6, 2))], lambda a: ad.segment_sum(a, seg, 4)
+    return [rng.normal(size=(6, 1))], lambda a: ad.segment_sum(a, seg, 4)
 
 
 def _case_sigmoid(rng):

@@ -628,6 +628,12 @@ class TestOpValues:
             expected = np.zeros((6, 2))
             np.add.at(expected, ids, go)
             assert a.grad.tobytes() == (np.zeros((6, 2)) + expected).tobytes(), ids
+        # a column's gradient has the bits of a weighted bincount
+        for ids in ([4, 0, 2], [4, 0, 4]):
+            a = ad.parameter(np.ones((6, 1)))
+            ad.gather_rows(a, ids)._slot.rule(go[:, :1])
+            expected = np.bincount(ids, weights=go[:, 0], minlength=6).reshape(-1, 1)
+            assert a.grad.tobytes() == expected.tobytes(), ids
 
     def test_hadamard_column_is_its_repeat_bit_for_bit(self):
         # GraphMAE's re-mask: an (n, 1) row mask broadcast, not an n x d copy
@@ -646,6 +652,15 @@ class TestOpValues:
     def test_hadamard_shape_mismatch(self, shape):
         with pytest.raises(ValueError, match="hadamard shape mismatch"):
             ad.hadamard(ad.constant(np.ones((5, 4))), ad.constant(np.ones(shape)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 3)])
+    def test_add_shape_mismatch(self, shape):
+        with pytest.raises(ValueError, match="add shape mismatch"):
+            ad.add(ad.constant(np.ones((5, 4))), ad.constant(np.ones(shape)))
+
+    def test_segment_sum_takes_one_column(self):
+        with pytest.raises(ValueError, match="segment_sum needs an"):
+            ad.segment_sum(ad.constant(np.ones((3, 2))), [0, 1, 1], 2)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

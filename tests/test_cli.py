@@ -1,4 +1,4 @@
-"""CLI smoke tests: make-sbm -> pretrain -> tune / ablate / eval / sweep / noise,
+"""CLI smoke tests: make-sbm -> pretrain -> tune / eval / sweep / noise,
 plus inspect and verify-theory, through dispatch."""
 
 import argparse
@@ -18,7 +18,7 @@ from uniprompt.encoder import load_encoder
 from uniprompt.graphs import edge_homophily, load_graph_bundle
 from uniprompt.harness import run_seed, sample_k_shot
 from uniprompt.hyperparams import TUNING_TABLE, get_tuning_config
-from uniprompt.prompt import ABLATION_VARIANTS, METHODS, TuneConfig, run_method
+from uniprompt.prompt import METHODS, TuneConfig, run_method
 
 TUNE_OVERRIDES = {"k": 3, "max_epochs": 5, "clf_hidden": 6}
 MISSING_KEYS = ("dataset", "encoder", "methods")  # required in an experiment spec
@@ -101,17 +101,6 @@ def test_tune_every_method(workspace, capsys, method):
                        "--config", str(config)], capsys)
     assert record["method"] == method
     assert (record["epochs"], record["final_loss"]) == direct_run(workspace, method, 1, 3)
-
-
-@pytest.mark.parametrize("variant", ABLATION_VARIANTS)
-def test_ablate_every_variant(workspace, capsys, variant):
-    bundle, checkpoint, config = workspace
-    record = run_json(["ablate", "--variant", variant, "--encoder", str(checkpoint),
-                       "--dataset", str(bundle), "--shot", "1", "--seed", "3",
-                       "--config", str(config)], capsys)
-    assert record["method"] == f"ablate:{variant}"
-    assert (record["epochs"], record["final_loss"]) == direct_run(
-        workspace, f"ablate:{variant}", 1, 3)
 
 
 def test_unknown_method_exits_one(workspace):
@@ -455,8 +444,9 @@ def test_noise_levels_write_rows(workspace, tmp_path):
 
 def misuses(bundle, checkpoint, config):
     """Argument lists each verb must reject: a missing --out where the verb
-    writes a file, shared flags the verb does not read, and tune keys and
-    flags that name no TuneConfig field."""
+    writes a file, shared flags the verb does not read, tune keys and flags
+    that name no TuneConfig field, and the removed ``ablate`` verb (``tune
+    --method ablate:<variant>`` runs a variant)."""
     graph = ["--dataset", str(bundle)]
     tune = graph + ["--encoder", str(checkpoint), "--shot", "1"]
     experiment = ["--config", str(config)]
@@ -474,7 +464,7 @@ def misuses(bundle, checkpoint, config):
         "noise-seed": ["noise", *experiment, *out, "--levels", "0", "--seed", "7"],
         "pretrain-jobs": ["pretrain", *graph, "--objective", "dgi", *out, "--jobs", "2"],
         "tune-jobs": ["tune", *tune, "--method", "gpf", "--jobs", "2"],
-        "ablate-jobs": ["ablate", *tune, "--variant", "simple_add", "--jobs", "2"],
+        "ablate-verb": ["ablate", *tune, "--variant", "simple_add", *experiment],
         "verify-theory-jobs": ["verify-theory", "--jobs", "2"],
         "make-sbm-jobs": ["make-sbm", *sbm, *out, "--jobs", "2"],
         "inspect-jobs": ["inspect", *graph, "--jobs", "2"],
@@ -526,13 +516,20 @@ def bad_values(workspace, root):
     flag and in pretraining, a theorem sweep of no cases or no step, a width
     or a worker count below 1, a noise level that is not finite, and an empty
     noise level list; a tune config file or an eval tune section that sets
-    the seed or names the removed ``knn_sample`` key."""
+    the seed or names the removed ``knn_sample`` key; an eval whose second
+    method's tune section is invalid, and sweep grids with a bad tau or a k
+    of at least the node count, each behind a valid first value."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
     (root / "string-k.json").write_text(json.dumps({**experiment,
                                                      "tune": {"default": {"k": "4"}}}))
     (root / "experiment.json").write_text(json.dumps(experiment))
+    (root / "second-bad.json").write_text(json.dumps(
+        {**experiment, "methods": ["linear-probe", "gpf"],
+         "tune": {"linear-probe": {"max_epochs": 2}, "gpf": {"up_lr": -1}}}))
+    (root / "uniprompt.json").write_text(json.dumps(
+        {**experiment, "methods": ["uniprompt"], "tune": {"default": {"max_epochs": 2}}}))
     (root / "fractional.json").write_text(json.dumps({"k": 4.7, "max_epochs": 2.5}))
     (root / "nan.json").write_text(json.dumps({"up_lr": float("nan")}))  # a NaN literal
     for key, value in (("seed", 7), ("knn_sample", 20)):
@@ -598,6 +595,14 @@ def bad_values(workspace, root):
                                    "unknown tune config keys: knn_sample"),
         "eval-knn-sample-section": (["eval", "--config", str(root / "knn_sample-eval.json"),
                                      *out], "unknown tune config keys: knn_sample"),
+        "eval-second-section-bad": (["eval", "--config", str(root / "second-bad.json"), *out],
+                                    "learning rates must be positive"),
+        "sweep-second-tau-bad": (["sweep", "--config", str(root / "experiment.json"), *out,
+                                  "--param", "tau", "--grid", "0.5,2"],
+                                 "tau must be in [0, 1], got 2.0"),
+        "sweep-k-not-below-n": (["sweep", "--config", str(root / "uniprompt.json"), *out,
+                                 "--param", "k", "--grid", "5,500"],
+                                "sweep grid: k must be below the 24 nodes, got 500"),
     }
 
 
@@ -611,10 +616,15 @@ def bad_values(workspace, root):
                                   "noise-nan-level", "noise-inf-level",
                                   "noise-empty-levels", "tune-seed-config",
                                   "eval-seed-section", "tune-knn-sample-config",
-                                  "eval-knn-sample-section"])
-def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, case):
+                                  "eval-knn-sample-section", "eval-second-section-bad",
+                                  "sweep-second-tau-bad", "sweep-k-not-below-n"])
+def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, monkeypatch, case):
     argv, message = bad_values(workspace, tmp_path)[case]
+    runs = []
+    real = harness.run_method
+    monkeypatch.setattr(harness, "run_method", lambda *a: runs.append(a) or real(*a))
     capsys.readouterr()
     assert dispatch(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "unused").exists()
+    assert runs == []  # failed before its first run

@@ -2,21 +2,26 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from uniprompt import autodiff as ad
+from uniprompt.encoder import encode
+from uniprompt.harness import generate_sbm
+from uniprompt.pretrain import PretrainConfig, pretrain
 from uniprompt.theory import (
+    FUNCTION_TOL,
     EquivalenceCase,
     compose,
     composed_logits,
     direct_logits,
+    function_gap,
     gradient_steps,
     orthogonal_case,
-    prediction_agreement,
     random_case,
     run_verification,
-    verify_function_equivalence,
     verify_gradient_equivalence,
 )
 
@@ -67,7 +72,7 @@ class TestFunctionEquivalence:
         for _ in range(20):
             case = random_case(int(rng.integers(2, 16)), int(rng.integers(2, 16)),
                                int(rng.integers(2, 8)), rng=rng)
-            assert verify_function_equivalence(case, 50, rng=rng) <= 1e-12
+            assert function_gap(case, 50, rng=rng)[0] <= 1e-12
 
     def test_large_magnitude_inputs_stay_conditioned(self):
         rng = np.random.default_rng(4)
@@ -92,12 +97,12 @@ class TestFunctionEquivalence:
         rng = np.random.default_rng(6)
         for _ in range(10):
             case = random_case(8, 5, 4, rng=rng)
-            assert prediction_agreement(case, 50, rng=rng) == 1.0
+            assert function_gap(case, 50, rng=rng)[1] == 1.0
 
     def test_trials_validation(self):
         case = random_case(4, 4, 2, rng=0)
         with pytest.raises(ValueError):
-            verify_function_equivalence(case, 0)
+            function_gap(case, 0)
 
 
 class TestGradientEquivalence:
@@ -106,6 +111,7 @@ class TestGradientEquivalence:
         report = verify_gradient_equivalence(case, eta=0.0)
         assert report.max_path_deviation == 0.0
         assert report.second_order_remainder == 0.0
+        assert report.half_step_remainder == 0.0
         assert report.simultaneous_vs_direct == 0.0
 
     def test_paths_match_direct_step_within_tolerance(self):
@@ -117,10 +123,18 @@ class TestGradientEquivalence:
 
     def test_halving_eta_quarters_the_remainder(self):
         case = orthogonal_case(8, 4, rng=7)
-        full = verify_gradient_equivalence(case, eta=1e-4)
-        half = verify_gradient_equivalence(case, eta=5e-5)
-        ratio = full.second_order_remainder / half.second_order_remainder
+        report = verify_gradient_equivalence(case, eta=1e-4)
+        ratio = report.second_order_remainder / report.half_step_remainder
         assert ratio == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("eta", [1e-4, 0.37])
+    def test_half_step_remainder_is_the_remainder_at_half_eta(self, eta):
+        # halving a step is exact, so one tape gives both remainders' bits
+        for seed in range(20):
+            case = orthogonal_case(2 + seed % 9, 2, rng=seed)
+            half = verify_gradient_equivalence(case, eta=eta / 2.0)
+            report = verify_gradient_equivalence(case, eta=eta)
+            assert report.half_step_remainder == half.second_order_remainder
 
     def test_simultaneous_step_doubles_the_direct_step(self):
         # the two single-parameter paths each equal the direct step exactly,
@@ -162,6 +176,19 @@ class TestGradientEquivalence:
         g_direct = cross_entropy_output_grad(h @ merged_w + merged_b, case.labels)
         assert np.abs(-d_w - h.T @ g_direct).max() < 1e-12
         assert np.abs(-d_b - g_direct.sum(axis=0)[None, :]).max() < 1e-12
+
+
+class TestEncoderRepresentations:
+    def test_identities_hold_on_a_pretrained_encoders_rows(self):
+        # the representations the harness classifies, not Gaussian vectors
+        g = generate_sbm(60, 3, 0.3, 0.05, 8, 3.0, seed=4)
+        enc = pretrain(g, PretrainConfig("dgi", epochs=2, seed=0, hidden_dim=8, embed_dim=8))
+        reps = encode(enc, g.normalized_adjacency(), ad.constant(g.features)).data
+        case = replace(orthogonal_case(8, 3, rng=0), samples=reps, labels=g.labels)
+        h = reps / np.linalg.norm(reps, axis=1, keepdims=True)
+        assert np.abs(composed_logits(case, h) - direct_logits(case, h)).max() <= FUNCTION_TOL
+        eta = 1e-4
+        assert verify_gradient_equivalence(case, eta).max_path_deviation <= 50 * eta**2
 
 
 class TestRunVerification:
