@@ -14,7 +14,9 @@ its backward reads, never a parent tensor: ``matmul`` keeps a's value only
 when b needs a gradient, ``elu`` its output, ``prelu`` its input, and
 ``add`` no value at all. So a value lives while a tensor or a rule holds
 it, and an intermediate that no rule reads is freed as soon as the caller
-drops its tensor, long before backward.
+drops its tensor, long before backward. Nor is a PReLU activation kept
+twice: a product that reads one keeps its slot's ``remake`` recipe, which
+rebuilds it bit for bit from the input ``prelu``'s rule keeps.
 
 ``backward`` consumes its tape. A tape whose values reach
 ``RELEASE_TAPE_BYTES`` is released while it is walked: each slot's gradient,
@@ -120,9 +122,13 @@ class _Slot:
     """A tensor's place on the tape: its gradient, its parents' slots, the
     rule that hands its gradient to them, and the shape and byte count of the
     value it stands for. A slot holds no value; a rule keeps only the arrays
-    it reads."""
+    it reads. ``remake``, when set, returns the value from arrays the tape
+    keeps anyway: ``prelu``'s forward expression over the input its rule
+    keeps, which ``matmul`` and ``hadamard`` keep for the other operand's
+    gradient in place of the value. It reruns that expression on the same
+    arrays, which no op writes, so it gives the value's bits."""
 
-    __slots__ = ("grad", "parents", "rule", "shape", "nbytes")
+    __slots__ = ("grad", "parents", "rule", "shape", "nbytes", "remake")
 
     def __init__(self, data, parents=(), rule=None):
         self.grad = None
@@ -130,6 +136,7 @@ class _Slot:
         self.rule = rule
         self.shape = data.shape
         self.nbytes = data.nbytes
+        self.remake = None
 
 
 class Tensor:
@@ -274,7 +281,7 @@ def backward(root, params=None):
         if release:
             if id(slot) not in named:
                 slot.grad = None
-            slot.rule = None
+            slot.rule = slot.remake = None
             slot.parents = ()
 
     if params is None:
@@ -290,11 +297,21 @@ def backward(root, params=None):
 # ---------------------------------------------------------------------------
 
 
+def _kept(t):
+    """A function giving ``t``'s value in backward: its slot's recipe, or a
+    closure over the value."""
+    if t._slot is not None and t._slot.remake is not None:
+        return t._slot.remake
+    data = t.data
+    return lambda: data
+
+
 def _cross_reads(a, b):
     """The slots of ``a`` and ``b`` (None for a constant) and the values a
-    product's rule reads: a's only for b's gradient, b's only for a's."""
+    product's rule reads, each as a ``_kept`` function: a's only for b's
+    gradient, b's only for a's."""
     sa, sb = a._slot, b._slot
-    return sa, sb, (a.data if sb is not None else None), (b.data if sa is not None else None)
+    return sa, sb, (_kept(a) if sb is not None else None), (_kept(b) if sa is not None else None)
 
 
 def add(a, b):
@@ -322,13 +339,13 @@ def hadamard(a, b):
     if a.shape != b.shape and b.shape != (a.shape[0], 1):
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
     out_data = a.data * b.data
-    sa, sb, a_data, b_data = _cross_reads(a, b)
+    sa, sb, a_value, b_value = _cross_reads(a, b)
 
     def bw(go):
         if sa is not None:
-            _accum(sa, go * b_data)
+            _accum(sa, go * b_value())
         if sb is not None:
-            gb = go * a_data
+            gb = go * a_value()
             _accum(sb, gb if sb.shape == gb.shape else gb.sum(axis=1, keepdims=True))
 
     return _node(out_data, (a, b), bw)
@@ -348,13 +365,13 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
-    sa, sb, a_data, b_data = _cross_reads(a, b)
+    sa, sb, a_value, b_value = _cross_reads(a, b)
 
     def bw(go):
         if sa is not None:
-            _accum(sa, go @ b_data.T)
+            _accum(sa, go @ b_value().T)
         if sb is not None:
-            _accum(sb, a_data.T @ go)
+            _accum(sb, a_value().T @ go)
 
     return _node(out_data, (a, b), bw)
 
@@ -451,8 +468,10 @@ def prelu(a, slope):
     if slope.shape != (1, 1):
         raise ValueError("prelu slope must be a (1, 1) tensor")
     x, s = a.data, slope.data[0, 0]
-    out_data = np.maximum(x, 0.0) + s * np.minimum(x, 0.0)
     sa, ss = a._slot, slope._slot
+
+    def remake():
+        return np.maximum(x, 0.0) + s * np.minimum(x, 0.0)
 
     def bw(go):
         # the rule reads the input, not the output; min(x, 0) is recomputed
@@ -461,7 +480,10 @@ def prelu(a, slope):
         if ss is not None:
             _accum(ss, (go * np.minimum(x, 0.0)).sum().reshape(1, 1))
 
-    return _node(out_data, (a, slope), bw)
+    out = _node(remake(), (a, slope), bw)
+    if out._slot is not None:
+        out._slot.remake = remake  # the rule keeps x and s: a product need not keep out
+    return out
 
 
 def sigmoid(a):

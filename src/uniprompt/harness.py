@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Graph, add_gaussian_noise
-from .prompt import METHODS, run_method
+from .prompt import KNN_METHODS, METHODS, run_method
 from .seeds import rng_stream
 
 DEFAULT_SEEDS = (42, 12345, 23344, 38108, 39788)
@@ -216,8 +216,10 @@ def _pool_run(args):
 
 
 def _checked(spec):
-    """``spec`` once its methods, noise level, worker count and every
-    (method, shot) tune config are valid, so a bad value fails before any run."""
+    """``spec`` once its methods, noise level, worker count, every (method,
+    shot) tune config, every shot against each class and k against the nodes
+    (where a kNN support is built) are valid, so a bad value fails before any
+    run, with a run's message."""
     for m in spec.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}'")
@@ -228,6 +230,15 @@ def _checked(spec):
     for m in spec.methods:
         for shot in spec.shots:
             spec.config_for(m, shot).validate()
+    graph = spec.graph
+    sizes = [] if graph.labels is None else np.bincount(graph.labels, minlength=graph.num_classes)
+    for shot in spec.shots:
+        short = np.flatnonzero(np.less(sizes, shot))
+        if short.size:  # the first class sample_k_shot rejects
+            raise ValueError(f"class {short[0]} has {sizes[short[0]]} nodes, fewer than k={shot}")
+    if any(spec.config_for(m, shot).k >= graph.num_nodes
+           for m in spec.methods if m in KNN_METHODS for shot in spec.shots):
+        raise ValueError("k out of range")
     return spec
 
 

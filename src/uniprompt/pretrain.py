@@ -30,7 +30,11 @@ An epoch's tape keeps only the arrays its backward rules read (see
 ``autodiff``). A value that no rule reads is freed while forward still runs:
 every objective's layer products X W1 and H W2, which only constants
 multiply; GRACE's pre-ELU head output; and its unit projections, which
-``ad.info_nce`` copies into one scaled stack.
+``ad.info_nce`` copies into one scaled stack. Nor is a PReLU activation
+that a trainable product reads (layer 1's, by W2; the encoder output, by
+DGI's discriminator or GRACE's head): backward remakes it from the
+pre-activation PReLU's rule keeps, which saves a DGI or GRACE epoch four
+n x d arrays and a GraphMAE epoch one.
 
 Per-epoch training losses are noisy because every epoch draws a fresh
 instance. With a ``probe_seed`` the engine also evaluates the live objective

@@ -336,6 +336,7 @@ METHOD_TABLE = {
     **{f"ablate:{v}": _graph_prompt(*row) for v, row in _ABLATIONS.items()},
 }
 METHODS = tuple(METHOD_TABLE)
+KNN_METHODS = ("uniprompt", *(f"ablate:{v}" for v in _ABLATIONS))  # their builders read cfg.k
 
 
 def run_method(method, graph, encoder, train_ids, cfg):

@@ -466,6 +466,60 @@ class TestActivationTape:
         assert tail.requires_grad and tail.shape == (1, d)
         assert kept < 1.1 * n * d * 8
 
+    def test_trainable_product_keeps_the_prelu_recipe_not_its_output(self):
+        # the product's weight gradient reads the activation, which prelu's
+        # slot remakes from the input its rule keeps: one n x d array, where
+        # keeping the output as well made two
+        n, d = 2000, 32
+        rng = np.random.default_rng(1)
+        a = ad.parameter(rng.normal(size=(n, d)))
+        slope = ad.parameter(np.full((1, 1), 0.25))
+        w = ad.parameter(rng.normal(size=(d, 4)))
+        tracemalloc.start()
+        try:
+            x = ad.scalar_scale(a, 1.0)
+            h = ad.prelu(x, slope)
+            tail = ad.row_mean(ad.matmul(h, w))
+            remake = h._slot.remake
+            del x, h
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tail.requires_grad and tail.shape == (1, 4)
+        assert kept < 1.1 * n * d * 8
+        held = list(captured_objects(tail._slot.parents[0].rule))
+        assert any(obj is remake for obj in held)
+        assert [obj for obj in held if isinstance(obj, ad.Tensor)] == []
+
+    # a (7, 5) activation h read by a product with a trainable w: w's shape
+    # and the product
+    PRODUCTS = {"h @ w": ((5, 3), ad.matmul),
+                "w @ h": ((4, 7), lambda h, w: ad.matmul(w, h)),
+                "h * w": ((7, 1), ad.hadamard)}
+
+    def product_grads(self, product, recipe):
+        """The gradients of the product's inputs, with the product keeping
+        prelu's recipe or, with the recipe cleared, the activation's array."""
+        rng = np.random.default_rng(2)
+        shape, fn = self.PRODUCTS[product]
+        leaves = [ad.parameter(rng.normal(size=(7, 5))), ad.parameter(np.full((1, 1), 0.3)),
+                  ad.parameter(rng.normal(size=shape))]
+        a, slope, w = leaves
+        h = ad.prelu(ad.scalar_scale(a, 1.0), slope)
+        if not recipe:
+            h._slot.remake = None
+        out = fn(h, w)
+        ad.backward(total(ad.hadamard(out, ad.constant(rng.normal(size=out.shape)))))
+        return [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("limit", [ad.RELEASE_TAPE_BYTES, 0])
+    @pytest.mark.parametrize("product", sorted(PRODUCTS))
+    def test_recipe_gives_the_array_paths_gradient_bits(self, monkeypatch, product, limit):
+        monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+        for got, want in zip(self.product_grads(product, True),
+                             self.product_grads(product, False)):
+            assert np.array_equal(got, want)
+
 
 class TestOpValues:
     def test_elu_at_zero_and_saturation(self):

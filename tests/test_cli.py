@@ -518,7 +518,10 @@ def bad_values(workspace, root):
     noise level list; a tune config file or an eval tune section that sets
     the seed or names the removed ``knn_sample`` key; an eval whose second
     method's tune section is invalid, and sweep grids with a bad tau or a k
-    of at least the node count, each behind a valid first value."""
+    of at least the node count, each behind a valid first value; a shot
+    above the 8 nodes of each class and uniprompt's default k of at least
+    the node count, each behind a valid probe method or shot, in an eval and
+    in a sweep or a noise experiment."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
@@ -530,6 +533,10 @@ def bad_values(workspace, root):
          "tune": {"linear-probe": {"max_epochs": 2}, "gpf": {"up_lr": -1}}}))
     (root / "uniprompt.json").write_text(json.dumps(
         {**experiment, "methods": ["uniprompt"], "tune": {"default": {"max_epochs": 2}}}))
+    (root / "big-shot.json").write_text(json.dumps(
+        {**experiment, "methods": ["linear-probe"], "shots": [1, 20], "runs": 2}))
+    (root / "default-k.json").write_text(json.dumps(
+        {**experiment, "methods": ["linear-probe", "uniprompt"], "runs": 2}))
     (root / "fractional.json").write_text(json.dumps({"k": 4.7, "max_epochs": 2.5}))
     (root / "nan.json").write_text(json.dumps({"up_lr": float("nan")}))  # a NaN literal
     for key, value in (("seed", 7), ("knn_sample", 20)):
@@ -603,6 +610,15 @@ def bad_values(workspace, root):
         "sweep-k-not-below-n": (["sweep", "--config", str(root / "uniprompt.json"), *out,
                                  "--param", "k", "--grid", "5,500"],
                                 "sweep grid: k must be below the 24 nodes, got 500"),
+        "eval-shot-above-class": (["eval", "--config", str(root / "big-shot.json"), *out],
+                                  "class 0 has 8 nodes, fewer than k=20"),
+        "noise-shot-above-class": (["noise", "--config", str(root / "big-shot.json"), *out,
+                                    "--levels", "0,0.1"], "class 0 has 8 nodes, fewer than k=20"),
+        "eval-default-k-not-below-n": (["eval", "--config", str(root / "default-k.json"), *out],
+                                       "k out of range"),
+        "sweep-default-k-not-below-n": (["sweep", "--config", str(root / "default-k.json"),
+                                         *out, "--param", "tau", "--grid", "0.5"],
+                                        "k out of range"),
     }
 
 
@@ -617,7 +633,10 @@ def bad_values(workspace, root):
                                   "noise-empty-levels", "tune-seed-config",
                                   "eval-seed-section", "tune-knn-sample-config",
                                   "eval-knn-sample-section", "eval-second-section-bad",
-                                  "sweep-second-tau-bad", "sweep-k-not-below-n"])
+                                  "sweep-second-tau-bad", "sweep-k-not-below-n",
+                                  "eval-shot-above-class", "noise-shot-above-class",
+                                  "eval-default-k-not-below-n",
+                                  "sweep-default-k-not-below-n"])
 def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, monkeypatch, case):
     argv, message = bad_values(workspace, tmp_path)[case]
     runs = []

@@ -25,7 +25,7 @@ from uniprompt.harness import (
     sweep,
 )
 from uniprompt.pretrain import PretrainConfig, pretrain
-from uniprompt.prompt import TuneConfig
+from uniprompt.prompt import METHODS, TuneConfig, run_method
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,43 @@ class TestRunExperiment:
             monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
             run_experiment(spec).to_csv(path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256, limit
+
+    @staticmethod
+    def error_of(fn, *args):
+        try:
+            fn(*args)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_k_is_checked_before_any_run_where_a_run_fails_on_it(self, sbm, encoder, method):
+        # the check at k = n fails with the run's own message exactly for
+        # the methods that build a kNN support; at k = n - 1 both pass
+        task = sample_k_shot(sbm, 1, 42, 0)
+        for k, fails in ((sbm.num_nodes, method == "uniprompt" or method.startswith("ablate:")),
+                         (sbm.num_nodes - 1, False)):
+            cfg = TuneConfig(k=k, max_epochs=0, clf_hidden=8)
+            spec = tiny_spec(sbm, encoder, methods=(method,), tune={"default": cfg})
+            ran = self.error_of(run_method, method, sbm, encoder, task.train_ids, cfg)
+            assert self.error_of(harness._checked, spec) == ran
+            assert ran == ("k out of range" if fails else None)
+
+    def test_every_shot_is_checked_against_the_classes_before_any_run(self, encoder, monkeypatch):
+        # classes of 3, 5 and 2 nodes: a shot of 4 first fails class 0, the
+        # class sample_k_shot rejects, not the smallest one
+        labels = np.repeat([0, 1, 2], [3, 5, 2])
+        graph = Graph(10, [0, 1], [1, 0], np.ones((10, 8)), labels, 3)
+        monkeypatch.setattr(harness, "run_method", lambda *a: pytest.fail("ran"))
+        for shot in (3, 4, 6):
+            spec = tiny_spec(graph, encoder, shots=(1, shot))
+            checked = self.error_of(harness._checked, spec)
+            assert checked == self.error_of(sample_k_shot, graph, shot, 42, 0)
+            assert checked is not None and checked.startswith(f"class {0 if shot > 3 else 2} has ")
+            with pytest.raises(ValueError, match=f"^{checked}$"):
+                run_experiment(spec)
+        spec = tiny_spec(graph, encoder, shots=(1, 2))
+        assert harness._checked(spec) is spec
 
     def test_default_protocol_constants(self):
         assert DEFAULT_SEEDS == (42, 12345, 23344, 38108, 39788)
