@@ -51,6 +51,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -974,32 +975,50 @@ def adam_step(state, grads=None):
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_bytes(tensors):
-    """Serialize {name: array}: one JSON header line, then little-endian
-    float64 payloads in header order."""
+def checkpoint_pieces(tensors):
+    """Serialize {name: array} in pieces: one JSON header line of the
+    shapes, then each array as contiguous little-endian float64, in header
+    order. The pieces are buffers; joined they are the checkpoint file."""
     header = {name: list(np.asarray(arr).shape) for name, arr in tensors.items()}
-    blob = [json.dumps(header).encode() + b"\n"]
+    yield json.dumps(header).encode() + b"\n"
     for name in header:
-        blob.append(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
-    return b"".join(blob)
+        yield np.ascontiguousarray(tensors[name], dtype="<f8")
 
 
 def save_checkpoint(path, tensors):
     with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(tensors))
+        for piece in checkpoint_pieces(tensors):
+            fh.write(piece)
+
+
+def _checkpoint_header(line):
+    """The {name: shape} header line of a checkpoint: a JSON object mapping
+    each name to a list of non-negative integers."""
+    try:
+        header = json.loads(line.decode())
+    except ValueError as exc:
+        raise ValueError(f"checkpoint: header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint: header must be a JSON object, got {type(header).__name__}")
+    for name, shape in header.items():
+        if not (isinstance(shape, list) and all(
+                isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)):
+            raise ValueError(f"checkpoint: shape of '{name}' must be a list of "
+                             f"non-negative integers, got {shape!r}")
+    return header
 
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode())
+        header = _checkpoint_header(fh.readline())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         out = {}
         for name, shape in header.items():
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(count * 8)
-            if len(payload) != count * 8:
+            size = 8 * math.prod(shape)
+            if size > left:
                 raise ValueError(f"truncated checkpoint payload for '{name}'")
-            out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
+            out[name] = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
+            left -= size
+        if left:
             raise ValueError("trailing bytes after the checkpoint payload")
     return out

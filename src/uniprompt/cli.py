@@ -301,8 +301,8 @@ def build_parser():
     p.add_argument("--eta", type=float, default=1e-4)
     p.set_defaults(handler=_cmd_verify_theory)
 
-    p = sub.add_parser("make-sbm", help="write a synthetic SBM bundle (meta.json, edges.csv, "
-                       "labels.csv and features.npy; loaders also accept features.csv)")
+    p = sub.add_parser("make-sbm", help="write a synthetic SBM bundle (meta.json, edges.npy, "
+                       "labels.npy and features.npy; loaders also accept the .csv forms)")
     common(p, "seed", out_required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)

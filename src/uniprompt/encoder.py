@@ -199,7 +199,12 @@ def encoder_state_dict(encoder):
 
 
 def encoder_checkpoint_hash(encoder):
-    return hashlib.sha256(ad.checkpoint_bytes(encoder_state_dict(encoder))).hexdigest()
+    """The sha256 of the checkpoint file ``save_encoder`` writes, fed its
+    pieces one after another, so the file's bytes are never joined."""
+    digest = hashlib.sha256()
+    for piece in ad.checkpoint_pieces(encoder_state_dict(encoder)):
+        digest.update(piece)
+    return digest.hexdigest()
 
 
 def save_encoder(encoder, path, meta=None):
@@ -229,6 +234,8 @@ def load_encoder(path):
     state = ad.load_checkpoint(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar must be a JSON object, got {type(meta).__name__}")
     if "activation" not in meta:
         raise ValueError("sidecar: missing key 'activation'")
     if meta["activation"] != "prelu":

@@ -312,7 +312,7 @@ def graph_from_pairs(num_nodes, pairs, features, labels, num_classes, name="grap
 
 def _meta_counts(meta):
     """``num_nodes``, ``num_features`` and ``num_classes`` of a bundle's
-    meta.json object; each must be a JSON integer."""
+    meta.json object; each must be a JSON integer of at least 1."""
     if not isinstance(meta, dict):
         raise ValueError(f"meta.json must be a JSON object, got {type(meta).__name__}")
     counts = []
@@ -322,6 +322,8 @@ def _meta_counts(meta):
         value = meta[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"meta.json: {key} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"meta.json: {key} must be at least 1, got {value}")
         counts.append(value)
     return counts
 
@@ -343,56 +345,70 @@ def _read_edges(file):
         raise ValueError(f"edges.csv: non-numeric cell ({exc})") from exc
 
 
-def _read_features(path):
-    """The feature matrix from the one of features.npy and features.csv that
-    the bundle holds, and that file's name."""
-    npy, text = path / "features.npy", path / "features.csv"
+def _read_labels(file):
+    try:
+        return np.loadtxt(file, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"labels.csv: non-numeric cell ({exc})") from exc
+
+
+def _read_features(file):
+    try:
+        return np.loadtxt(file, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"features.csv: non-numeric cell ({exc})") from exc
+
+
+def _read_array(path, name, ndim, dtype, parse):
+    """The bundle's ``name`` array from the one of <name>.npy and <name>.csv
+    that it holds, and that file's name. The CSV form is read by ``parse``;
+    the .npy form must be a single ``ndim``-D ``dtype`` array, and no
+    pickle is read."""
+    npy, text = path / f"{name}.npy", path / f"{name}.csv"
     if npy.exists() == text.exists():
         if npy.exists():
-            raise ValueError(f"{path} holds both features.npy and features.csv; keep one")
-        raise FileNotFoundError(f"missing file: {npy} (or features.csv)")
+            raise ValueError(f"{path} holds both {npy.name} and {text.name}; keep one")
+        raise FileNotFoundError(f"missing file: {npy} (or {text.name})")
     if text.exists():
-        try:
-            return np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2), text.name
-        except ValueError as exc:
-            raise ValueError(f"features.csv: non-numeric cell ({exc})") from exc
+        return parse(text), text.name
     try:
-        features = np.load(npy, allow_pickle=False)
+        arr = np.load(npy, allow_pickle=False)
     except (ValueError, EOFError, OSError) as exc:
-        raise ValueError(f"features.npy: unreadable ({exc})") from exc
-    if not isinstance(features, np.ndarray):  # an .npz archive under the name
-        features.close()
-        raise ValueError("features.npy: not a single .npy array")
-    if features.ndim != 2 or features.dtype != np.float64:
-        raise ValueError(f"features.npy: expected a 2-D float64 array, "
-                         f"got a {features.ndim}-D {features.dtype} one")
-    return np.ascontiguousarray(features), npy.name
+        raise ValueError(f"{npy.name}: unreadable ({exc})") from exc
+    if not isinstance(arr, np.ndarray):  # an .npz archive under the name
+        arr.close()
+        raise ValueError(f"{npy.name}: not a single .npy array")
+    if arr.ndim != ndim or arr.dtype != dtype:
+        raise ValueError(f"{npy.name}: expected a {ndim}-D {np.dtype(dtype)} array, "
+                         f"got a {arr.ndim}-D {arr.dtype} one")
+    return np.ascontiguousarray(arr), npy.name
 
 
 def load_graph_bundle(path):
-    """Load a graph bundle directory:
-    - meta.json: integer ``num_nodes``, ``num_features``, ``num_classes``,
-      and an optional ``name``;
-    - edges.csv: a 'src,dst' header, then one integer pair per line;
-    - labels.csv: one integer per line;
-    - the features, as exactly one of features.npy (an N x F float64 array
-      in numpy's .npy format, which ``save_graph_bundle`` writes) or
-      features.csv (one comma-separated row per node, still accepted for
-      bundles written by hand).
-    Directed input edges are symmetrized by union; self-loops dropped."""
+    """Load a graph bundle directory: meta.json, with integer ``num_nodes``,
+    ``num_features`` and ``num_classes`` of at least 1 and an optional
+    ``name``, and three arrays. Each array is read from exactly one of two
+    files: <name>.npy, in numpy's .npy format as ``save_graph_bundle``
+    writes it, or <name>.csv, still accepted for bundles written by hand:
+    - edges: an E x 2 int64 array, or a 'src,dst' header, then one integer
+      pair per line;
+    - labels: an int64 array of length N, or one integer per line;
+    - features: an N x F float64 array, or one comma-separated row per node.
+    Edges are symmetrized by union, so one row per undirected edge is
+    enough; self-loops are dropped."""
     path = Path(path)
-    for fname in ("meta.json", "edges.csv", "labels.csv"):
-        if not (path / fname).exists():
-            raise FileNotFoundError(f"missing file: {path / fname}")
-
+    if not (path / "meta.json").exists():
+        raise FileNotFoundError(f"missing file: {path / 'meta.json'}")
     with open(path / "meta.json") as fh:
         meta = json.load(fh)
     n, num_features, num_classes = _meta_counts(meta)
     name = str(meta.get("name", path.name))
 
-    pairs = _read_edges(path / "edges.csv")
+    pairs, fname = _read_array(path, "edges", 2, np.int64, _read_edges)
+    if pairs.shape[1] != 2:  # graph_from_pairs would fold E x 3 into pairs
+        raise ValueError(f"{fname}: expected 2 columns (src, dst), got {pairs.shape[1]}")
 
-    features, fname = _read_features(path)
+    features, fname = _read_array(path, "features", 2, np.float64, _read_features)
     if features.shape[0] != n:
         raise ValueError(
             f"row count mismatch: {fname} has {features.shape[0]} rows, meta says {n}"
@@ -403,13 +419,10 @@ def load_graph_bundle(path):
             f"meta says {num_features}"
         )
 
-    try:
-        labels = np.loadtxt(path / "labels.csv", dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"labels.csv: non-numeric cell ({exc})") from exc
+    labels, fname = _read_array(path, "labels", 1, np.int64, _read_labels)
     if labels.shape[0] != n:
         raise ValueError(
-            f"row count mismatch: labels.csv has {labels.shape[0]} rows, meta says {n}"
+            f"row count mismatch: {fname} has {labels.shape[0]} rows, meta says {n}"
         )
 
     return graph_from_pairs(n, pairs, features, labels, num_classes, name=name)
@@ -417,9 +430,10 @@ def load_graph_bundle(path):
 
 def save_graph_bundle(graph, path):
     """Write a Graph as a bundle directory (inverse of load_graph_bundle):
-    meta.json, edges.csv, labels.csv and the exact float64 features as
-    features.npy. A features.csv already in the directory is removed, so
-    the bundle holds one feature file."""
+    meta.json and three .npy arrays: edges.npy, one (src, dst) row with
+    src < dst per undirected edge; labels.npy; and the exact float64
+    features as features.npy. The CSV form of any of the three already in
+    the directory is removed, so the bundle holds one file per array."""
     if graph.labels is None:
         raise ValueError("cannot save a bundle without labels")
     path = Path(path)
@@ -433,11 +447,12 @@ def save_graph_bundle(graph, path):
     with open(path / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    np.savetxt(path / "edges.csv", np.column_stack([graph.src, graph.dst]), fmt="%d",
-               delimiter=",", header="src,dst", comments="")
-    np.save(path / "features.npy", graph.features, allow_pickle=False)
-    (path / "features.csv").unlink(missing_ok=True)
-    np.savetxt(path / "labels.csv", graph.labels, fmt="%d")
+    upper = graph.src < graph.dst
+    arrays = {"edges": np.column_stack([graph.src[upper], graph.dst[upper]]),
+              "labels": graph.labels, "features": graph.features}
+    for name, arr in arrays.items():
+        np.save(path / f"{name}.npy", arr, allow_pickle=False)
+        (path / f"{name}.csv").unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -921,3 +921,31 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"garbage")
         with pytest.raises(ValueError, match="trailing"):
             ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"not json", "checkpoint: header is not JSON"),
+        (b"\xff{}", "checkpoint: header is not JSON"),
+        (b"[1, 2]", "checkpoint: header must be a JSON object, got list"),
+        (b'{"x": 4}', "checkpoint: shape of 'x' must be a list of non-negative integers, got 4"),
+        (b'{"x": ["a"]}', "shape of 'x' must be a list of non-negative integers, got ['a']"),
+        (b'{"x": [-1, 4]}', "shape of 'x' must be a list of non-negative integers, got [-1, 4]"),
+        (b'{"x": [2.0, 2]}', "shape of 'x' must be a list of non-negative integers, got [2.0, 2]"),
+        (b'{"x": [true, 4]}', "shape of 'x' must be a list of non-negative integers, got [True, 4]"),
+        (b'{"x": [1000000000, 1000000000]}', "truncated checkpoint payload for 'x'"),
+    ])
+    def test_header_maps_names_to_shapes_that_fit_the_file(self, tmp_path, header, message):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(header + b"\n" + np.ones(4).tobytes())
+        with pytest.raises(ValueError) as info:
+            ad.load_checkpoint(path)
+        assert message in str(info.value)
+
+    def test_pieces_join_to_the_file_bytes(self, tmp_path):
+        tensors = {"w": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+                   "s": np.array(0.25), "e": np.zeros((0, 3))}
+        path = tmp_path / "ckpt.bin"
+        ad.save_checkpoint(path, tensors)
+        assert b"".join(bytes(p) for p in ad.checkpoint_pieces(tensors)) == path.read_bytes()
+        loaded = ad.load_checkpoint(path)
+        for name, arr in tensors.items():
+            assert loaded[name].shape == arr.shape and np.array_equal(loaded[name], arr)

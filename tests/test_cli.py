@@ -199,40 +199,48 @@ def exit_code_and_err(argv, capsys):
 
 
 def damage_bundle(bundle, damage):
-    """Damage a copy of a make-sbm bundle, which holds features.npy."""
-    npy = bundle / "features.npy"
-    features = np.load(npy)
-    if damage == "features-cell":
+    """Damage a copy of a make-sbm bundle, which holds edges.npy, labels.npy
+    and features.npy. A damage named "edges-npy-..." or "labels-npy-..."
+    hits that array and a plain "npy-..." the features; "no-<name>" deletes
+    <name>.npy."""
+    name, kind = damage.split("-", 1) if damage.startswith(("edges-", "labels-")) else (
+        "features", damage)
+    npy = bundle / f"{name}.npy"
+    arr = np.load(npy)
+    if kind == "features-cell":
         # the hand-written CSV form of the features, with a bad cell
         npy.unlink()
-        lines = [",".join(repr(float(v)) for v in row) for row in features]
+        lines = [",".join(repr(float(v)) for v in row) for row in arr]
         lines[1] = "abc" + lines[1][lines[1].index(","):]
         (bundle / "features.csv").write_text("\n".join(lines) + "\n")
-    elif damage == "npy-truncated":
+    elif kind == "npy-truncated":
         npy.write_bytes(npy.read_bytes()[:-8])
-    elif damage == "npy-float32":
-        np.save(npy, features.astype(np.float32))
-    elif damage == "npy-1d":
-        np.save(npy, features.ravel())
-    elif damage == "npy-object":
-        np.save(npy, features.astype(object), allow_pickle=True)
-    elif damage == "npy-archive":
+    elif kind == "npy-float32":
+        np.save(npy, arr.astype(np.float32))
+    elif kind == "npy-int32":
+        np.save(npy, arr.astype(np.int32))
+    elif kind in ("npy-1d", "npy-2d"):
+        np.save(npy, arr.ravel() if kind == "npy-1d" else arr.reshape(-1, 1))
+    elif kind == "npy-object":
+        np.save(npy, arr.astype(object), allow_pickle=True)
+    elif kind == "npy-archive":
         with open(npy, "wb") as fh:
-            np.savez(fh, features=features)
-    elif damage == "npy-rows":
-        np.save(npy, features[:-1])
-    elif damage == "npy-columns":
-        np.save(npy, features[:, :-1])
-    elif damage == "npy-and-csv":
-        np.savetxt(bundle / "features.csv", features, delimiter=",")
-    elif damage == "no-features":
-        npy.unlink()
+            np.savez(fh, **{name: arr})
+    elif kind == "npy-rows":
+        np.save(npy, arr[:-1])
+    elif kind == "npy-columns":
+        np.save(npy, arr[:, :-1] if name == "features" else np.column_stack([arr, arr[:, 0]]))
+    elif kind == "npy-and-csv":
+        np.savetxt(bundle / f"{name}.csv", arr, delimiter=",", comments="",
+                   header="src,dst" if name == "edges" else "")
+    elif kind.startswith("no-"):
+        (bundle / f"{kind[3:]}.npy").unlink()
     else:
         meta = json.loads((bundle / "meta.json").read_text())
-        if damage == "meta-num-nodes":
+        if kind == "meta-num-nodes":
             del meta["num_nodes"]
         else:
-            key, value = damage.split(":")
+            key, value = kind.split(":")
             meta[key] = json.loads(value)
         (bundle / "meta.json").write_text(json.dumps(meta))
 
@@ -248,10 +256,28 @@ def damage_bundle(bundle, damage):
     ("npy-columns", "column count mismatch: features.npy"),
     ("npy-and-csv", "holds both features.npy and features.csv"),
     ("no-features", "features.npy (or features.csv)"),
+    ("edges-npy-truncated", "edges.npy: unreadable"),
+    ("edges-npy-int32", "edges.npy: expected a 2-D int64 array"),
+    ("edges-npy-1d", "edges.npy: expected a 2-D int64 array"),
+    ("edges-npy-columns", "edges.npy: expected 2 columns (src, dst), got 3"),
+    ("edges-npy-object", "edges.npy: unreadable"),
+    ("edges-npy-archive", "edges.npy: not a single .npy array"),
+    ("edges-npy-and-csv", "holds both edges.npy and edges.csv"),
+    ("no-edges", "edges.npy (or edges.csv)"),
+    ("labels-npy-truncated", "labels.npy: unreadable"),
+    ("labels-npy-int32", "labels.npy: expected a 1-D int64 array"),
+    ("labels-npy-2d", "labels.npy: expected a 1-D int64 array"),
+    ("labels-npy-rows", "row count mismatch: labels.npy"),
+    ("labels-npy-object", "labels.npy: unreadable"),
+    ("labels-npy-archive", "labels.npy: not a single .npy array"),
+    ("labels-npy-and-csv", "holds both labels.npy and labels.csv"),
+    ("no-labels", "labels.npy (or labels.csv)"),
     ("meta-num-nodes", "missing key 'num_nodes'"),
     ("num_nodes:24.0", "num_nodes must be an integer"),
     ("num_features:true", "num_features must be an integer"),
-    ("num_classes:\"3\"", "num_classes must be an integer")])
+    ("num_classes:\"3\"", "num_classes must be an integer"),
+    ("num_nodes:0", "meta.json: num_nodes must be at least 1, got 0"),
+    ("num_features:0", "meta.json: num_features must be at least 1, got 0")])
 def test_malformed_bundle_exits_one(workspace, capsys, tmp_path, damage, message):
     bundle, _, _ = workspace
     copy = tmp_path / "bundle"
@@ -521,7 +547,9 @@ def bad_values(workspace, root):
     of at least the node count, each behind a valid first value; a shot
     above the 8 nodes of each class and uniprompt's default k of at least
     the node count, each behind a valid probe method or shot, in an eval and
-    in a sweep or a noise experiment."""
+    in a sweep or a noise experiment; a checkpoint whose header line is
+    not a JSON object, or gives a shape that is not a list of non-negative
+    integers, and a sidecar that is not a JSON object."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
@@ -543,13 +571,33 @@ def bad_values(workspace, root):
         (root / f"{key}-tune.json").write_text(json.dumps({key: value, "max_epochs": 2}))
         (root / f"{key}-eval.json").write_text(json.dumps(
             {**experiment, "tune": {"default": {key: value}}}))
+    payload = checkpoint.read_bytes()
+    sidecar = Path(str(checkpoint) + ".json").read_text()
+    for tag, header, side in (("list-header", [1, 2], sidecar),
+                              ("string-dim", {"layer1.weight": ["a"]}, sidecar),
+                              ("negative-dim", {"layer1.weight": [-1, 8]}, sidecar),
+                              ("list-sidecar", None, "[1]")):
+        head = payload[:payload.index(b"\n")] if header is None else json.dumps(header).encode()
+        (root / f"{tag}.ckpt").write_bytes(head + payload[payload.index(b"\n"):])
+        (root / f"{tag}.ckpt.json").write_text(side)
     wide = root / "wide"
     assert dispatch(["make-sbm", "--n", "24", "--classes", "3", "--p-in", "0.4",
                      "--p-out", "0.05", "--feature-dim", "7", "--seed", "1",
                      "--out", str(wide)]) == 0
     out = ["--out", str(root / "unused"), "--jobs", "1"]
     tune = ["tune", "--method", "gpf", "--encoder", str(checkpoint), "--shot", "1"]
+    damaged = ["tune", "--method", "gpf", "--dataset", str(bundle), "--shot", "1", "--encoder"]
     return {
+        "tune-checkpoint-header-list": ([*damaged, str(root / "list-header.ckpt")],
+                                        "checkpoint: header must be a JSON object, got list"),
+        "tune-checkpoint-string-dim": ([*damaged, str(root / "string-dim.ckpt")],
+                                       "checkpoint: shape of 'layer1.weight' must be a list of "
+                                       "non-negative integers, got ['a']"),
+        "tune-checkpoint-negative-dim": ([*damaged, str(root / "negative-dim.ckpt")],
+                                         "checkpoint: shape of 'layer1.weight' must be a list of "
+                                         "non-negative integers, got [-1, 8]"),
+        "tune-sidecar-list": ([*damaged, str(root / "list-sidecar.ckpt")],
+                              "sidecar must be a JSON object, got list"),
         "eval-string-k": (["eval", "--config", str(root / "string-k.json"), *out],
                           "k must be an integer, got '4'"),
         "tune-fractional-config": ([*tune, "--dataset", str(bundle),
@@ -636,7 +684,9 @@ def bad_values(workspace, root):
                                   "sweep-second-tau-bad", "sweep-k-not-below-n",
                                   "eval-shot-above-class", "noise-shot-above-class",
                                   "eval-default-k-not-below-n",
-                                  "sweep-default-k-not-below-n"])
+                                  "sweep-default-k-not-below-n",
+                                  "tune-checkpoint-header-list", "tune-checkpoint-string-dim",
+                                  "tune-checkpoint-negative-dim", "tune-sidecar-list"])
 def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, monkeypatch, case):
     argv, message = bad_values(workspace, tmp_path)[case]
     runs = []

@@ -1,5 +1,6 @@
 """Encoder/classifier forward, freeze semantics, and checkpoint tests."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -229,6 +230,13 @@ class TestCheckpoints:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="missing key 'encoder_checkpoint_hash'"):
             load_encoder(path)
+
+    def test_hash_is_the_sha256_of_the_written_checkpoint(self, tmp_path):
+        enc = init_encoder(3, 5, 4, rng=1)
+        enc.layer1.weight.data = np.asfortranarray(enc.layer1.weight.data)
+        save_encoder(enc, tmp_path / "enc.ckpt")
+        digest = hashlib.sha256((tmp_path / "enc.ckpt").read_bytes()).hexdigest()
+        assert encoder_checkpoint_hash(enc) == digest
 
     def test_hash_changes_with_parameters(self):
         enc = init_encoder(3, 5, 4, rng=1)

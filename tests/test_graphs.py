@@ -152,23 +152,40 @@ class TestLoadBundle:
         write_bundle(tmp_path / "csv", g.num_nodes, zip(g.src, g.dst), g.features,
                      g.labels, g.num_classes, name=g.name)
         assert {f.name for f in (tmp_path / "npy").iterdir()} == {
-            "meta.json", "edges.csv", "labels.csv", "features.npy"}
+            "meta.json", "edges.npy", "labels.npy", "features.npy"}
         from_npy, from_csv = (load_graph_bundle(tmp_path / d) for d in ("npy", "csv"))
         for key in ("src", "dst", "features", "labels"):
             assert np.array_equal(getattr(from_npy, key), getattr(from_csv, key)), key
             assert np.array_equal(getattr(from_npy, key), getattr(g, key)), key
 
-    def test_save_writes_edges_and_labels_as_integer_lines(self, tmp_path):
+    def test_save_writes_one_int64_row_per_undirected_edge_and_the_labels(self, tmp_path):
         g = graph_from_pairs(4, [(0, 1), (3, 2)], np.zeros((4, 2)), [0, 1, 1, 0], 2)
         save_graph_bundle(g, tmp_path / "b")
-        assert (tmp_path / "b" / "edges.csv").read_text() == "src,dst\n0,1\n1,0\n2,3\n3,2\n"
-        assert (tmp_path / "b" / "labels.csv").read_text() == "0\n1\n1\n0\n"
+        edges = np.load(tmp_path / "b" / "edges.npy", allow_pickle=False)
+        labels = np.load(tmp_path / "b" / "labels.npy", allow_pickle=False)
+        assert edges.dtype == np.int64 and edges.tolist() == [[0, 1], [2, 3]]
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1, 1, 0]
 
     def test_save_over_a_csv_bundle_leaves_one_feature_file(self, toy_bundle):
         g = load_graph_bundle(toy_bundle)
         save_graph_bundle(g, toy_bundle)
-        assert not (toy_bundle / "features.csv").exists()
-        assert np.array_equal(load_graph_bundle(toy_bundle).features, g.features)
+        assert {f.name for f in toy_bundle.iterdir()} == {
+            "meta.json", "edges.npy", "labels.npy", "features.npy"}
+        loaded = load_graph_bundle(toy_bundle)
+        for key in ("src", "dst", "features", "labels"):
+            assert np.array_equal(getattr(loaded, key), getattr(g, key)), key
+
+    def test_a_saved_bundle_loads_without_parsing_text(self, tmp_path, monkeypatch):
+        g = generate_sbm(60, 3, 0.2, 0.02, 5, 3.0, seed=2)
+        save_graph_bundle(g, tmp_path / "b")
+
+        def parse(*args, **kwargs):
+            raise AssertionError("a saved bundle was parsed as text")
+
+        monkeypatch.setattr(np, "loadtxt", parse)
+        monkeypatch.setattr(graphs, "_read_edges", parse)
+        loaded = load_graph_bundle(tmp_path / "b")
+        assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
 
 
 class TestGraphInvariants:
