@@ -14,9 +14,14 @@ its backward reads, never a parent tensor: ``matmul`` keeps a's value only
 when b needs a gradient, ``elu`` its output, ``prelu`` its input, and
 ``add`` no value at all. So a value lives while a tensor or a rule holds
 it, and an intermediate that no rule reads is freed as soon as the caller
-drops its tensor, long before backward. Nor is a PReLU activation kept
-twice: a product that reads one keeps its slot's ``remake`` recipe, which
-rebuilds it bit for bit from the input ``prelu``'s rule keeps.
+drops its tensor, long before backward. A value that backward can rebuild
+cheaply is not kept either: a rule reads its inputs through ``_kept``,
+which hands it a tensor's recipe, when it has one, in place of the value.
+A recipe rebuilds the value bit for bit from arrays that outlive it anyway.
+``prelu`` puts one on its output's slot, over the input its rule keeps, so
+an activation is not kept twice; ``with_recipe`` puts one on any tensor,
+a constant included: pretraining's DGI regathers its permuted features and
+GRACE remakes its head rows from the ELU output its tape keeps.
 
 ``backward`` consumes its tape. A tape whose values reach
 ``RELEASE_TAPE_BYTES`` is released while it is walked: each slot's gradient,
@@ -123,11 +128,11 @@ class _Slot:
     """A tensor's place on the tape: its gradient, its parents' slots, the
     rule that hands its gradient to them, and the shape and byte count of the
     value it stands for. A slot holds no value; a rule keeps only the arrays
-    it reads. ``remake``, when set, returns the value from arrays the tape
-    keeps anyway: ``prelu``'s forward expression over the input its rule
-    keeps, which ``matmul`` and ``hadamard`` keep for the other operand's
-    gradient in place of the value. It reruns that expression on the same
-    arrays, which no op writes, so it gives the value's bits."""
+    it reads. ``remake``, when set, is the tensor's recipe (``_kept``): it
+    returns the value from arrays the tape keeps anyway, such as
+    ``prelu``'s forward expression over the input its rule keeps. It reruns
+    that expression on the same arrays, which no op writes, so it gives the
+    value's bits."""
 
     __slots__ = ("grad", "parents", "rule", "shape", "nbytes", "remake")
 
@@ -141,9 +146,11 @@ class _Slot:
 
 
 class Tensor:
-    """A 2-D float64 value, with a tape slot exactly when it needs a gradient."""
+    """A 2-D float64 value, with a tape slot exactly when it needs a gradient.
+    A constant has no slot to hold a recipe, so it holds its own in
+    ``_remake`` (see ``with_recipe``)."""
 
-    __slots__ = ("data", "name", "_slot")
+    __slots__ = ("data", "name", "_slot", "_remake")
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -156,6 +163,7 @@ class Tensor:
         self.data = arr
         self.name = name
         self._slot = _Slot(arr) if requires_grad else None
+        self._remake = None
 
     @property
     def requires_grad(self):
@@ -298,11 +306,25 @@ def backward(root, params=None):
 # ---------------------------------------------------------------------------
 
 
+def with_recipe(t, remake):
+    """``t``, with ``remake`` as its recipe: a function returning t's value
+    bit for bit from arrays that outlive it anyway. A rule that reads t then
+    keeps the recipe in place of the value (see ``_kept``), so the value is
+    freed with t. A slot holds its tensor's recipe, which a released tape
+    drops with the rule; a constant holds its own."""
+    if t._slot is not None:
+        t._slot.remake = remake
+    else:
+        t._remake = remake
+    return t
+
+
 def _kept(t):
-    """A function giving ``t``'s value in backward: its slot's recipe, or a
-    closure over the value."""
-    if t._slot is not None and t._slot.remake is not None:
-        return t._slot.remake
+    """A function giving ``t``'s value in backward: its recipe, or a closure
+    over the value."""
+    remake = t._remake if t._slot is None else t._slot.remake
+    if remake is not None:
+        return remake
     data = t.data
     return lambda: data
 
@@ -541,14 +563,15 @@ def unit_row_scales(x):
 
 
 def l2_normalize_rows(a):
-    """x / sqrt(sum(x^2) + 1e-12) per row; the floor keeps zero rows finite."""
-    x = a.data
-    sq = _squared_norms(x)
+    """x / sqrt(sum(x^2) + 1e-12) per row; the floor keeps zero rows finite.
+    The rule reads x through ``_kept``, so a recipe on ``a`` stands in for it."""
+    sq = _squared_norms(a.data)
     inv = sq**-0.5
-    out_data = x * inv
-    sa = a._slot
+    out_data = a.data * inv
+    sa, x_value = a._slot, _kept(a)
 
     def bw(go):
+        x = x_value()
         dot = (go * x).sum(axis=1, keepdims=True)
         _accum(sa, go * inv - x * (dot * inv / sq))
 
@@ -610,7 +633,8 @@ def info_nce(z1, z2, temperature):
         raise ValueError(f"info_nce views differ in shape: {z1.shape} vs {z2.shape}")
     n = z1.shape[0]
     root_inv_t = (1.0 / temperature) ** 0.5
-    z = np.concatenate([z1.data, z2.data]) * root_inv_t  # S = z z^T
+    z = np.concatenate([z1.data, z2.data])
+    z *= root_inv_t  # S = z z^T
     pos = np.tile((z[:n] * z[n:]).sum(axis=1), 2)
 
     def tiles():
@@ -646,7 +670,8 @@ def info_nce(z1, z2, temperature):
     s1, s2 = z1._slot, z2._slot
 
     def bw(go):
-        grad = np.concatenate([z[n:], z[:n]]) * -2.0
+        grad = np.concatenate([z[n:], z[:n]])
+        grad *= -2.0
         for rows, cols, s in tiles():
             p = s - lse[rows, None]
             np.exp(p, out=p)

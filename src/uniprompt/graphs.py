@@ -328,35 +328,37 @@ def _meta_counts(meta):
     return counts
 
 
+def _parse_rows(name, text, empty, **loadtxt_args):
+    """The rows of a CSV form's ``text`` in one ``np.loadtxt`` parse, or an
+    array of shape ``empty`` when it holds nothing but whitespace (which
+    loadtxt would warn about)."""
+    if not text.strip():
+        return np.zeros(empty, dtype=loadtxt_args["dtype"])
+    try:
+        return np.loadtxt(io.StringIO(text), **loadtxt_args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: non-numeric cell ({exc})") from exc
+
+
 def _read_edges(file):
     """The rows of an edges.csv below its 'src,dst' header as an E x 2 int64
-    array, in one parse; columns past the second are ignored."""
+    array; columns past the second are ignored."""
     with open(file) as fh:
         header = fh.readline()
         body = fh.read()
     if [h.strip() for h in header.split(",")[:2]] != ["src", "dst"]:
         raise ValueError("edges.csv must start with a 'src,dst' header")
-    if not body.strip():
-        return np.zeros((0, 2), dtype=np.int64)
-    try:
-        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2,
-                          usecols=(0, 1))
-    except ValueError as exc:
-        raise ValueError(f"edges.csv: non-numeric cell ({exc})") from exc
+    return _parse_rows("edges.csv", body, (0, 2), delimiter=",", dtype=np.int64, ndmin=2,
+                       usecols=(0, 1))
 
 
 def _read_labels(file):
-    try:
-        return np.loadtxt(file, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise ValueError(f"labels.csv: non-numeric cell ({exc})") from exc
+    return _parse_rows("labels.csv", Path(file).read_text(), (0,), dtype=np.int64, ndmin=1)
 
 
 def _read_features(file):
-    try:
-        return np.loadtxt(file, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"features.csv: non-numeric cell ({exc})") from exc
+    return _parse_rows("features.csv", Path(file).read_text(), (0, 0), delimiter=",",
+                       dtype=np.float64, ndmin=2)
 
 
 def _read_array(path, name, ndim, dtype, parse):
@@ -558,12 +560,16 @@ def _normalized_rows(x):
     magnitude lies outside [2**-500, 2**500] is first divided by it, so its
     squares neither underflow nor overflow inside the norm. The peak and the
     norms are ``np.abs(x).max`` and ``np.linalg.norm``'s bits without their
-    n x F copies."""
+    n x F copies: the squares are formed ``KNN_BLOCK_ROWS`` rows at a time."""
     peak = np.maximum(x.max(axis=1, keepdims=True), -x.min(axis=1, keepdims=True))
     extreme = (peak > 0) & ((peak < 2.0**-500) | (peak > 2.0**500))
     if extreme.any():
         x = np.where(extreme, x / np.where(extreme, peak, 1.0), x)
-    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+    squares = np.empty((x.shape[0], 1))
+    for i in range(0, x.shape[0], KNN_BLOCK_ROWS):
+        block = x[i:i + KNN_BLOCK_ROWS]
+        squares[i:i + KNN_BLOCK_ROWS] = np.add.reduce(block * block, axis=1, keepdims=True)
+    norms = np.sqrt(squares)
     out = np.zeros_like(x)
     np.divide(x, norms, out=out, where=norms > 0)
     return out

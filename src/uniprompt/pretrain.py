@@ -23,18 +23,26 @@ GRACE and GraphMAE form no n x F array besides the features X:
   node, which reads X's rows by id, takes their scales from one pass over
   X per run, and holds a tile of ``ad.COSINE_BLOCK_ROWS`` masked rows at
   width F at a time.
-- DGI keeps its corrupted copy X[perm]. Permuting the rows of X W1 instead
-  would change DGI's bits, and every tuning pin is taken on a DGI encoder.
+- DGI forms its corrupted copy X[perm] for the product X[perm] W1 and frees
+  it as soon as that product is formed; W1's rule regathers it from X and
+  perm in backward. Permuting the rows of X W1 instead would change DGI's
+  bits, and every tuning pin is taken on a DGI encoder.
 
 An epoch's tape keeps only the arrays its backward rules read (see
 ``autodiff``). A value that no rule reads is freed while forward still runs:
 every objective's layer products X W1 and H W2, which only constants
 multiply; GRACE's pre-ELU head output; and its unit projections, which
-``ad.info_nce`` copies into one scaled stack. Nor is a PReLU activation
-that a trainable product reads (layer 1's, by W2; the encoder output, by
-DGI's discriminator or GRACE's head): backward remakes it from the
-pre-activation PReLU's rule keeps, which saves a DGI or GRACE epoch four
-n x d arrays and a GraphMAE epoch one.
+``ad.info_nce`` copies into one scaled stack. A value that a rule reads but
+backward can rebuild cheaply from arrays the tape keeps anyway is kept as
+its recipe (``ad.with_recipe``) and freed too, with the same bits:
+- a PReLU activation that a trainable product reads (layer 1's, by W2; the
+  encoder output, by DGI's discriminator or GRACE's head), from the
+  pre-activation its rule keeps: four n x d arrays of a DGI or GRACE epoch
+  and one of a GraphMAE epoch;
+- DGI's X[perm], one n x F array, from X and perm;
+- GRACE's pre-normalization head rows u = hidden W + b, two n x d arrays,
+  from the ELU output ``hidden`` that the tape keeps and that forward's W
+  and b, which ``ad.adam_step`` rebinds but never writes.
 
 Per-epoch training losses are noisy because every epoch draws a fresh
 instance. With a ``probe_seed`` the engine also evaluates the live objective
@@ -142,10 +150,17 @@ def _dgi(graph, cfg, enc):
     x = ad.constant(graph.features)
     disc = ad.parameter(np.eye(cfg.embed_dim), name="dgi.discriminator")
 
+    def corrupted_xw1(perm):
+        """X[perm] W1. W1's rule regathers X[perm] in backward, so the copy
+        is freed as soon as this returns."""
+        x_perm = ad.constant(graph.features[perm])
+        return ad.matmul(ad.with_recipe(x_perm, lambda: graph.features[perm]),
+                         enc.layer1.weight)
+
     def loss_fn(rng):
         perm = rng.permutation(graph.num_nodes)
         h_pos = encode(enc, adj, x)
-        h_neg = encode(enc, adj, ad.constant(graph.features[perm]))
+        h_neg = encode(enc, adj, xw1=corrupted_xw1(perm))
         summary = ad.sigmoid(ad.row_mean(h_pos))                  # (1, d)
         weighted = ad.matmul(disc, ad.transpose(summary))         # (d, 1)
         score_pos = ad.matmul(h_pos, weighted)                    # (n, 1)
@@ -195,7 +210,11 @@ def _grace(graph, cfg, enc):
 
     def project(h):
         hidden = ad.elu(ad.add(ad.matmul(h, head[0]), head[1]))
-        return ad.l2_normalize_rows(ad.add(ad.matmul(hidden, head[2]), head[3]))
+        u = ad.add(ad.matmul(hidden, head[2]), head[3])
+        # the normalization's rule remakes u from arrays the tape keeps anyway:
+        # elu's output and this forward's weight and bias
+        rows, weight, bias = hidden.data, head[2].data, head[3].data
+        return ad.l2_normalize_rows(ad.with_recipe(u, lambda: rows @ weight + bias))
 
     x = ad.constant(graph.features)
 

@@ -521,6 +521,74 @@ class TestActivationTape:
             assert np.array_equal(got, want)
 
 
+def corrupted_product(arrays, recipe):
+    """source[perm] @ w, the product DGI forms on its corrupted features,
+    with the constant source[perm] regathered in backward or kept."""
+    source, perm, w_data = arrays
+    w = ad.parameter(w_data)
+    x = ad.constant(source[perm])
+    if recipe:
+        ad.with_recipe(x, lambda: source[perm])
+    return ad.matmul(x, w), [w]
+
+
+def normalized_head(arrays, recipe):
+    """l2_normalize_rows(elu(a) @ w + b), GRACE's projection head, with the
+    rows it normalizes remade in backward from elu's output or kept."""
+    a, w, b = (ad.parameter(arr) for arr in arrays)
+    hidden = ad.elu(ad.scalar_scale(a, 1.0))
+    u = ad.add(ad.matmul(hidden, w), b)
+    if recipe:
+        rows, weight, bias = hidden.data, w.data, b.data
+        ad.with_recipe(u, lambda: rows @ weight + bias)
+    return ad.l2_normalize_rows(u), [a, w, b]
+
+
+# case -> (build(arrays, recipe) -> (output, leaves), arrays(rng, n)); the
+# value a recipe stands for is n x 6 in both
+RECIPE_CASES = {
+    "corrupted product": (corrupted_product, lambda rng, n: (
+        rng.normal(size=(n, 6)), rng.permutation(n), rng.normal(size=(6, 3)))),
+    "normalized head": (normalized_head, lambda rng, n: (
+        rng.normal(size=(n, 6)), rng.normal(size=(6, 6)), rng.normal(size=(1, 6)))),
+}
+
+
+class TestRecipes:
+    @pytest.mark.parametrize("case", sorted(RECIPE_CASES))
+    def test_rule_keeps_the_recipe_not_the_array(self, case):
+        # the rule keeps a function over arrays that outlive the value, so
+        # the value is freed once the caller drops its tensor
+        build, make = RECIPE_CASES[case]
+        n = 4000
+        arrays = make(np.random.default_rng(3), n)
+        kept = {}
+        for recipe in (True, False):
+            tracemalloc.start()
+            try:
+                out, _ = build(arrays, recipe)
+                kept[recipe] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert out.requires_grad
+            del out
+        assert kept[False] - kept[True] > 0.9 * n * 6 * 8
+
+    @pytest.mark.parametrize("limit", [ad.RELEASE_TAPE_BYTES, 0])
+    @pytest.mark.parametrize("case", sorted(RECIPE_CASES))
+    def test_recipe_gives_the_array_paths_gradient_bits(self, monkeypatch, case, limit):
+        monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+        build, make = RECIPE_CASES[case]
+        grads = []
+        for recipe in (True, False):
+            rng = np.random.default_rng(4)
+            out, leaves = build(make(rng, 50), recipe)
+            ad.backward(total(ad.hadamard(out, ad.constant(rng.normal(size=out.shape)))))
+            grads.append([t.grad for t in leaves])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
+
+
 class TestOpValues:
     def test_elu_at_zero_and_saturation(self):
         out = ad.elu(ad.constant(np.array([[0.0, -745.0, 2.0]])))

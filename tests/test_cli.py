@@ -202,7 +202,8 @@ def damage_bundle(bundle, damage):
     """Damage a copy of a make-sbm bundle, which holds edges.npy, labels.npy
     and features.npy. A damage named "edges-npy-..." or "labels-npy-..."
     hits that array and a plain "npy-..." the features; "no-<name>" deletes
-    <name>.npy."""
+    <name>.npy, and "csv-empty" or "csv-blank" replaces it with a CSV form
+    holding no row."""
     name, kind = damage.split("-", 1) if damage.startswith(("edges-", "labels-")) else (
         "features", damage)
     npy = bundle / f"{name}.npy"
@@ -233,6 +234,10 @@ def damage_bundle(bundle, damage):
     elif kind == "npy-and-csv":
         np.savetxt(bundle / f"{name}.csv", arr, delimiter=",", comments="",
                    header="src,dst" if name == "edges" else "")
+    elif kind in ("csv-empty", "csv-blank"):
+        # the hand-written CSV form, holding no row
+        npy.unlink()
+        (bundle / f"{name}.csv").write_text("" if kind == "csv-empty" else " \n\n  \n")
     elif kind.startswith("no-"):
         (bundle / f"{kind[3:]}.npy").unlink()
     else:
@@ -256,6 +261,8 @@ def damage_bundle(bundle, damage):
     ("npy-columns", "column count mismatch: features.npy"),
     ("npy-and-csv", "holds both features.npy and features.csv"),
     ("no-features", "features.npy (or features.csv)"),
+    ("csv-empty", "row count mismatch: features.csv has 0 rows, meta says"),
+    ("csv-blank", "row count mismatch: features.csv has 0 rows, meta says"),
     ("edges-npy-truncated", "edges.npy: unreadable"),
     ("edges-npy-int32", "edges.npy: expected a 2-D int64 array"),
     ("edges-npy-1d", "edges.npy: expected a 2-D int64 array"),
@@ -272,6 +279,8 @@ def damage_bundle(bundle, damage):
     ("labels-npy-archive", "labels.npy: not a single .npy array"),
     ("labels-npy-and-csv", "holds both labels.npy and labels.csv"),
     ("no-labels", "labels.npy (or labels.csv)"),
+    ("labels-csv-empty", "row count mismatch: labels.csv has 0 rows, meta says"),
+    ("labels-csv-blank", "row count mismatch: labels.csv has 0 rows, meta says"),
     ("meta-num-nodes", "missing key 'num_nodes'"),
     ("num_nodes:24.0", "num_nodes must be an integer"),
     ("num_features:true", "num_features must be an integer"),

@@ -473,9 +473,12 @@ class TestCosineSimilarity:
         assert knn_similarity([1.0551537179735328e-159, 0.0], [1.0, 0.0]) == 1.0
         assert knn_similarity([1e300, 0.0], [1.0, 0.0]) == 1.0
 
-    def test_rows_keep_the_bits_of_abs_max_and_linalg_norm(self):
+    @pytest.mark.parametrize("block", [graphs.KNN_BLOCK_ROWS, 7, 1])
+    def test_rows_keep_the_bits_of_abs_max_and_linalg_norm(self, monkeypatch, block):
         # the peak and the norms are taken without np.abs's and
-        # np.linalg.norm's n x F copies; the expressions they replace:
+        # np.linalg.norm's n x F copies, the squares a block of rows at a
+        # time; the one-shot expressions they replace:
+        monkeypatch.setattr(graphs, "KNN_BLOCK_ROWS", block)
         def composed(x):
             peak = np.abs(x).max(axis=1, keepdims=True)
             extreme = (peak > 0) & ((peak < 2.0**-500) | (peak > 2.0**500))

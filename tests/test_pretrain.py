@@ -352,7 +352,8 @@ def test_released_tape_lowers_graphmae_peak_memory(sbm600, monkeypatch):
 # n x F arrays an epoch may form beyond its input X. DGI's corrupted graph is
 # a row-permuted copy of X. Feeding it through X W1 with the rows of layer
 # 1's product permuted instead would change DGI's bits, and every tuning pin
-# is taken on a DGI encoder, so the copy stays.
+# is taken on a DGI encoder, so the copy is formed: in forward until its
+# product is, and again in backward for W1's gradient.
 FEATURE_COPIES = {"dgi": 1, "grace": 0, "graphmae": 0}
 
 
@@ -374,13 +375,15 @@ def test_epoch_forms_no_n_by_f_array_beyond_its_inputs(objective, monkeypatch):
 
 
 # What one epoch's tape holds once its loss is built, on the 600-node SBM at
-# hidden = embed = 64, in n x d float64 arrays: dgi 4.6, grace 11.0,
+# hidden = embed = 64, in n x d float64 arrays: dgi 4.1, grace 9.0,
 # graphmae 2.9. Each rule keeps only the arrays its backward reads, and a
-# trainable product keeps prelu's recipe, not the activation it remakes.
-# With the activations kept as well they read 8.6, 15.0 and 3.9; when every
-# node held its parent tensors, so that every intermediate value lived until
-# backward, 16.7, 31.1 and 13.9.
-FORWARD_END_ARRAYS = {"dgi": 5.0, "grace": 11.5, "graphmae": 3.3}
+# rule keeps a recipe, not the value it remakes: prelu's activations, DGI's
+# corrupted features X[perm] and GRACE's pre-normalization head rows. With
+# X[perm] and the head rows kept they read 4.6 and 11.0; with the
+# activations kept as well, 8.6, 15.0 and 3.9; when every node held its
+# parent tensors, so that every intermediate value lived until backward,
+# 16.7, 31.1 and 13.9.
+FORWARD_END_ARRAYS = {"dgi": 4.5, "grace": 9.5, "graphmae": 3.3}
 
 
 @pytest.mark.parametrize("objective", sorted(FORWARD_END_ARRAYS))
@@ -398,6 +401,39 @@ def test_forward_end_tape_holds_only_what_backward_reads(sbm600, objective):
         tracemalloc.stop()
     assert loss.requires_grad
     assert kept < FORWARD_END_ARRAYS[objective] * sbm600.num_nodes * d * 8
+
+
+@pytest.mark.parametrize("limit", [ad.RELEASE_TAPE_BYTES, 0])
+@pytest.mark.parametrize("objective", ["dgi", "grace"])
+def test_recipes_keep_the_gradient_bits_on_a_smaller_tape(sbm600, objective, limit,
+                                                           monkeypatch):
+    # DGI's W1 rule regathers X[perm] and GRACE's normalizations remake their
+    # head rows. With ``with_recipe`` a no-op the rules keep those arrays:
+    # the gradients are the same bits, and the forward-end tape holds X[perm]
+    # (n x F) or both views' head rows (2 n x d) more
+    monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
+    d = 64
+    cfg = small_cfg(objective, epochs=1, hidden_dim=d, embed_dim=d)
+
+    def epoch():
+        enc = init_encoder(sbm600.num_features, d, d, rng=0)
+        loss_fn, extra, _ = pretrain_mod.OBJECTIVE_TABLE[objective](sbm600, cfg, enc)
+        tracemalloc.start()
+        try:
+            loss = loss_fn(np.random.default_rng(0))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        ad.backward(loss)
+        return kept, [p.grad for p in enc.parameters() + extra]
+
+    kept, grads = epoch()
+    monkeypatch.setattr(ad, "with_recipe", lambda t, remake: t)
+    kept_arrays, array_grads = epoch()
+    for got, want in zip(grads, array_grads):
+        assert np.array_equal(got, want)
+    n, f = sbm600.features.shape
+    assert kept_arrays - kept > 0.9 * (n * f * 8 if objective == "dgi" else 2 * n * d * 8)
 
 
 def test_fused_infonce_bounds_grace_peak_memory(sbm600):
