@@ -18,9 +18,9 @@ drops its tensor, long before backward. A value that backward can rebuild
 cheaply is not kept either: a rule reads its inputs through ``_kept``,
 which hands it a tensor's recipe, when it has one, in place of the value.
 A recipe rebuilds the value bit for bit from arrays that outlive it anyway.
-``prelu`` puts one on its output's slot, over the input its rule keeps, so
-an activation is not kept twice; ``with_recipe`` puts one on any tensor,
-a constant included: pretraining's DGI regathers its permuted features and
+``prelu`` gives its output one, over the input its rule keeps, so an
+activation is not kept twice; ``with_recipe`` gives one to any tensor, a
+constant included: pretraining's DGI regathers its permuted features and
 GRACE remakes its head rows from the ELU output its tape keeps.
 
 ``backward`` consumes its tape. A tape whose values reach
@@ -128,13 +128,9 @@ class _Slot:
     """A tensor's place on the tape: its gradient, its parents' slots, the
     rule that hands its gradient to them, and the shape and byte count of the
     value it stands for. A slot holds no value; a rule keeps only the arrays
-    it reads. ``remake``, when set, is the tensor's recipe (``_kept``): it
-    returns the value from arrays the tape keeps anyway, such as
-    ``prelu``'s forward expression over the input its rule keeps. It reruns
-    that expression on the same arrays, which no op writes, so it gives the
-    value's bits."""
+    it reads."""
 
-    __slots__ = ("grad", "parents", "rule", "shape", "nbytes", "remake")
+    __slots__ = ("grad", "parents", "rule", "shape", "nbytes")
 
     def __init__(self, data, parents=(), rule=None):
         self.grad = None
@@ -142,13 +138,11 @@ class _Slot:
         self.rule = rule
         self.shape = data.shape
         self.nbytes = data.nbytes
-        self.remake = None
 
 
 class Tensor:
     """A 2-D float64 value, with a tape slot exactly when it needs a gradient.
-    A constant has no slot to hold a recipe, so it holds its own in
-    ``_remake`` (see ``with_recipe``)."""
+    ``_remake``, when set, is its recipe (see ``with_recipe``)."""
 
     __slots__ = ("data", "name", "_slot", "_remake")
 
@@ -290,7 +284,7 @@ def backward(root, params=None):
         if release:
             if id(slot) not in named:
                 slot.grad = None
-            slot.rule = slot.remake = None
+            slot.rule = None
             slot.parents = ()
 
     if params is None:
@@ -310,21 +304,17 @@ def with_recipe(t, remake):
     """``t``, with ``remake`` as its recipe: a function returning t's value
     bit for bit from arrays that outlive it anyway. A rule that reads t then
     keeps the recipe in place of the value (see ``_kept``), so the value is
-    freed with t. A slot holds its tensor's recipe, which a released tape
-    drops with the rule; a constant holds its own."""
-    if t._slot is not None:
-        t._slot.remake = remake
-    else:
-        t._remake = remake
+    freed with t. A recipe reruns an expression on arrays no op writes, so
+    it gives the value's bits."""
+    t._remake = remake
     return t
 
 
 def _kept(t):
     """A function giving ``t``'s value in backward: its recipe, or a closure
     over the value."""
-    remake = t._remake if t._slot is None else t._slot.remake
-    if remake is not None:
-        return remake
+    if t._remake is not None:
+        return t._remake
     data = t.data
     return lambda: data
 
@@ -505,7 +495,7 @@ def prelu(a, slope):
 
     out = _node(remake(), (a, slope), bw)
     if out._slot is not None:
-        out._slot.remake = remake  # the rule keeps x and s: a product need not keep out
+        out._remake = remake  # the rule keeps x and s: a product need not keep out
     return out
 
 

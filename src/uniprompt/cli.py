@@ -16,10 +16,10 @@ from .graphs import edge_homophily, load_graph_bundle, save_graph_bundle
 from .harness import (
     DEFAULT_RUNS,
     DEFAULT_SEEDS,
+    SWEEP_PARAMS,
     ExperimentSpec,
     evaluate,
     generate_sbm,
-    noise_robustness,
     run_experiment,
     run_seed,
     sample_k_shot,
@@ -123,6 +123,8 @@ def _cmd_tune(args):
     enc, meta = load_encoder(args.encoder)
     cfg = _tune_config(args, meta.get("pretrain"), graph.name)
     task = sample_k_shot(graph, args.shot, args.seed, args.run)
+    if task.test_ids.size == 0:  # evaluate's check, before the run
+        raise ValueError("empty test split")
     result = run_method(args.method, graph, enc, task.train_ids, cfg)
     record = {
         "method": args.method,
@@ -194,11 +196,6 @@ def _cmd_eval(args):
 def _cmd_sweep(args):
     grid = [float(v) for v in args.grid.split(",") if v]
     return _write_table(sweep(args.param, grid, _experiment_spec(args)), args.out)
-
-
-def _cmd_noise(args):
-    levels = [float(v) for v in args.levels.split(",") if v]
-    return _write_table(noise_robustness(levels, _experiment_spec(args)), args.out)
 
 
 def _cmd_verify_theory(args):
@@ -282,18 +279,12 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="hyperparameter sweep")
+    p = sub.add_parser("sweep", help="hyperparameter or feature-noise sweep")
     common(p, "jobs", "data-dir", out_required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--param", required=True, choices=("tau", "k", "alpha"))
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p.add_argument("--grid", required=True)
     p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("noise", help="feature-noise robustness experiment")
-    common(p, "jobs", "data-dir", out_required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--levels", required=True)
-    p.set_defaults(handler=_cmd_noise)
 
     p = sub.add_parser("verify-theory", help="prompt/classifier equivalence checks")
     common(p, "seed")

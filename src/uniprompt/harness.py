@@ -1,5 +1,9 @@
-"""Few-shot task sampling, repeated-run evaluation, sweeps, noise robustness,
-synthetic graph generation, and result reporting."""
+"""Few-shot task sampling, repeated-run evaluation, sweeps, synthetic graph
+generation, and result reporting.
+
+``sweep`` is the one driver that repeats an experiment over a grid: of a
+tune field (tau, k, alpha) or of the feature-noise level (noise), whose
+level 0 reproduces the baseline exactly."""
 
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from .seeds import rng_stream
 
 DEFAULT_SEEDS = (42, 12345, 23344, 38108, 39788)
 DEFAULT_RUNS = 20
+SWEEP_PARAMS = ("tau", "k", "alpha", "noise")
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class RunRecord:
     seed: int
     run: int
     accuracy: float
-    param: float | None = None  # sweep/noise leading column
+    param: float | None = None  # a sweep's leading column
 
 
 class ResultTable:
@@ -217,9 +222,9 @@ def _pool_run(args):
 
 def _checked(spec):
     """``spec`` once its methods, noise level, worker count, every (method,
-    shot) tune config, every shot against each class and k against the nodes
-    (where a kNN support is built) are valid, so a bad value fails before any
-    run, with a run's message."""
+    shot) tune config, every shot against each class and the test split, and
+    k against the nodes (where a kNN support is built) are valid, so a bad
+    value fails before any run, with a run's message."""
     for m in spec.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method '{m}'")
@@ -236,13 +241,15 @@ def _checked(spec):
         short = np.flatnonzero(np.less(sizes, shot))
         if short.size:  # the first class sample_k_shot rejects
             raise ValueError(f"class {short[0]} has {sizes[short[0]]} nodes, fewer than k={shot}")
+        if shot * len(sizes) == graph.num_nodes:  # every node trains: evaluate's check
+            raise ValueError("empty test split")
     if any(spec.config_for(m, shot).k >= graph.num_nodes
            for m in spec.methods if m in KNN_METHODS for shot in spec.shots):
         raise ValueError("k out of range")
     return spec
 
 
-def run_experiment(spec, param=None, param_name=None):
+def run_experiment(spec):
     """Every (method, shot, seed, run) combination; exactly
     len(seeds) * runs records per (method, shot) cell."""
     _checked(spec)
@@ -260,15 +267,17 @@ def run_experiment(spec, param=None, param_name=None):
             records = list(pool.map(_pool_run, keys, chunksize=8))
     else:
         records = [_run_one(spec, *key) for key in keys]
-    if param is not None:
-        records = [replace(r, param=param) for r in records]
     records.sort(key=lambda r: (r.method, r.shot, r.seed, r.run))
-    return ResultTable(records, param_name=param_name)
+    return ResultTable(records)
 
 
 def sweep(param, grid, base_spec):
-    """One experiment per grid value of 'tau' | 'k' | 'alpha', all checked before any run."""
-    if param not in ("tau", "k", "alpha"):
+    """One experiment per grid value of a ``SWEEP_PARAMS`` name, every spec
+    checked before any run. 'noise' sets the feature-noise level
+    ``noise_sigma`` (kNN recomputed on the noisy features inside each tuning
+    run; level 0 reproduces the baseline exactly); the others set that field
+    of every tune config."""
+    if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter '{param}'")
     if not grid:
         raise ValueError("sweep grid is empty")
@@ -277,32 +286,27 @@ def sweep(param, grid, base_spec):
     n = base_spec.graph.num_nodes
     if param == "k" and max(grid) >= n:
         raise ValueError(f"sweep grid: k must be below the {n} nodes, got {max(grid):g}")
+    values = [int(v) if param == "k" else float(v) for v in grid]
+    if len(set(values)) != len(values):
+        raise ValueError(f"sweep grid must not repeat a value, got {values!r}")
     specs = []
-    for value in grid:
-        value = int(value) if param == "k" else float(value)
-        tune = {key: replace(c, **{param: value}) for key, c in base_spec.tune.items()}
-        specs.append((value, _checked(replace(base_spec, tune=tune))))
+    for value in values:
+        if param == "noise":
+            spec = replace(base_spec, noise_sigma=value)
+        else:
+            spec = replace(base_spec, tune={key: replace(c, **{param: value})
+                                            for key, c in base_spec.tune.items()})
+        specs.append(_checked(spec))
     table = ResultTable(param_name=param)
-    for value, spec in specs:
-        table.extend(run_experiment(spec, param=value, param_name=param).records)
+    for value, spec in zip(values, specs):
+        table.extend(replace(r, param=value) for r in run_experiment(spec).records)
     return table
 
 
 def noise_robustness(levels, base_spec):
-    """Features perturbed per level (kNN recomputed on noisy features inside
-    each tuning run); level 0 reproduces the baseline exactly."""
-    if not levels:
-        raise ValueError("noise levels are empty")
-    for level in levels:
-        if not 0.0 <= level < np.inf:
-            raise ValueError(f"noise level must be finite and non-negative, got {level!r}")
-    table = ResultTable(param_name="noise")
-    for level in levels:
-        spec = replace(base_spec, noise_sigma=float(level))
-        table.extend(
-            run_experiment(spec, param=float(level), param_name="noise").records
-        )
-    return table
+    """``sweep("noise", levels, base_spec)``, kept under its own name because
+    the benchmark's cora-tune workload and its tracer call it by name."""
+    return sweep("noise", levels, base_spec)
 
 
 # ---------------------------------------------------------------------------

@@ -468,7 +468,7 @@ class TestActivationTape:
 
     def test_trainable_product_keeps_the_prelu_recipe_not_its_output(self):
         # the product's weight gradient reads the activation, which prelu's
-        # slot remakes from the input its rule keeps: one n x d array, where
+        # recipe remakes from the input its rule keeps: one n x d array, where
         # keeping the output as well made two
         n, d = 2000, 32
         rng = np.random.default_rng(1)
@@ -480,7 +480,7 @@ class TestActivationTape:
             x = ad.scalar_scale(a, 1.0)
             h = ad.prelu(x, slope)
             tail = ad.row_mean(ad.matmul(h, w))
-            remake = h._slot.remake
+            remake = h._remake
             del x, h
             kept = tracemalloc.get_traced_memory()[0]
         finally:
@@ -507,7 +507,7 @@ class TestActivationTape:
         a, slope, w = leaves
         h = ad.prelu(ad.scalar_scale(a, 1.0), slope)
         if not recipe:
-            h._slot.remake = None
+            h._remake = None
         out = fn(h, w)
         ad.backward(total(ad.hadamard(out, ad.constant(rng.normal(size=out.shape)))))
         return [t.grad for t in leaves]

@@ -1,5 +1,6 @@
-"""CLI smoke tests: make-sbm -> pretrain -> tune / eval / sweep / noise,
-plus inspect and verify-theory, through dispatch."""
+"""CLI smoke tests: make-sbm -> pretrain -> tune / eval / sweep (over tau, k,
+alpha or the feature-noise level), plus inspect and verify-theory, through
+dispatch, and the verb set itself."""
 
 import argparse
 import csv
@@ -311,10 +312,14 @@ def test_sidecar_without_activation_exits_one(workspace, capsys, tmp_path):
     assert err == "error: sidecar: missing key 'activation'\n"
 
 
+def verb_parsers():
+    """Each verb's subparser, by name, as ``build_parser`` builds them."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_tune_flags_are_the_tune_config_fields_but_the_seed():
-    verbs = next(a for a in cli.build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: (a.option_strings, a.type) for a in verbs.choices["tune"]._actions}
+    flags = {a.dest: (a.option_strings, a.type) for a in verb_parsers()["tune"]._actions}
     for own in ("help", "out", "seed", "data_dir", "method", "encoder", "dataset", "shot",
                 "run", "config"):
         del flags[own]
@@ -447,7 +452,7 @@ def test_inspect_prints_statistics(workspace, capsys, tmp_path):
 
 
 def experiment_rows(workspace, tmp_path, verb, *argv, methods=("uniprompt",)):
-    """The results.csv rows a sweep or noise run writes from a one-seed spec."""
+    """The results.csv rows a sweep or eval run writes from a one-seed spec."""
     bundle, checkpoint, _ = workspace
     spec = tmp_path / f"{verb}.json"
     spec.write_text(json.dumps({
@@ -468,8 +473,9 @@ def test_sweep_tau_writes_rows(workspace, tmp_path):
     assert all(0.0 <= float(r["accuracy"]) <= 1.0 for r in rows)
 
 
-def test_noise_levels_write_rows(workspace, tmp_path):
-    rows = experiment_rows(workspace, tmp_path, "noise", "--levels", "0,0.1",
+def test_sweep_noise_writes_rows(workspace, tmp_path):
+    # level 0 reproduces the plain experiment's rows
+    rows = experiment_rows(workspace, tmp_path, "sweep", "--param", "noise", "--grid", "0,0.1",
                            methods=("linear-probe",))
     assert [(r["noise"], r["method"], r["seed"], r["run"]) for r in rows] == [
         (level, "linear-probe", "3", run) for level in ("0.0", "0.1") for run in ("0", "1")]
@@ -480,8 +486,9 @@ def test_noise_levels_write_rows(workspace, tmp_path):
 def misuses(bundle, checkpoint, config):
     """Argument lists each verb must reject: a missing --out where the verb
     writes a file, shared flags the verb does not read, tune keys and flags
-    that name no TuneConfig field, and the removed ``ablate`` verb (``tune
-    --method ablate:<variant>`` runs a variant)."""
+    that name no TuneConfig field, and the removed ``ablate`` and ``noise``
+    verbs (``tune --method ablate:<variant>`` runs a variant, ``sweep --param
+    noise`` a noise experiment)."""
     graph = ["--dataset", str(bundle)]
     tune = graph + ["--encoder", str(checkpoint), "--shot", "1"]
     experiment = ["--config", str(config)]
@@ -492,14 +499,13 @@ def misuses(bundle, checkpoint, config):
         "make-sbm-no-out": ["make-sbm", *sbm],
         "eval-no-out": ["eval", *experiment],
         "sweep-no-out": ["sweep", *experiment, "--param", "tau", "--grid", "0.5"],
-        "noise-no-out": ["noise", *experiment, "--levels", "0"],
         "eval-seed": ["eval", *experiment, *out, "--seed", "7"],
         "sweep-seed": ["sweep", *experiment, *out, "--param", "tau", "--grid", "0.5",
                        "--seed", "7"],
-        "noise-seed": ["noise", *experiment, *out, "--levels", "0", "--seed", "7"],
         "pretrain-jobs": ["pretrain", *graph, "--objective", "dgi", *out, "--jobs", "2"],
         "tune-jobs": ["tune", *tune, "--method", "gpf", "--jobs", "2"],
         "ablate-verb": ["ablate", *tune, "--variant", "simple_add", *experiment],
+        "noise-verb": ["noise", *experiment, *out, "--levels", "0"],
         "verify-theory-jobs": ["verify-theory", "--jobs", "2"],
         "make-sbm-jobs": ["make-sbm", *sbm, *out, "--jobs", "2"],
         "inspect-jobs": ["inspect", *graph, "--jobs", "2"],
@@ -549,14 +555,16 @@ def bad_values(workspace, root):
     and max_epochs in a tune config, a fractional k in a sweep grid, a graph
     wider than the encoder's input, a NaN learning rate in a tune config or
     flag and in pretraining, a theorem sweep of no cases or no step, a width
-    or a worker count below 1, a noise level that is not finite, and an empty
-    noise level list; a tune config file or an eval tune section that sets
+    or a worker count below 1, a noise level that is not finite, an empty
+    sweep grid, and a sweep grid that repeats a value once it is converted
+    to the parameter's type; a tune config file or an eval tune section that sets
     the seed or names the removed ``knn_sample`` key; an eval whose second
     method's tune section is invalid, and sweep grids with a bad tau or a k
     of at least the node count, each behind a valid first value; a shot
-    above the 8 nodes of each class and uniprompt's default k of at least
-    the node count, each behind a valid probe method or shot, in an eval and
-    in a sweep or a noise experiment; a checkpoint whose header line is
+    above the 8 nodes of each class, a shot of 8 that leaves no test node,
+    and uniprompt's default k of at least the node count, each behind a
+    valid probe method or shot, in an eval and in a sweep over tau or the
+    noise level; a checkpoint whose header line is
     not a JSON object, or gives a shape that is not a list of non-negative
     integers, and a sidecar that is not a JSON object."""
     bundle, checkpoint, _ = workspace
@@ -572,6 +580,8 @@ def bad_values(workspace, root):
         {**experiment, "methods": ["uniprompt"], "tune": {"default": {"max_epochs": 2}}}))
     (root / "big-shot.json").write_text(json.dumps(
         {**experiment, "methods": ["linear-probe"], "shots": [1, 20], "runs": 2}))
+    (root / "all-shot.json").write_text(json.dumps(
+        {**experiment, "methods": ["linear-probe"], "shots": [1, 8], "runs": 2}))
     (root / "default-k.json").write_text(json.dumps(
         {**experiment, "methods": ["linear-probe", "uniprompt"], "runs": 2}))
     (root / "fractional.json").write_text(json.dumps({"k": 4.7, "max_epochs": 2.5}))
@@ -640,14 +650,23 @@ def bad_values(workspace, root):
                                     "embed_dim must be at least 1, got -3"),
         "eval-negative-jobs": (["eval", "--config", str(root / "experiment.json"), *out[:2],
                                 "--jobs", "-4"], "workers must be at least 1, got -4"),
-        "noise-nan-level": (["noise", "--config", str(root / "experiment.json"), *out,
-                             "--levels", "nan"],
-                            "noise level must be finite and non-negative, got nan"),
-        "noise-inf-level": (["noise", "--config", str(root / "experiment.json"), *out,
-                             "--levels", "0,inf"],
-                            "noise level must be finite and non-negative, got inf"),
-        "noise-empty-levels": (["noise", "--config", str(root / "experiment.json"), *out,
-                                "--levels", ","], "noise levels are empty"),
+        "sweep-nan-noise": (["sweep", "--config", str(root / "experiment.json"), *out,
+                             "--param", "noise", "--grid", "nan"],
+                            "noise_sigma must be finite and non-negative, got nan"),
+        "sweep-inf-noise": (["sweep", "--config", str(root / "experiment.json"), *out,
+                             "--param", "noise", "--grid", "0,inf"],
+                            "noise_sigma must be finite and non-negative, got inf"),
+        "sweep-empty-noise-grid": (["sweep", "--config", str(root / "experiment.json"), *out,
+                                    "--param", "noise", "--grid", ","], "sweep grid is empty"),
+        "sweep-repeated-tau": (["sweep", "--config", str(root / "experiment.json"), *out,
+                                "--param", "tau", "--grid", "0.5,0.5"],
+                               "sweep grid must not repeat a value, got [0.5, 0.5]"),
+        "sweep-repeated-k": (["sweep", "--config", str(root / "experiment.json"), *out,
+                              "--param", "k", "--grid", "4,4.0"],
+                             "sweep grid must not repeat a value, got [4, 4]"),
+        "sweep-repeated-noise": (["sweep", "--config", str(root / "experiment.json"), *out,
+                                  "--param", "noise", "--grid", "0,0.0"],
+                                 "sweep grid must not repeat a value, got [0.0, 0.0]"),
         "tune-seed-config": ([*tune, "--dataset", str(bundle),
                               "--config", str(root / "seed-tune.json")],
                              "a tune config cannot set seed: it comes from --seed and --run"),
@@ -669,8 +688,14 @@ def bad_values(workspace, root):
                                 "sweep grid: k must be below the 24 nodes, got 500"),
         "eval-shot-above-class": (["eval", "--config", str(root / "big-shot.json"), *out],
                                   "class 0 has 8 nodes, fewer than k=20"),
-        "noise-shot-above-class": (["noise", "--config", str(root / "big-shot.json"), *out,
-                                    "--levels", "0,0.1"], "class 0 has 8 nodes, fewer than k=20"),
+        "sweep-noise-shot-above-class": (["sweep", "--config", str(root / "big-shot.json"),
+                                          *out, "--param", "noise", "--grid", "0,0.1"],
+                                         "class 0 has 8 nodes, fewer than k=20"),
+        "eval-shot-leaves-no-test-node": (["eval", "--config", str(root / "all-shot.json"),
+                                           *out], "empty test split"),
+        "sweep-shot-leaves-no-test-node": (["sweep", "--config", str(root / "all-shot.json"),
+                                            *out, "--param", "tau", "--grid", "0.5"],
+                                           "empty test split"),
         "eval-default-k-not-below-n": (["eval", "--config", str(root / "default-k.json"), *out],
                                        "k out of range"),
         "sweep-default-k-not-below-n": (["sweep", "--config", str(root / "default-k.json"),
@@ -686,12 +711,16 @@ def bad_values(workspace, root):
                                   "verify-theory-zero-eta", "verify-theory-nan-eta",
                                   "tune-zero-clf-hidden", "pretrain-zero-hidden",
                                   "pretrain-negative-embed", "eval-negative-jobs",
-                                  "noise-nan-level", "noise-inf-level",
-                                  "noise-empty-levels", "tune-seed-config",
+                                  "sweep-nan-noise", "sweep-inf-noise",
+                                  "sweep-empty-noise-grid", "sweep-repeated-tau",
+                                  "sweep-repeated-k", "sweep-repeated-noise",
+                                  "tune-seed-config",
                                   "eval-seed-section", "tune-knn-sample-config",
                                   "eval-knn-sample-section", "eval-second-section-bad",
                                   "sweep-second-tau-bad", "sweep-k-not-below-n",
-                                  "eval-shot-above-class", "noise-shot-above-class",
+                                  "eval-shot-above-class", "sweep-noise-shot-above-class",
+                                  "eval-shot-leaves-no-test-node",
+                                  "sweep-shot-leaves-no-test-node",
                                   "eval-default-k-not-below-n",
                                   "sweep-default-k-not-below-n",
                                   "tune-checkpoint-header-list", "tune-checkpoint-string-dim",
@@ -706,3 +735,31 @@ def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, monke
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "unused").exists()
     assert runs == []  # failed before its first run
+
+
+VERBS = ("pretrain", "tune", "eval", "sweep", "verify-theory", "make-sbm", "inspect")
+
+
+def test_verb_set_is_fixed(capsys):
+    # one experiment driver: a grid of tune values or noise levels is a sweep
+    parsers = verb_parsers()
+    assert tuple(parsers) == VERBS
+    for verb in VERBS:
+        capsys.readouterr()
+        assert dispatch([verb, "--help"]) == 0, verb
+        assert capsys.readouterr().out.startswith(f"usage: uniprompt {verb} "), verb
+    param = next(a for a in parsers["sweep"]._actions if a.dest == "param")
+    assert tuple(param.choices) == harness.SWEEP_PARAMS
+
+
+def test_tune_shot_leaving_no_test_node_fails_before_the_run(workspace, capsys, monkeypatch):
+    # 8 shots of each 8-node class train every node: the sampled task is
+    # checked before run_method, not after it by evaluate
+    bundle, checkpoint, config = workspace
+    runs = []
+    monkeypatch.setattr(cli, "run_method", lambda *a: runs.append(a))
+    capsys.readouterr()
+    assert dispatch(["tune", "--method", "linear-probe", "--encoder", str(checkpoint),
+                     "--dataset", str(bundle), "--shot", "8", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: empty test split\n"
+    assert runs == []

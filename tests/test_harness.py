@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ class TestRunExperiment:
         spec = tiny_spec(graph, encoder, shots=(1, 2))
         assert harness._checked(spec) is spec
 
+    def test_a_shot_that_leaves_no_test_node_is_rejected_before_any_run(self, encoder,
+                                                                        monkeypatch):
+        # 4 shots of each 4-node class train every node: evaluate's check,
+        # made before the first run instead of after it
+        graph = generate_sbm(8, 2, 0.5, 0.1, 8, 3.0, seed=0)
+        monkeypatch.setattr(harness, "run_method", lambda *a: pytest.fail("ran"))
+        task = sample_k_shot(graph, 4, 42, 0)
+        message = self.error_of(evaluate, graph.labels.copy(), task)
+        assert message == "empty test split"
+        for shots in ((4,), (1, 4)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run_experiment(tiny_spec(graph, encoder, shots=shots))
+        spec = tiny_spec(graph, encoder, shots=(3,))
+        assert harness._checked(spec) is spec
+
     def test_default_protocol_constants(self):
         assert DEFAULT_SEEDS == (42, 12345, 23344, 38108, 39788)
         assert DEFAULT_RUNS == 20
@@ -291,12 +307,30 @@ class TestSweep:
         with pytest.raises(ValueError, match="empty"):
             sweep("tau", [], tiny_spec(sbm, encoder))
 
+    @pytest.mark.parametrize("param, grid, values", [("tau", [0.5, 0.5], "[0.5, 0.5]"),
+                                                      ("k", [4, 4.0], "[4, 4]"),
+                                                      ("noise", [0, 0.0], "[0.0, 0.0]")])
+    def test_repeated_value_rejected_before_any_run(self, sbm, encoder, monkeypatch,
+                                                    param, grid, values):
+        # equal once converted to the parameter's type: a cell run twice
+        # would count twice the runs
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=f"^sweep grid must not repeat a value, "
+                                             f"got {re.escape(values)}$"):
+            sweep(param, grid, tiny_spec(sbm, encoder))
+
     def test_unknown_param_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="unknown sweep"):
             sweep("gamma", [1.0], tiny_spec(sbm, encoder))
 
 
 class TestNoiseRobustness:
+    def test_is_the_noise_sweep(self, sbm, encoder):
+        spec = tiny_spec(sbm, encoder)
+        kept, swept = noise_robustness([0.0, 0.2], spec), sweep("noise", [0.0, 0.2], spec)
+        assert kept.records == swept.records
+        assert kept.param_name == swept.param_name == "noise"
+
     def test_level_zero_equals_baseline(self, sbm, encoder):
         spec = tiny_spec(sbm, encoder)
         base = run_experiment(spec)
@@ -332,9 +366,9 @@ class TestNoiseRobustness:
         assert len(calls) == 1
 
     def test_empty_level_list_rejected(self, sbm, encoder):
-        # as an empty sweep grid is: no table of only a header
-        with pytest.raises(ValueError, match="^noise levels are empty$"):
-            noise_robustness([], tiny_spec(sbm, encoder))
+        # as an empty sweep grid: no table of only a header
+        with pytest.raises(ValueError, match="^sweep grid is empty$"):
+            sweep("noise", [], tiny_spec(sbm, encoder))
 
     def test_negative_level_rejected(self, sbm, encoder):
         with pytest.raises(ValueError, match="non-negative"):
@@ -343,9 +377,9 @@ class TestNoiseRobustness:
     @pytest.mark.parametrize("level", [math.nan, math.inf])
     def test_non_finite_level_rejected_before_any_run(self, sbm, encoder, monkeypatch, level):
         monkeypatch.setattr(harness, "run_experiment", lambda *a, **kw: pytest.fail("ran"))
-        with pytest.raises(ValueError, match=f"^noise level must be finite and non-negative, "
+        with pytest.raises(ValueError, match=f"^noise_sigma must be finite and non-negative, "
                                              f"got {level}$"):
-            noise_robustness([0.0, level], tiny_spec(sbm, encoder))
+            sweep("noise", [0.0, level], tiny_spec(sbm, encoder))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
     def test_spec_noise_must_be_finite_and_non_negative(self, sbm, encoder, sigma):
