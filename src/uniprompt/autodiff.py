@@ -8,13 +8,13 @@ constant subgraphs are pruned at construction time and cost nothing at
 backward.
 
 The tape holds slots, not values. A tensor that needs a gradient owns a
-``_Slot``: its gradient, its parents' slots, its rule, and the shape and
-byte count of its value. A rule keeps its inputs' slots and only the arrays
-its backward reads, never a parent tensor: ``matmul`` keeps a's value only
-when b needs a gradient, ``elu`` its output, ``prelu`` its input, and
-``add`` no value at all. So a value lives while a tensor or a rule holds
-it, and an intermediate that no rule reads is freed as soon as the caller
-drops its tensor, long before backward. A value that backward can rebuild
+``_Slot``: its gradient, its parents' slots, its rule, and the shape of its
+value. A rule keeps its inputs' slots and only the arrays its backward
+reads, never a parent tensor: ``matmul`` keeps a's value only when b needs
+a gradient, ``elu`` its output, ``prelu`` its input, and ``add`` no value
+at all. So a value lives while a tensor or a rule holds it, and an
+intermediate that no rule reads is freed as soon as the caller drops its
+tensor, long before backward. A value that backward can rebuild
 cheaply is not kept either: a rule reads its inputs through ``_kept``,
 which hands it a tensor's recipe, when it has one, in place of the value.
 A recipe rebuilds the value bit for bit from arrays that outlive it anyway.
@@ -23,12 +23,11 @@ activation is not kept twice; ``with_recipe`` gives one to any tensor, a
 constant included: pretraining's DGI regathers its permuted features and
 GRACE remakes its head rows from the ELU output its tape keeps.
 
-``backward`` consumes its tape. A tape whose values reach
-``RELEASE_TAPE_BYTES`` is released while it is walked: each slot's gradient,
-rule and parent links are dropped as soon as its rule has run, so every
-array a rule kept and every gradient is freed once no remaining rule needs
-it. Smaller tapes are kept whole, because freeing many small buffers makes
-the allocator trim and refault its heap on every step.
+``backward`` consumes its tape, releasing it while it is walked: each slot's
+gradient, rule and parent links are dropped as soon as its rule has run, so
+every array a rule kept and every gradient is freed once no remaining rule
+needs it. Only leaves and the tensors named in ``params`` keep their
+gradients, which is how ``adam_step`` reads them.
 
 ``info_nce`` is GRACE's contrastive loss fused into one node. Built from the
 small ops, its n x n similarity and exp matrices would sit on the tape until
@@ -93,9 +92,6 @@ sparsetools = _load_sparsetools()
 LOG_EPS = 1e-12  # additive floor inside the row norms of l2_normalize_rows and decoded_cosine
 INFONCE_BLOCK_ROWS = 512  # rows of the stacked views per similarity tile ``info_nce`` holds
 COSINE_BLOCK_ROWS = 256  # decoded rows per feature-width tile ``decoded_cosine`` holds
-# backward releases its tape from this many bytes of values produced by the
-# tape's tensors, counted whether or not a rule still holds them
-RELEASE_TAPE_BYTES = 32 << 20
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Ops with a registered backward rule. The finite-difference test sweep is
@@ -126,18 +122,17 @@ REGISTERED_OPS = (
 
 class _Slot:
     """A tensor's place on the tape: its gradient, its parents' slots, the
-    rule that hands its gradient to them, and the shape and byte count of the
-    value it stands for. A slot holds no value; a rule keeps only the arrays
-    it reads."""
+    rule that hands its gradient to them, and the shape of the value it
+    stands for. A slot holds no value; a rule keeps only the arrays it
+    reads."""
 
-    __slots__ = ("grad", "parents", "rule", "shape", "nbytes")
+    __slots__ = ("grad", "parents", "rule", "shape")
 
-    def __init__(self, data, parents=(), rule=None):
+    def __init__(self, shape, parents=(), rule=None):
         self.grad = None
         self.parents = parents
         self.rule = rule
-        self.shape = data.shape
-        self.nbytes = data.nbytes
+        self.shape = shape
 
 
 class Tensor:
@@ -156,7 +151,7 @@ class Tensor:
             raise ValueError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.data = arr
         self.name = name
-        self._slot = _Slot(arr) if requires_grad else None
+        self._slot = _Slot(arr.shape) if requires_grad else None
         self._remake = None
 
     @property
@@ -170,7 +165,7 @@ class Tensor:
         if not value:
             self._slot = None
         elif self._slot is None:
-            self._slot = _Slot(self.data)
+            self._slot = _Slot(self.data.shape)
 
     @property
     def grad(self):
@@ -215,7 +210,7 @@ def _node(data, parents, rule):
     out = Tensor(data)
     slots = tuple(p._slot for p in parents if p._slot is not None)
     if slots:
-        out._slot = _Slot(out.data, slots, rule)
+        out._slot = _Slot(out.data.shape, slots, rule)
     return out
 
 
@@ -240,23 +235,20 @@ def backward(root, params=None):
     rule runs exactly once. A slot's first gradient contribution is copied
     into a fresh buffer as ``grad + 0.0``, the bits of adding it to zeros;
     later ones add in place, and every contribution must match the slot's
-    shape. The tape is consumed: when the values its slots stand for total
-    at least ``RELEASE_TAPE_BYTES``, every non-leaf slot not of a ``params``
-    entry loses its gradient, rule and parent links once its rule has run.
-    Leaves and ``params`` entries keep their gradients either way.
+    shape. The tape is consumed: every slot loses its rule and parent links
+    once its rule has run, and its gradient too unless it is of a
+    ``params`` entry. Leaves keep their gradients.
     """
     if root.data.shape != (1, 1):
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
 
     topo = []
-    tape_bytes = 0
     visited = set()
     stack = [(root._slot, False)] if root._slot is not None else []
     while stack:
         slot, expanded = stack.pop()
         if expanded:
             topo.append(slot)
-            tape_bytes += slot.nbytes
             continue
         if id(slot) in visited:
             continue
@@ -273,7 +265,6 @@ def backward(root, params=None):
             p._slot.grad = None  # off the tape: its gradient is zeros
     if topo:
         topo[-1].grad = np.ones((1, 1))
-    release = tape_bytes >= RELEASE_TAPE_BYTES
     named = {id(p._slot) for p in params or ()}
 
     while topo:
@@ -281,11 +272,10 @@ def backward(root, params=None):
         if slot.rule is None:
             continue
         slot.rule(slot.grad)
-        if release:
-            if id(slot) not in named:
-                slot.grad = None
-            slot.rule = None
-            slot.parents = ()
+        if id(slot) not in named:
+            slot.grad = None
+        slot.rule = None
+        slot.parents = ()
 
     if params is None:
         return None
@@ -943,25 +933,28 @@ class AdamState:
         self.step_count = 0
 
 
-def adam_step(state, grads=None):
-    """Apply one Adam update; ``grads`` defaults to each .grad, and a missing
-    gradient counts as zeros. A non-finite gradient raises, naming its
-    parameter, before anything changes. The moments update in place; each
-    ``p.data`` is rebound to a new array, never written, because checkpoints
-    and clones may hold the old one."""
+def adam_step(state):
+    """Apply one Adam update from each parameter's .grad, as ``backward``
+    leaves it; a missing gradient counts as zeros. A gradient that is not
+    finite, or whose square overflows, raises, naming its parameter, before
+    anything changes. The moments update in place; each ``p.data`` is
+    rebound to a new array, never written, because checkpoints and clones
+    may hold the old one."""
     parts = []
     for p in state.params:
-        g = grads[p] if grads is not None else p.grad
+        g = p.grad
         if g is None:
             g = np.zeros(p.data.size)
         elif g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
         parts.append(g.reshape(-1))
     g = np.concatenate(parts) if parts else np.zeros(0)
-    if not np.isfinite(g).all():
-        i = next(i for i, span in enumerate(state.spans) if not np.isfinite(g[span]).all())
+    peak = float(np.maximum(g.max(), -g.min())) if g.size else 0.0  # NaN propagates
+    if not math.isfinite(peak * peak):  # some entry is not finite, or its square overflows
+        with np.errstate(over="ignore"):
+            i = next(i for i, span in enumerate(state.spans) if not np.isfinite(g[span]**2).all())
         name = state.params[i].name or f"param[{i}]"
-        raise RuntimeError(f"non-finite gradient for parameter '{name}'")
+        raise RuntimeError(f"gradient for parameter '{name}' is not finite or its square overflows")
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2

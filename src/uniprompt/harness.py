@@ -230,6 +230,8 @@ def _checked(spec):
             raise ValueError(f"unknown method '{m}'")
     if not 0.0 <= spec.noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and non-negative, got {spec.noise_sigma!r}")
+    if spec.noise_sigma * 1e9 >= 2**63:  # the noise stream's key must fit 64 bits
+        raise ValueError(f"noise_sigma must be below 2**63 / 1e9, got {spec.noise_sigma!r}")
     if spec.workers < 1:
         raise ValueError(f"workers must be at least 1, got {spec.workers}")
     for m in spec.methods:

@@ -205,11 +205,14 @@ class VerificationSummary:
 
 def run_verification(trials=1000, eta=1e-4, seed=0):
     """Random-case sweep used by the CLI and the acceptance gate; a sweep of
-    no trials or of a zero step would pass without checking anything."""
+    no trials, of a zero step or of a step whose tolerance is infinite would
+    pass without checking anything."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0.0 < eta < np.inf:
         raise ValueError(f"eta must be finite and positive, got {eta}")
+    if not np.isfinite(50.0 * (eta * eta)):  # gradient_tol, without ** raising on overflow
+        raise ValueError(f"eta must give a finite tolerance 50 * eta**2, got {eta}")
     rng = np.random.default_rng(seed)
     gaps, reports = [], []
     for _ in range(trials):

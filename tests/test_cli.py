@@ -641,6 +641,8 @@ def bad_values(workspace, root):
                                    "eta must be finite and positive, got 0.0"),
         "verify-theory-nan-eta": (["verify-theory", "--eta", "nan", *out[:2]],
                                   "eta must be finite and positive, got nan"),
+        "verify-theory-huge-eta": (["verify-theory", "--eta", "1e155", *out[:2]],
+                                   "eta must give a finite tolerance 50 * eta**2, got 1e+155"),
         "tune-zero-clf-hidden": ([*tune, "--dataset", str(bundle), "--clf-hidden", "0"],
                                  "clf_hidden must be at least 1, got 0"),
         "pretrain-zero-hidden": (["pretrain", "--dataset", str(bundle), "--objective", "dgi",
@@ -656,6 +658,9 @@ def bad_values(workspace, root):
         "sweep-inf-noise": (["sweep", "--config", str(root / "experiment.json"), *out,
                              "--param", "noise", "--grid", "0,inf"],
                             "noise_sigma must be finite and non-negative, got inf"),
+        "sweep-huge-noise": (["sweep", "--config", str(root / "experiment.json"), *out,
+                              "--param", "noise", "--grid", "0,1e300"],
+                             "noise_sigma must be below 2**63 / 1e9, got 1e+300"),
         "sweep-empty-noise-grid": (["sweep", "--config", str(root / "experiment.json"), *out,
                                     "--param", "noise", "--grid", ","], "sweep grid is empty"),
         "sweep-repeated-tau": (["sweep", "--config", str(root / "experiment.json"), *out,
@@ -709,9 +714,10 @@ def bad_values(workspace, root):
                                   "tune-nan-config", "tune-nan-flag", "pretrain-nan-lr",
                                   "verify-theory-no-trials", "verify-theory-negative-trials",
                                   "verify-theory-zero-eta", "verify-theory-nan-eta",
+                                  "verify-theory-huge-eta",
                                   "tune-zero-clf-hidden", "pretrain-zero-hidden",
                                   "pretrain-negative-embed", "eval-negative-jobs",
-                                  "sweep-nan-noise", "sweep-inf-noise",
+                                  "sweep-nan-noise", "sweep-inf-noise", "sweep-huge-noise",
                                   "sweep-empty-noise-grid", "sweep-repeated-tau",
                                   "sweep-repeated-k", "sweep-repeated-noise",
                                   "tune-seed-config",

@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 
-from uniprompt import autodiff as ad
 from uniprompt import harness
 from uniprompt.graphs import Graph, edge_homophily
 from uniprompt.harness import (
@@ -207,16 +206,14 @@ class TestRunExperiment:
         assert [(r.seed, r.run) for r in table.records] == [(50000, 0), (50000, 1)]
         assert all(0.0 <= r.accuracy <= 1.0 for r in table.records)
 
-    def test_csv_bytes_pinned(self, sbm, encoder, tmp_path, monkeypatch):
+    def test_csv_bytes_pinned(self, sbm, encoder, tmp_path):
         # sha256 of results.csv, recorded before the numpy normalization was
         # folded into the tape normalizer; any change to a method's numbers
-        # on this spec changes it, on the kept and on the released tape
+        # on this spec changes it
         spec = tiny_spec(sbm, encoder, methods=("uniprompt", "gpf", "linear-probe"))
         path = tmp_path / "results.csv"
-        for limit in (ad.RELEASE_TAPE_BYTES, 0):
-            monkeypatch.setattr(ad, "RELEASE_TAPE_BYTES", limit)
-            run_experiment(spec).to_csv(path)
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256, limit
+        run_experiment(spec).to_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
 
     @staticmethod
     def error_of(fn, *args):
@@ -380,6 +377,16 @@ class TestNoiseRobustness:
         with pytest.raises(ValueError, match=f"^noise_sigma must be finite and non-negative, "
                                              f"got {level}$"):
             sweep("noise", [0.0, level], tiny_spec(sbm, encoder))
+
+    def test_level_whose_stream_key_overflows_rejected_before_any_run(self, sbm, encoder,
+                                                                      monkeypatch):
+        # the noise stream is keyed on round(level * 1e9), which must fit 64 bits
+        calls = []
+        monkeypatch.setattr(harness, "run_method", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=r"^noise_sigma must be below 2\*\*63 / 1e9, "
+                                             r"got 1e\+300$"):
+            sweep("noise", [0.0, 1e300], tiny_spec(sbm, encoder))
+        assert calls == []
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
     def test_spec_noise_must_be_finite_and_non_negative(self, sbm, encoder, sigma):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from uniprompt import autodiff as ad
+from uniprompt import theory
 from uniprompt.encoder import encode
 from uniprompt.harness import generate_sbm
 from uniprompt.pretrain import PretrainConfig, pretrain
@@ -198,8 +199,12 @@ class TestRunVerification:
         (5, 0.0, "eta must be finite and positive, got 0.0"),
         (5, -1e-4, "eta must be finite and positive, got -0.0001"),
         (5, math.nan, "eta must be finite and positive, got nan"),
-        (5, math.inf, "eta must be finite and positive, got inf")])
-    def test_vacuous_sweep_rejected(self, trials, eta, message):
+        (5, math.inf, "eta must be finite and positive, got inf"),
+        # 50 * eta**2 is inf, and at 1e155 eta**2 itself overflows
+        (5, 1e154, "eta must give a finite tolerance 50 * eta**2, got 1e+154"),
+        (5, 1e155, "eta must give a finite tolerance 50 * eta**2, got 1e+155")])
+    def test_vacuous_sweep_rejected(self, monkeypatch, trials, eta, message):
+        monkeypatch.setattr(theory, "random_case", lambda *a, **kw: pytest.fail("ran"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_verification(trials=trials, eta=eta)
 
