@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,57 @@ class TestRulesHoldNoTensor:
         for rule in rules:
             held = [obj for obj in captured_objects(rule) if isinstance(obj, ad.Tensor)]
             assert held == [], rule.__qualname__
+
+
+def tape_slots(root):
+    """Every slot reachable from ``root``, parents before children."""
+    order, seen, stack = [], set(), [(root._slot, False)]
+    while stack:
+        slot, expanded = stack.pop()
+        if expanded:
+            order.append(slot)
+        elif id(slot) not in seen:
+            seen.add(id(slot))
+            stack.append((slot, True))
+            stack.extend((parent, False) for parent in slot.parents)
+    return order
+
+
+def kept_backward(root):
+    """backward as it ran on a kept tape: every rule runs once, children
+    before parents, and no slot loses its rule, links or gradient."""
+    order = tape_slots(root)
+    for slot in order:
+        slot.grad = None
+    root._slot.grad = np.ones((1, 1))
+    for slot in reversed(order):
+        if slot.rule is not None:
+            slot.rule(slot.grad)
+
+
+class TestRelease:
+    @pytest.mark.parametrize("name", sorted(ad.REGISTERED_OPS))
+    def test_backward_consumes_the_tape_and_keeps_the_kept_tapes_bits(self, name):
+        # every rule-bearing slot loses its rule, parent links and gradient
+        # once backward has walked it, and the leaves get the bits a walk
+        # that keeps the whole tape gives
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        arrays, fn = OP_CASES[name](rng)
+        projection = None
+        grads = []
+        for walk in (kept_backward, ad.backward):
+            leaves = [ad.parameter(arr) for arr in arrays]
+            out = fn(*leaves)
+            if projection is None:
+                projection = rng.normal(size=out.shape)
+            root = total(ad.hadamard(out, ad.constant(projection)))
+            inner = [s for s in tape_slots(root) if s.rule is not None]
+            walk(root)
+            grads.append([t.grad for t in leaves])
+        assert inner and all(s.rule is None and s.parents == () and s.grad is None
+                             for s in inner)
+        for got, want in zip(*grads):
+            assert got is not None and np.array_equal(got, want)
 
 
 class TestFiniteDifferences:
