@@ -11,17 +11,19 @@ The tape holds slots, not values. A tensor that needs a gradient owns a
 ``_Slot``: its gradient, its parents' slots, its rule, and the shape of its
 value. A rule keeps its inputs' slots and only the arrays its backward
 reads, never a parent tensor: ``matmul`` keeps a's value only when b needs
-a gradient, ``elu`` its output, ``prelu`` its input, and ``add`` no value
-at all. So a value lives while a tensor or a rule holds it, and an
+a gradient, ``elu`` and ``prelu`` their input, and ``add`` no value at
+all. So a value lives while a tensor or a rule holds it, and an
 intermediate that no rule reads is freed as soon as the caller drops its
 tensor, long before backward. A value that backward can rebuild
 cheaply is not kept either: a rule reads its inputs through ``_kept``,
 which hands it a tensor's recipe, when it has one, in place of the value.
 A recipe rebuilds the value bit for bit from arrays that outlive it anyway.
-``prelu`` gives its output one, over the input its rule keeps, so an
-activation is not kept twice; ``with_recipe`` gives one to any tensor, a
-constant included: pretraining's DGI regathers its permuted features and
-GRACE remakes its head rows from the ELU output its tape keeps.
+``elu`` and ``prelu`` give their output one, over the input their rule
+keeps, so an activation is not kept twice; ``elu`` reads that input through
+``_kept`` too, so a chain of recipes keeps only the array at its root.
+``with_recipe`` gives one to any tensor, a constant included: pretraining's
+DGI regathers its permuted features, and GRACE remakes its projection
+head's arrays from the encoder output's recipe.
 
 ``backward`` consumes its tape, releasing it while it is walked: each slot's
 gradient, rule and parent links are dropped as soon as its rule has run, so
@@ -453,17 +455,27 @@ def relu(a):
     return _node(np.where(mask, a.data, 0.0), (a,), bw)
 
 
-def elu(a):
+def _elu_values(x):
     # clip only the exp argument; saturation keeps values in (-1, 0]
-    out_data = np.where(a.data > 0, a.data, np.expm1(np.minimum(a.data, 0.0)))
-    sa = a._slot
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def elu(a):
+    """x where x > 0, else expm1(x). The rule reads x through ``_kept``, so a
+    recipe on ``a`` stands in for it, and the output's recipe reruns this
+    forward on the value the rule reads."""
+    sa, x_value = a._slot, _kept(a)
 
     def bw(go):
-        # the rule reads only the output: it is positive exactly where x is,
-        # as expm1(x) <= 0 for x <= 0, and there out + 1 is the slope exp(x)
-        _accum(sa, go * np.where(out_data > 0, 1.0, out_data + 1.0))
+        # the slope exp(min(x, 0)) as expm1(min(x, 0)) + 1: the bits of the
+        # output plus one where x <= 0, and exactly 1.0 where x > 0
+        _accum(sa, go * (np.expm1(np.minimum(x_value(), 0.0)) + 1.0))
 
-    return _node(out_data, (a,), bw)
+    out = _node(_elu_values(a.data), (a,), bw)
+    if out._slot is not None:
+        # the rule keeps x: a product need not keep out
+        out._remake = lambda: _elu_values(x_value())
+    return out
 
 
 def prelu(a, slope):

@@ -44,6 +44,25 @@ def _resolve_dataset(args, name):
     return load_graph_bundle(path if path.is_dir() else _data_dir(args) / name)
 
 
+def _out_file(path):
+    """``path``, the file --out names, once its directory exists and it is no
+    directory itself, so a verb fails before its work, not after it."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {path}: no directory {path.parent}")
+    return path
+
+
+def _make_out_dir(path):
+    """Create the directory --out names, with its parents."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {path}: {exc.strerror}") from None
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -99,6 +118,7 @@ def _tune_config(args, pretrain_name, dataset_name):
 
 
 def _cmd_pretrain(args):
+    out = _out_file(args.out)
     graph = _resolve_dataset(args, args.dataset)
     cfg = PretrainConfig(
         objective=args.objective,
@@ -109,16 +129,17 @@ def _cmd_pretrain(args):
         embed_dim=args.embed,
     )
     enc = pretrain(graph, cfg)
-    save_encoder(enc, args.out, meta={
+    save_encoder(enc, out, meta={
         "pretrain": args.objective,
         "dataset": graph.name,
         "seed": args.seed,
     })
-    print(f"wrote encoder checkpoint to {args.out}")
+    print(f"wrote encoder checkpoint to {out}")
     return 0
 
 
 def _cmd_tune(args):
+    out = _out_file(args.out) if args.out else None
     graph = _resolve_dataset(args, args.dataset)
     enc, meta = load_encoder(args.encoder)
     cfg = _tune_config(args, meta.get("pretrain"), graph.name)
@@ -137,8 +158,8 @@ def _cmd_tune(args):
         "final_loss": result.final_loss,
     }
     text = json.dumps(record, sort_keys=True, allow_nan=False)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
+    if out:
+        out.write_text(text + "\n")
     print(text)
     return 0
 
@@ -182,7 +203,6 @@ def _experiment_spec(args):
 
 def _write_table(table, out_dir):
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table.to_csv(out_dir / "results.csv")
     table.to_markdown(out_dir / "results.md")
     print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'results.md'}")
@@ -190,19 +210,23 @@ def _write_table(table, out_dir):
 
 
 def _cmd_eval(args):
-    return _write_table(run_experiment(_experiment_spec(args)), args.out)
+    table = run_experiment(_experiment_spec(args), before_runs=lambda: _make_out_dir(args.out))
+    return _write_table(table, args.out)
 
 
 def _cmd_sweep(args):
     grid = [float(v) for v in args.grid.split(",") if v]
-    return _write_table(sweep(args.param, grid, _experiment_spec(args)), args.out)
+    table = sweep(args.param, grid, _experiment_spec(args),
+                  before_runs=lambda: _make_out_dir(args.out))
+    return _write_table(table, args.out)
 
 
 def _cmd_verify_theory(args):
+    out = _out_file(args.out) if args.out else None
     summary = run_verification(trials=args.trials, eta=args.eta, seed=args.seed)
     report = format_report(summary)
-    if args.out:
-        Path(args.out).write_text(report + "\n")
+    if out:
+        out.write_text(report + "\n")
     print(report)
     return 0 if summary.passed else 2
 
@@ -226,13 +250,14 @@ def _cmd_make_sbm(args):
 
 
 def _cmd_inspect(args):
+    out = _out_file(args.out) if args.out else None
     graph = _resolve_dataset(args, args.dataset)
     hom = edge_homophily(graph)
     hom_text = "n/a" if np.isnan(hom) else f"{hom:.2f}"
     line = (f"{graph.num_nodes} {graph.num_undirected_edges} "
             f"{graph.num_features} {graph.num_classes} {hom_text}")
-    if args.out:
-        Path(args.out).write_text(line + "\n")
+    if out:
+        out.write_text(line + "\n")
     print(line)
     return 0
 

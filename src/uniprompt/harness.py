@@ -251,10 +251,13 @@ def _checked(spec):
     return spec
 
 
-def run_experiment(spec):
+def run_experiment(spec, before_runs=None):
     """Every (method, shot, seed, run) combination; exactly
-    len(seeds) * runs records per (method, shot) cell."""
+    len(seeds) * runs records per (method, shot) cell. ``before_runs``, if
+    given, is called once the spec is checked and before the first run."""
     _checked(spec)
+    if before_runs is not None:
+        before_runs()
     keys = [
         (method, shot, seed, run)
         for method in spec.methods
@@ -273,12 +276,12 @@ def run_experiment(spec):
     return ResultTable(records)
 
 
-def sweep(param, grid, base_spec):
+def sweep(param, grid, base_spec, before_runs=None):
     """One experiment per grid value of a ``SWEEP_PARAMS`` name, every spec
-    checked before any run. 'noise' sets the feature-noise level
-    ``noise_sigma`` (kNN recomputed on the noisy features inside each tuning
-    run; level 0 reproduces the baseline exactly); the others set that field
-    of every tune config."""
+    checked before any run; ``before_runs``, if given, is called in between.
+    'noise' sets the feature-noise level ``noise_sigma`` (kNN recomputed on
+    the noisy features inside each tuning run; level 0 reproduces the
+    baseline exactly); the others set that field of every tune config."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter '{param}'")
     if not grid:
@@ -299,6 +302,8 @@ def sweep(param, grid, base_spec):
             spec = replace(base_spec, tune={key: replace(c, **{param: value})
                                             for key, c in base_spec.tune.items()})
         specs.append(_checked(spec))
+    if before_runs is not None:
+        before_runs()
     table = ResultTable(param_name=param)
     for value, spec in zip(values, specs):
         table.extend(replace(r, param=value) for r in run_experiment(spec).records)
@@ -323,6 +328,8 @@ def generate_sbm(n, classes, p_in, p_out, feature_dim, feature_sep, seed, name="
     """Stochastic block model with balanced classes and class-Gaussian
     features whose means are pairwise ``feature_sep`` apart. Memory is
     O(n + edges + ``SBM_BLOCK_PAIRS``), not O(n^2)."""
+    if not np.isfinite(feature_sep):
+        raise ValueError(f"feature_sep must be finite, got {feature_sep}")
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):

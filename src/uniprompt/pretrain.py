@@ -31,18 +31,22 @@ GRACE and GraphMAE form no n x F array besides the features X:
 An epoch's tape keeps only the arrays its backward rules read (see
 ``autodiff``). A value that no rule reads is freed while forward still runs:
 every objective's layer products X W1 and H W2, which only constants
-multiply; GRACE's pre-ELU head output; and its unit projections, which
-``ad.info_nce`` copies into one scaled stack. A value that a rule reads but
-backward can rebuild cheaply from arrays the tape keeps anyway is kept as
-its recipe (``ad.with_recipe``) and freed too, with the same bits:
+multiply, and GRACE's unit projections, which ``ad.info_nce`` copies into
+one scaled stack. A value that a rule reads but backward can rebuild
+cheaply from arrays the tape keeps anyway is kept as its recipe
+(``ad.with_recipe``) and freed too, with the same bits:
 - a PReLU activation that a trainable product reads (layer 1's, by W2; the
   encoder output, by DGI's discriminator or GRACE's head), from the
   pre-activation its rule keeps: four n x d arrays of a DGI or GRACE epoch
   and one of a GraphMAE epoch;
 - DGI's X[perm], one n x F array, from X and perm;
-- GRACE's pre-normalization head rows u = hidden W + b, two n x d arrays,
-  from the ELU output ``hidden`` that the tape keeps and that forward's W
-  and b, which ``ad.adam_step`` rebinds but never writes.
+- GRACE's projection head, six n x d arrays: per view the pre-activation
+  z0 = h W0 + b0 from the encoder output's recipe, the ELU output ``hidden``
+  from z0's recipe (``ad.elu`` gives it one), and the pre-normalization
+  rows u = hidden W + b from hidden's. Each uses that forward's weight and
+  bias, which ``ad.adam_step`` rebinds but never writes. A GRACE epoch's
+  tape then keeps, of its n x d arrays, only the encoder's two PReLU
+  inputs per view.
 
 Per-epoch training losses are noisy because every epoch draws a fresh
 instance. With a ``probe_seed`` the engine also evaluates the live objective
@@ -208,13 +212,18 @@ def _grace(graph, cfg, enc):
         ad.parameter(np.zeros((1, d)), name="grace.proj.b2"),
     ]
 
+    def affine(rows, weight, bias):
+        """rows W + b, with a recipe that remakes it from the recipe (or the
+        value) of ``rows`` and this forward's W and b."""
+        rows_value, w, b = ad._kept(rows), weight.data, bias.data
+        out = ad.add(ad.matmul(rows, weight), bias)
+        return ad.with_recipe(out, lambda: rows_value() @ w + b)
+
     def project(h):
-        hidden = ad.elu(ad.add(ad.matmul(h, head[0]), head[1]))
-        u = ad.add(ad.matmul(hidden, head[2]), head[3])
-        # the normalization's rule remakes u from arrays the tape keeps anyway:
-        # elu's output and this forward's weight and bias
-        rows, weight, bias = hidden.data, head[2].data, head[3].data
-        return ad.l2_normalize_rows(ad.with_recipe(u, lambda: rows @ weight + bias))
+        # the head's rules remake z0, hidden and u from the encoder output's
+        # recipe, so the head keeps no n x d array on the tape
+        hidden = ad.elu(affine(h, head[0], head[1]))
+        return ad.l2_normalize_rows(affine(hidden, head[2], head[3]))
 
     x = ad.constant(graph.features)
 

@@ -490,9 +490,9 @@ class TestDecodedCosine:
 class TestActivationTape:
     @pytest.mark.parametrize("op", ["prelu", "elu"])
     def test_tape_keeps_only_the_array_its_rule_reads(self, op):
-        # elu's rule reads only its output and prelu's only its input, so
-        # once the caller drops both tensors the tape holds one n x d array
-        # per activation: elu frees its input, prelu its output
+        # each rule reads only its input, so once the caller drops both
+        # tensors the tape holds one n x d array per activation: the output
+        # is freed
         n, d = 2000, 32
         a = ad.parameter(np.random.default_rng(0).normal(size=(n, d)))
         slope = ad.parameter(np.full((1, 1), 0.25))
@@ -532,6 +532,52 @@ class TestActivationTape:
         held = list(captured_objects(tail._slot.parents[0].rule))
         assert any(obj is remake for obj in held)
         assert [obj for obj in held if isinstance(obj, ad.Tensor)] == []
+
+    # saturating, tiny and signed-zero inputs, with ordinary ones
+    ELU_INPUTS = np.array([[-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, -1e-17, 1e-17],
+                           [-36.0, -40.0, -745.0, -800.0, -1e308, -np.inf, 1e308, 0.5],
+                           [-0.5, -1.0, -2.0, 1.0, 2.0, 3.5, -1e-8, -700.0]])
+
+    def test_elu_recipe_returns_the_forward_bits(self):
+        out = ad.elu(ad.scalar_scale(ad.parameter(self.ELU_INPUTS), 1.0))
+        remade = out._remake()
+        assert remade is not out.data
+        assert np.array_equal(remade, out.data)
+        assert np.array_equal(np.signbit(remade), np.signbit(out.data))
+        # a constant output has no rule to read it, and so no recipe
+        assert ad.elu(ad.constant(self.ELU_INPUTS))._remake is None
+
+    def test_elu_gradient_is_the_output_formulas_bits(self):
+        # the slope expm1(min(x, 0)) + 1 from the input has the bits of the
+        # slope read off the output, out + 1 where out <= 0
+        a = ad.parameter(self.ELU_INPUTS)
+        out = ad.elu(a)
+        go = np.random.default_rng(5).normal(size=a.shape)
+        ad.backward(total(ad.hadamard(out, ad.constant(go))))
+        want = go * np.where(out.data > 0, 1.0, out.data + 1.0) + 0.0
+        assert np.array_equal(a.grad, want)
+        assert np.array_equal(np.signbit(a.grad), np.signbit(want))
+
+    def test_trainable_product_keeps_the_elu_recipe_not_its_output(self):
+        # as with prelu: the product's weight gradient reads elu's recipe over
+        # the input its rule keeps, and the gradients keep the array path's bits
+        rng = np.random.default_rng(6)
+        a_data, w_data, g = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+        grads = []
+        for recipe in (True, False):
+            a, w = ad.parameter(a_data), ad.parameter(w_data)
+            h = ad.elu(ad.scalar_scale(a, 1.0))
+            if not recipe:
+                h._remake = None
+            out = ad.matmul(h, w)
+            if recipe:
+                held = list(captured_objects(out._slot.rule))
+                assert any(obj is h._remake for obj in held)
+                assert not any(obj is h.data for obj in held)
+            ad.backward(total(ad.hadamard(out, ad.constant(g))))
+            grads.append([a.grad, w.grad])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
 
     # a (7, 5) activation h read by a product with a trainable w: w's shape
     # and the product
@@ -573,24 +619,33 @@ def corrupted_product(arrays, recipe):
 
 
 def normalized_head(arrays, recipe):
-    """l2_normalize_rows(elu(a) @ w + b), GRACE's projection head, with the
-    rows it normalizes remade in backward from elu's output or kept."""
-    a, w, b = (ad.parameter(arr) for arr in arrays)
-    hidden = ad.elu(ad.scalar_scale(a, 1.0))
-    u = ad.add(ad.matmul(hidden, w), b)
-    if recipe:
-        rows, weight, bias = hidden.data, w.data, b.data
-        ad.with_recipe(u, lambda: rows @ weight + bias)
-    return ad.l2_normalize_rows(u), [a, w, b]
+    """l2_normalize_rows(elu(h @ w0 + b0) @ w1 + b1), GRACE's projection head
+    on a PReLU output h, with its pre-activation z0 and its rows u remade in
+    backward from h's recipe or kept. elu's output is a recipe over z0."""
+    a, w0, b0, w1, b1 = (ad.parameter(arr) for arr in arrays)
+    h = ad.prelu(ad.scalar_scale(a, 1.0), ad.parameter(np.full((1, 1), 0.25)))
+
+    def affine(rows, w, b):
+        out = ad.add(ad.matmul(rows, w), b)
+        if recipe:
+            rows_value, weight, bias = ad._kept(rows), w.data, b.data
+            ad.with_recipe(out, lambda: rows_value() @ weight + bias)
+        return out
+
+    hidden = ad.elu(affine(h, w0, b0))
+    return ad.l2_normalize_rows(affine(hidden, w1, b1)), [a, w0, b0, w1, b1]
 
 
-# case -> (build(arrays, recipe) -> (output, leaves), arrays(rng, n)); the
-# value a recipe stands for is n x 6 in both
+# case -> (build(arrays, recipe) -> (output, leaves), arrays(rng, n), the n x 6
+# arrays the recipes take off the tape, the n x 6 arrays the tape keeps with
+# them besides the output): the corrupted product keeps none, and the head
+# only prelu's input, with the normalization's two n x 1 columns
 RECIPE_CASES = {
     "corrupted product": (corrupted_product, lambda rng, n: (
-        rng.normal(size=(n, 6)), rng.permutation(n), rng.normal(size=(6, 3)))),
+        rng.normal(size=(n, 6)), rng.permutation(n), rng.normal(size=(6, 3))), 1, 0),
     "normalized head": (normalized_head, lambda rng, n: (
-        rng.normal(size=(n, 6)), rng.normal(size=(6, 6)), rng.normal(size=(1, 6)))),
+        rng.normal(size=(n, 6)), rng.normal(size=(6, 6)), rng.normal(size=(1, 6)),
+        rng.normal(size=(6, 6)), rng.normal(size=(1, 6))), 2, 1),
 }
 
 
@@ -599,7 +654,7 @@ class TestRecipes:
     def test_rule_keeps_the_recipe_not_the_array(self, case):
         # the rule keeps a function over arrays that outlive the value, so
         # the value is freed once the caller drops its tensor
-        build, make = RECIPE_CASES[case]
+        build, make, freed, left = RECIPE_CASES[case]
         n = 4000
         arrays = make(np.random.default_rng(3), n)
         kept = {}
@@ -607,16 +662,17 @@ class TestRecipes:
             tracemalloc.start()
             try:
                 out, _ = build(arrays, recipe)
-                kept[recipe] = tracemalloc.get_traced_memory()[0]
+                kept[recipe] = tracemalloc.get_traced_memory()[0] - out.data.nbytes
             finally:
                 tracemalloc.stop()
             assert out.requires_grad
             del out
-        assert kept[False] - kept[True] > 0.9 * n * 6 * 8
+        assert kept[False] - kept[True] > (freed - 0.1) * n * 6 * 8
+        assert kept[True] < (left + 0.5) * n * 6 * 8
 
     @pytest.mark.parametrize("case", sorted(RECIPE_CASES))
     def test_recipe_gives_the_array_paths_gradient_bits(self, case):
-        build, make = RECIPE_CASES[case]
+        build, make, _, _ = RECIPE_CASES[case]
         grads = []
         for recipe in (True, False):
             rng = np.random.default_rng(4)

@@ -554,7 +554,8 @@ def bad_values(workspace, root):
     message each must print: a string k in an experiment spec, fractional k
     and max_epochs in a tune config, a fractional k in a sweep grid, a graph
     wider than the encoder's input, a NaN learning rate in a tune config or
-    flag and in pretraining, a theorem sweep of no cases or no step, a width
+    flag and in pretraining, an SBM feature separation that is not finite,
+    a theorem sweep of no cases or no step, a width
     or a worker count below 1, a noise level that is not finite, an empty
     sweep grid, and a sweep grid that repeats a value once it is converted
     to the parameter's type; a tune config file or an eval tune section that sets
@@ -606,6 +607,7 @@ def bad_values(workspace, root):
     out = ["--out", str(root / "unused"), "--jobs", "1"]
     tune = ["tune", "--method", "gpf", "--encoder", str(checkpoint), "--shot", "1"]
     damaged = ["tune", "--method", "gpf", "--dataset", str(bundle), "--shot", "1", "--encoder"]
+    sbm = ["--n", "40", "--classes", "2", "--p-in", "0.3", "--p-out", "0.1"]
     return {
         "tune-checkpoint-header-list": ([*damaged, str(root / "list-header.ckpt")],
                                         "checkpoint: header must be a JSON object, got list"),
@@ -633,6 +635,10 @@ def bad_values(workspace, root):
                           "up_lr must be finite, got nan"),
         "pretrain-nan-lr": (["pretrain", "--dataset", str(bundle), "--objective", "dgi",
                              "--lr", "nan", *out[:2]], "lr must be finite, got nan"),
+        "make-sbm-nan-sep": (["make-sbm", *sbm, "--sep", "nan", *out[:2]],
+                             "feature_sep must be finite, got nan"),
+        "make-sbm-inf-sep": (["make-sbm", *sbm, "--sep", "inf", *out[:2]],
+                             "feature_sep must be finite, got inf"),
         "verify-theory-no-trials": (["verify-theory", "--trials", "0", *out[:2]],
                                     "trials must be at least 1, got 0"),
         "verify-theory-negative-trials": (["verify-theory", "--trials", "-3", *out[:2]],
@@ -712,6 +718,7 @@ def bad_values(workspace, root):
 @pytest.mark.parametrize("case", ["eval-string-k", "tune-fractional-config",
                                   "sweep-fractional-k", "tune-feature-width",
                                   "tune-nan-config", "tune-nan-flag", "pretrain-nan-lr",
+                                  "make-sbm-nan-sep", "make-sbm-inf-sep",
                                   "verify-theory-no-trials", "verify-theory-negative-trials",
                                   "verify-theory-zero-eta", "verify-theory-nan-eta",
                                   "verify-theory-huge-eta",
@@ -741,6 +748,62 @@ def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, monke
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "unused").exists()
     assert runs == []  # failed before its first run
+
+
+def bad_outs(workspace, root):
+    """Argument lists whose --out cannot be written, with the message each
+    must print and the (module, name) of the function that would do the
+    work: a file in a directory that does not exist, in a file, or that is
+    a directory, and an eval or sweep output directory that is a file or
+    lies in one. ``root`` holds a file ``file`` and the experiment spec
+    ``experiment.json``."""
+    bundle, checkpoint, _ = workspace
+    missing, blocker = root / "no-such-dir", root / "file"
+    spec = ["--config", str(root / "experiment.json"), "--jobs", "1"]
+    pretrain = ["pretrain", "--dataset", str(bundle), "--objective", "grace", "--epochs", "3",
+                "--hidden", "4", "--embed", "4", "--out"]
+    tune = ["tune", "--method", "gpf", "--encoder", str(checkpoint), "--dataset", str(bundle),
+            "--shot", "1", "--out"]
+    return {
+        "pretrain-missing-dir": ([*pretrain, str(missing / "e.bin")],
+                                 f"--out {missing / 'e.bin'}: no directory {missing}",
+                                 (cli, "pretrain")),
+        "pretrain-out-is-a-dir": ([*pretrain, str(root)], f"--out {root} is a directory",
+                                  (cli, "pretrain")),
+        "tune-missing-dir": ([*tune, str(missing / "r.json")],
+                             f"--out {missing / 'r.json'}: no directory {missing}",
+                             (cli, "run_method")),
+        "tune-dir-is-a-file": ([*tune, str(blocker / "r.json")],
+                               f"--out {blocker / 'r.json'}: no directory {blocker}",
+                               (cli, "run_method")),
+        "verify-theory-missing-dir": (["verify-theory", "--out", str(missing / "report.txt")],
+                                      f"--out {missing / 'report.txt'}: no directory {missing}",
+                                      (cli, "run_verification")),
+        "eval-out-is-a-file": (["eval", *spec, "--out", str(blocker)],
+                               f"--out {blocker}: File exists", (harness, "run_method")),
+        "sweep-out-in-a-file": (["sweep", *spec, "--param", "tau", "--grid", "0.5",
+                                 "--out", str(blocker / "sub")],
+                                f"--out {blocker / 'sub'}: Not a directory",
+                                (harness, "run_method")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(bad_outs((Path("."),) * 3, Path("."))))
+def test_unwritable_out_fails_before_the_work(workspace, capsys, tmp_path, monkeypatch, case):
+    # a bad --out used to surface only after every epoch or run, when the
+    # result was written
+    bundle, checkpoint, _ = workspace
+    (tmp_path / "file").write_text("")
+    (tmp_path / "experiment.json").write_text(json.dumps({
+        "dataset": str(bundle), "encoder": str(checkpoint), "methods": ["linear-probe"],
+        "seeds": [3], "runs": 1, "tune": {"default": TUNE_OVERRIDES}}))
+    argv, message, (module, name) = bad_outs(workspace, tmp_path)[case]
+    calls = []
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
 
 
 VERBS = ("pretrain", "tune", "eval", "sweep", "verify-theory", "make-sbm", "inspect")

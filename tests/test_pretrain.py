@@ -346,6 +346,24 @@ def test_released_tape_lowers_graphmae_peak_memory(sbm600):
     assert traced_peak(sbm600, cfg) < 0.75 * KEPT_TAPE_PEAK
 
 
+# Traced peak of one GRACE epoch on sbm600 at hidden = embed = 64 at
+# 5957cb1, whose tape kept each view's ELU output in the projection head:
+# 10,087,610 bytes (9.62 MiB), after a first epoch that made the process's
+# one-time allocations.
+KEPT_HEAD_PEAK = 10_087_610
+
+
+def test_head_recipes_lower_grace_peak_memory(sbm600):
+    # the head's rules remake z0, hidden and u from the encoder output's
+    # recipe: the same epoch peaks at 9,473,667 bytes, the two views' n x d
+    # ELU outputs below the kept head's
+    d = 64
+    cfg = small_cfg("grace", epochs=1, hidden_dim=d, embed_dim=d)
+    traced_peak(sbm600, cfg)
+    head_arrays = 2 * sbm600.num_nodes * d * 8
+    assert traced_peak(sbm600, cfg) < KEPT_HEAD_PEAK - 0.9 * head_arrays
+
+
 # n x F arrays an epoch may form beyond its input X. DGI's corrupted graph is
 # a row-permuted copy of X. Feeding it through X W1 with the rows of layer
 # 1's product permuted instead would change DGI's bits, and every tuning pin
@@ -372,15 +390,16 @@ def test_epoch_forms_no_n_by_f_array_beyond_its_inputs(objective, monkeypatch):
 
 
 # What one epoch's tape holds once its loss is built, on the 600-node SBM at
-# hidden = embed = 64, in n x d float64 arrays: dgi 4.1, grace 9.0,
+# hidden = embed = 64, in n x d float64 arrays: dgi 4.1, grace 7.0,
 # graphmae 2.9. Each rule keeps only the arrays its backward reads, and a
-# rule keeps a recipe, not the value it remakes: prelu's activations, DGI's
-# corrupted features X[perm] and GRACE's pre-normalization head rows. With
-# X[perm] and the head rows kept they read 4.6 and 11.0; with the
+# rule keeps a recipe, not the value it remakes: prelu's and elu's
+# activations, DGI's corrupted features X[perm] and GRACE's head arrays z0
+# and u. With X[perm] and the head arrays kept they read 4.6 and 11.0; with
+# GRACE's ELU outputs kept in place of z0, grace read 9.0; with the PReLU
 # activations kept as well, 8.6, 15.0 and 3.9; when every node held its
 # parent tensors, so that every intermediate value lived until backward,
 # 16.7, 31.1 and 13.9.
-FORWARD_END_ARRAYS = {"dgi": 4.5, "grace": 9.5, "graphmae": 3.3}
+FORWARD_END_ARRAYS = {"dgi": 4.5, "grace": 7.5, "graphmae": 3.3}
 
 
 @pytest.mark.parametrize("objective", sorted(FORWARD_END_ARRAYS))
@@ -402,10 +421,10 @@ def test_forward_end_tape_holds_only_what_backward_reads(sbm600, objective):
 
 @pytest.mark.parametrize("objective", ["dgi", "grace"])
 def test_recipes_keep_the_gradient_bits_on_a_smaller_tape(sbm600, objective, monkeypatch):
-    # DGI's W1 rule regathers X[perm] and GRACE's normalizations remake their
-    # head rows. With ``with_recipe`` a no-op the rules keep those arrays:
-    # the gradients are the same bits, and the forward-end tape holds X[perm]
-    # (n x F) or both views' head rows (2 n x d) more
+    # DGI's W1 rule regathers X[perm] and GRACE's head rules remake z0 and u.
+    # With ``with_recipe`` a no-op the rules keep those arrays: the gradients
+    # are the same bits, and the forward-end tape holds X[perm] (n x F) or
+    # both views' z0 and u (4 n x d) more
     d = 64
     cfg = small_cfg(objective, epochs=1, hidden_dim=d, embed_dim=d)
 
@@ -427,7 +446,7 @@ def test_recipes_keep_the_gradient_bits_on_a_smaller_tape(sbm600, objective, mon
     for got, want in zip(grads, array_grads):
         assert np.array_equal(got, want)
     n, f = sbm600.features.shape
-    assert kept_arrays - kept > 0.9 * (n * f * 8 if objective == "dgi" else 2 * n * d * 8)
+    assert kept_arrays - kept > 0.9 * (n * f * 8 if objective == "dgi" else 4 * n * d * 8)
 
 
 def test_fused_infonce_bounds_grace_peak_memory(sbm600):
