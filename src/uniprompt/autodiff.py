@@ -29,7 +29,13 @@ head's arrays from the encoder output's recipe.
 gradient, rule and parent links are dropped as soon as its rule has run, so
 every array a rule kept and every gradient is freed once no remaining rule
 needs it. Only leaves and the tensors named in ``params`` keep their
-gradients, which is how ``adam_step`` reads them.
+gradients, which is how ``adam_step`` reads them. A gradient is not copied
+on its way to a slot: the array a rule forms for an input becomes that
+input's gradient (``_accum``), and only the arrays a rule passes through,
+``add``'s ``go`` and ``transpose``'s view of it, are copied. ``prelu``,
+``elu`` and ``l2_normalize_rows``'s rule update their first n x d temporary
+in place, with the same operands in the same order, so they form fewer
+such arrays for the same bits.
 
 ``info_nce`` is GRACE's contrastive loss fused into one node. Built from the
 small ops, its n x n similarity and exp matrices would sit on the tape until
@@ -216,16 +222,24 @@ def _node(data, parents, rule):
     return out
 
 
-def _accum(target, grad):
-    """Add ``grad`` to the gradient of ``target``, a slot or a Tensor."""
+def _accum(target, grad, copy=False):
+    """Add ``grad`` to the gradient of ``target``, a slot or a Tensor.
+
+    A slot's first contribution becomes its gradient: ``grad`` itself, with
+    0.0 added in place (the bits of zeros + grad: -0.0 becomes +0.0), so a
+    rule hands over an array it made and no longer touches. A rule passes
+    ``copy=True`` for an array it does not own, its ``go`` or a view of it,
+    which then is copied instead. Later contributions add in place."""
     slot = target._slot if isinstance(target, Tensor) else target
     if grad.shape != slot.shape:
         raise ValueError(f"gradient shape {grad.shape} != tensor shape {slot.shape}")
-    if slot.grad is None:
-        # a fresh buffer with the bits of zeros + grad: -0.0 becomes +0.0
+    if slot.grad is not None:
+        slot.grad += grad
+    elif copy:
         slot.grad = grad + 0.0
     else:
-        slot.grad += grad
+        grad += 0.0
+        slot.grad = grad
 
 
 def backward(root, params=None):
@@ -233,13 +247,14 @@ def backward(root, params=None):
 
     Returns a dict mapping each tensor in ``params`` (if given) to its
     gradient; tensors disconnected from ``root`` map to zeros, and their
-    ``.grad`` from an earlier backward is cleared. Each slot's
-    rule runs exactly once. A slot's first gradient contribution is copied
-    into a fresh buffer as ``grad + 0.0``, the bits of adding it to zeros;
-    later ones add in place, and every contribution must match the slot's
-    shape. The tape is consumed: every slot loses its rule and parent links
-    once its rule has run, and its gradient too unless it is of a
-    ``params`` entry. Leaves keep their gradients.
+    ``.grad`` from an earlier backward is cleared. Each slot's rule runs
+    exactly once. A slot's first gradient contribution becomes its gradient,
+    with the bits of adding it to zeros: the array the rule made, or a copy
+    of one it passes through (see ``_accum``); later ones add in place, and
+    every contribution must match the slot's shape. The tape is consumed:
+    every slot loses its rule and parent links once its rule has run, and
+    its gradient too unless it is of a ``params`` entry. Leaves keep their
+    gradients.
     """
     if root.data.shape != (1, 1):
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -328,9 +343,12 @@ def add(a, b):
 
     def bw(go):
         if sa is not None:
-            _accum(sa, go)
+            _accum(sa, go, copy=True)
         if sb is not None:
-            _accum(sb, go if sb.shape == go.shape else go.sum(axis=0, keepdims=True))
+            if sb.shape == go.shape:
+                _accum(sb, go, copy=True)
+            else:
+                _accum(sb, go.sum(axis=0, keepdims=True))
 
     return _node(out_data, (a, b), bw)
 
@@ -385,7 +403,7 @@ def transpose(a):
     sa = a._slot
 
     def bw(go):
-        _accum(sa, go.T)
+        _accum(sa, go.T, copy=True)
 
     return _node(a.data.T, (a,), bw)
 
@@ -457,7 +475,10 @@ def relu(a):
 
 def _elu_values(x):
     # clip only the exp argument; saturation keeps values in (-1, 0]
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    np.copyto(out, x, where=x > 0)
+    return out
 
 
 def elu(a):
@@ -469,7 +490,10 @@ def elu(a):
     def bw(go):
         # the slope exp(min(x, 0)) as expm1(min(x, 0)) + 1: the bits of the
         # output plus one where x <= 0, and exactly 1.0 where x > 0
-        _accum(sa, go * (np.expm1(np.minimum(x_value(), 0.0)) + 1.0))
+        slope = np.minimum(x_value(), 0.0)
+        np.expm1(slope, out=slope)
+        slope += 1.0
+        _accum(sa, np.multiply(go, slope, out=slope))
 
     out = _node(_elu_values(a.data), (a,), bw)
     if out._slot is not None:
@@ -486,14 +510,18 @@ def prelu(a, slope):
     sa, ss = a._slot, slope._slot
 
     def remake():
-        return np.maximum(x, 0.0) + s * np.minimum(x, 0.0)
+        neg = np.minimum(x, 0.0)
+        np.multiply(s, neg, out=neg)
+        return np.add(np.maximum(x, 0.0), neg, out=neg)
 
     def bw(go):
         # the rule reads the input, not the output; min(x, 0) is recomputed
         if sa is not None:
-            _accum(sa, go * np.where(x > 0, 1.0, s))
+            g = np.where(x > 0, 1.0, s)
+            _accum(sa, np.multiply(go, g, out=g))
         if ss is not None:
-            _accum(ss, (go * np.minimum(x, 0.0)).sum().reshape(1, 1))
+            neg = np.minimum(x, 0.0)
+            _accum(ss, np.multiply(go, neg, out=neg).sum().reshape(1, 1))
 
     out = _node(remake(), (a, slope), bw)
     if out._slot is not None:
@@ -565,7 +593,8 @@ def l2_normalize_rows(a):
     def bw(go):
         x = x_value()
         dot = (go * x).sum(axis=1, keepdims=True)
-        _accum(sa, go * inv - x * (dot * inv / sq))
+        g = go * inv
+        _accum(sa, np.subtract(g, x * (dot * inv / sq), out=g))
 
     return _node(out_data, (a,), bw)
 

@@ -55,6 +55,18 @@ def _out_file(path):
     return path
 
 
+def _bundle_dir(path):
+    """``path``, the bundle directory make-sbm's --out names, once it is a
+    directory or lies under one, so the verb fails before drawing the
+    graph. Nothing is created here: a directory made before the generator
+    checks its own arguments would outlive a failed run."""
+    path = Path(path)
+    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not nearest.is_dir():
+        raise ValueError(f"--out {path}: {nearest} is not a directory")
+    return path
+
+
 def _make_out_dir(path):
     """Create the directory --out names, with its parents."""
     try:
@@ -232,6 +244,7 @@ def _cmd_verify_theory(args):
 
 
 def _cmd_make_sbm(args):
+    out = _bundle_dir(args.out)
     graph = generate_sbm(
         n=args.n,
         classes=args.classes,
@@ -242,8 +255,8 @@ def _cmd_make_sbm(args):
         seed=args.seed,
         name=args.name,
     )
-    save_graph_bundle(graph, args.out)
-    print(f"wrote SBM bundle to {args.out} "
+    save_graph_bundle(graph, out)
+    print(f"wrote SBM bundle to {out} "
           f"(N={graph.num_nodes}, E={graph.num_undirected_edges}, "
           f"homophily={edge_homophily(graph):.2f})")
     return 0
@@ -346,7 +359,9 @@ def dispatch(argv):
         return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        # an OSError comes from a path the user named: a missing file, a
+        # directory where a file is read, a file where a directory is needed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

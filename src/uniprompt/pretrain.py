@@ -217,7 +217,13 @@ def _grace(graph, cfg, enc):
         value) of ``rows`` and this forward's W and b."""
         rows_value, w, b = ad._kept(rows), weight.data, bias.data
         out = ad.add(ad.matmul(rows, weight), bias)
-        return ad.with_recipe(out, lambda: rows_value() @ w + b)
+
+        def remake():
+            value = rows_value() @ w
+            value += b
+            return value
+
+        return ad.with_recipe(out, remake)
 
     def project(h):
         # the head's rules remake z0, hidden and u from the encoder output's

@@ -40,9 +40,9 @@ def concat_rows(a, b):
 
     def bw(go):
         if a.requires_grad:
-            _accum(a, go[:na])
+            _accum(a, go[:na], copy=True)
         if b.requires_grad:
-            _accum(b, go[na:])
+            _accum(b, go[na:], copy=True)
 
     return _node(np.concatenate([a.data, b.data], axis=0), (a, b), bw)
 

@@ -98,16 +98,72 @@ class TestBackward:
         ad.backward(loss)
         assert p.grad[0, 0] == pytest.approx(2.0)
 
-    def test_first_contribution_is_a_copy_with_zeros_plus_bits(self):
+    def test_handed_array_becomes_the_gradient_with_zeros_plus_bits(self):
         t = ad.parameter(np.ones((1, 3)))
         grad = np.array([[-0.0, 1.5, -2.0]])
+        want = (np.zeros((1, 3)) + grad).tobytes()
         _accum(t, grad)
-        assert t.grad is not grad
-        assert t.grad.tobytes() == (np.zeros((1, 3)) + grad).tobytes()
-        grad[0, 1] = 7.0
+        assert t.grad is grad
+        assert t.grad.tobytes() == want and not np.signbit(t.grad[0, 0])  # -0.0 became +0.0
+        later = np.array([[1.0, 7.0, -2.0]])
+        _accum(t, later)
+        assert t.grad is grad and t.grad.tolist() == [[1.0, 8.5, -4.0]]
+        assert later.tolist() == [[1.0, 7.0, -2.0]]  # a later contribution is only read
+
+    def test_array_not_owned_is_copied(self):
+        t = ad.parameter(np.ones((1, 3)))
+        go = np.array([[-0.0, 1.5, -2.0]])
+        _accum(t, go, copy=True)
+        assert not np.shares_memory(t.grad, go)
+        assert t.grad.tobytes() == (np.zeros((1, 3)) + go).tobytes()
+        assert np.signbit(go[0, 0])  # the passed array is left as it was
+        go[0, 1] = 7.0
         assert t.grad[0, 1] == 1.5
-        _accum(t, grad)
+        _accum(t, go, copy=True)
         assert t.grad.tolist() == [[0.0, 8.5, -4.0]]
+
+    @pytest.mark.parametrize("case", ["add(p, q)", "add(p, p)", "add(p, row)", "transpose(p)"])
+    def test_no_two_slots_share_a_gradient_buffer(self, case):
+        # add hands its go to one or two parents and transpose a view of it;
+        # each must get its own buffer, apart from go's own slot and each other
+        rng = np.random.default_rng(3)
+        p, q = ad.parameter(rng.normal(size=(2, 3))), ad.parameter(rng.normal(size=(2, 3)))
+        row = ad.parameter(rng.normal(size=(1, 3)))
+        out = {"add(p, q)": lambda: ad.add(p, q), "add(p, p)": lambda: ad.add(p, p),
+               "add(p, row)": lambda: ad.add(p, row),
+               "transpose(p)": lambda: ad.transpose(p)}[case]()
+        mid = ad.scalar_scale(out, 2.0)
+        weights = ad.constant(rng.normal(size=mid.shape))
+        ad.backward(total(ad.hadamard(mid, weights)), params=[p, q, row, out, mid])
+        grads = [t.grad for t in (p, q, row, out, mid) if t.grad is not None]
+        assert len(grads) == 3 + (case in ("add(p, q)", "add(p, row)"))
+        for i, target in enumerate(grads):
+            before = [g.copy() for g in grads]
+            target += 1.0
+            for j, g in enumerate(grads):
+                assert np.array_equal(g, before[j] + 1.0 if i == j else before[j])
+
+    def test_backward_through_a_chain_holds_two_gradients_at_most(self):
+        # each scale's rule forms go * s while its go is alive: two n x d
+        # gradients. Copying the product into a third buffer, as the first
+        # contribution once was, made three
+        n, d, k = 2000, 100, 5
+        p = ad.parameter(np.ones((n, d)))
+        h = p
+        for _ in range(k):
+            h = ad.scalar_scale(h, 0.5)
+        # 1_n^T h 1_d: the first product's rule forms h's n x d gradient
+        loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, n))), h),
+                         ad.constant(np.ones((d, 1))))
+        del h
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p.grad, np.full((n, d), 0.5**k))
+        assert peak / (n * d * 8) < 2.2
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (3, 2)])
     def test_gradient_of_another_shape_rejected(self, shape):
@@ -578,6 +634,59 @@ class TestActivationTape:
             grads.append([a.grad, w.grad])
         for got, want in zip(*grads):
             assert np.array_equal(got, want)
+
+    # The expressions the in-place forms of prelu, elu and l2_normalize_rows
+    # replaced, as oracles: the same operands in the same order, so the same
+    # bits. A gradient is the rule's array plus zeros, as _accum keeps it.
+    IN_PLACE_INPUTS = np.array([[-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -1e-17, 1e-17],
+                                [-36.0, -40.0, -745.0, -800.0, -1e308, -np.inf, 1e308, 0.5],
+                                [-0.5, -1.0, -2.0, 1.0, 2.0, 3.5, -1e-8, -700.0],
+                                [0.0, -0.0, 0.0, 5e-324, 0.0, -0.0, 0.0, 0.0]])
+
+    @staticmethod
+    def upstream():
+        go = np.random.default_rng(7).normal(size=(4, 8))
+        go[0, :3] = [-0.0, 5e-324, -1e300]
+        return go
+
+    @staticmethod
+    def same_bits(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [0.25, -1.5, 0.0])
+    def test_prelu_in_place_forms_keep_the_bits(self, s):
+        x, go = self.IN_PLACE_INPUTS, self.upstream()
+        a, slope = ad.parameter(x), ad.parameter(np.full((1, 1), s))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ad.prelu(a, slope)
+            want = np.maximum(x, 0.0) + s * np.minimum(x, 0.0)
+            self.same_bits(out.data, want)
+            self.same_bits(out._remake(), want)
+            out._slot.rule(go.copy())
+            self.same_bits(a.grad, go * np.where(x > 0, 1.0, s) + 0.0)
+            self.same_bits(slope.grad, (go * np.minimum(x, 0.0)).sum().reshape(1, 1) + 0.0)
+
+    def test_elu_in_place_forms_keep_the_bits(self):
+        x, go = self.IN_PLACE_INPUTS, self.upstream()
+        a = ad.parameter(x)
+        with np.errstate(over="ignore"):
+            out = ad.elu(a)
+            want = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+            self.same_bits(out.data, want)
+            self.same_bits(out._remake(), want)
+            out._slot.rule(go.copy())
+            self.same_bits(a.grad, go * (np.expm1(np.minimum(x, 0.0)) + 1.0) + 0.0)
+
+    def test_l2_normalize_rows_in_place_rule_keeps_the_bits(self):
+        x, go = self.IN_PLACE_INPUTS, self.upstream()
+        a = ad.parameter(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ad.l2_normalize_rows(a)
+            out._slot.rule(go.copy())
+            sq = (x * x).sum(axis=1, keepdims=True) + LOG_EPS
+            inv = sq**-0.5
+            dot = (go * x).sum(axis=1, keepdims=True)
+            self.same_bits(a.grad, go * inv - x * (dot * inv / sq) + 0.0)
 
     # a (7, 5) activation h read by a product with a trainable w: w's shape
     # and the product

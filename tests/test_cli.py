@@ -754,9 +754,9 @@ def bad_outs(workspace, root):
     """Argument lists whose --out cannot be written, with the message each
     must print and the (module, name) of the function that would do the
     work: a file in a directory that does not exist, in a file, or that is
-    a directory, and an eval or sweep output directory that is a file or
-    lies in one. ``root`` holds a file ``file`` and the experiment spec
-    ``experiment.json``."""
+    a directory, and an eval, sweep or make-sbm output directory that is a
+    file or lies in one. ``root`` holds a file ``file`` and the experiment
+    spec ``experiment.json``."""
     bundle, checkpoint, _ = workspace
     missing, blocker = root / "no-such-dir", root / "file"
     spec = ["--config", str(root / "experiment.json"), "--jobs", "1"]
@@ -764,6 +764,7 @@ def bad_outs(workspace, root):
                 "--hidden", "4", "--embed", "4", "--out"]
     tune = ["tune", "--method", "gpf", "--encoder", str(checkpoint), "--dataset", str(bundle),
             "--shot", "1", "--out"]
+    sbm = ["make-sbm", "--n", "40", "--classes", "2", "--p-in", "0.3", "--p-out", "0.1", "--out"]
     return {
         "pretrain-missing-dir": ([*pretrain, str(missing / "e.bin")],
                                  f"--out {missing / 'e.bin'}: no directory {missing}",
@@ -785,6 +786,12 @@ def bad_outs(workspace, root):
                                  "--out", str(blocker / "sub")],
                                 f"--out {blocker / 'sub'}: Not a directory",
                                 (harness, "run_method")),
+        "make-sbm-out-is-a-file": ([*sbm, str(blocker)],
+                                   f"--out {blocker}: {blocker} is not a directory",
+                                   (cli, "generate_sbm")),
+        "make-sbm-out-in-a-file": ([*sbm, str(blocker / "a" / "b")],
+                                   f"--out {blocker / 'a' / 'b'}: {blocker} is not a directory",
+                                   (cli, "generate_sbm")),
     }
 
 
@@ -804,6 +811,56 @@ def test_unwritable_out_fails_before_the_work(workspace, capsys, tmp_path, monke
     assert dispatch(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
+
+
+def test_make_sbm_with_a_bad_value_leaves_no_directory(capsys, tmp_path):
+    # --out is only checked before the graph is drawn, not created: a
+    # rejected argument must leave no directory behind
+    out = tmp_path / "new" / "bundle"
+    code, err = exit_code_and_err(["make-sbm", "--n", "40", "--classes", "2", "--p-in", "0.3",
+                                   "--p-out", "0.1", "--sep", "nan", "--out", str(out)], capsys)
+    assert (code, err) == (1, "error: feature_sep must be finite, got nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def os_errors(workspace, root):
+    """One argument list per verb whose named path the system refuses, with
+    the error text each must print. ``root`` holds a bundle ``dir-meta``
+    whose meta.json is a directory, an empty directory ``empty`` and a
+    symbolic link ``loop`` to itself."""
+    bundle, checkpoint, config = workspace
+    broken, empty, loop = root / "dir-meta", root / "empty", root / "loop"
+    spec = ["--config", str(empty), "--out", str(root / "unused"), "--jobs", "1"]
+    return {
+        "pretrain": (["pretrain", "--dataset", str(broken), "--objective", "dgi", "--epochs", "1",
+                      "--out", str(root / "e.bin")], "Is a directory"),
+        "tune": (["tune", "--method", "gpf", "--encoder", str(empty), "--dataset", str(bundle),
+                  "--shot", "1"], "Is a directory"),
+        "eval": (["eval", *spec], "Is a directory"),
+        "sweep": (["sweep", *spec, "--param", "tau", "--grid", "0.5"], "Is a directory"),
+        "verify-theory": (["verify-theory", "--trials", "1", "--out", str(loop)],
+                          "Too many levels of symbolic links"),
+        "make-sbm": (["make-sbm", "--n", "40", "--classes", "2", "--p-in", "0.3",
+                      "--p-out", "0.1", "--out", str(broken)], "Is a directory"),
+        "inspect": (["inspect", "--dataset", str(broken)], "Is a directory"),
+    }
+
+
+@pytest.mark.parametrize("verb", sorted(os_errors((Path("."),) * 3, Path("."))))
+def test_refused_path_exits_one_without_traceback(workspace, capsys, tmp_path, verb):
+    # an OSError other than a missing file used to end in a traceback
+    bundle, _, _ = workspace
+    broken = tmp_path / "dir-meta"
+    shutil.copytree(bundle, broken)
+    (broken / "meta.json").unlink()
+    (broken / "meta.json").mkdir()
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    argv, message = os_errors(workspace, tmp_path)[verb]
+    code, err = exit_code_and_err(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "unused").exists() and not (tmp_path / "e.bin").exists()
 
 
 VERBS = ("pretrain", "tune", "eval", "sweep", "verify-theory", "make-sbm", "inspect")
