@@ -179,13 +179,6 @@ class Tensor:
     def grad(self):
         return None if self._slot is None else self._slot.grad
 
-    @grad.setter
-    def grad(self, value):
-        if self._slot is not None:
-            self._slot.grad = value
-        elif value is not None:
-            raise ValueError("a tensor that requires no gradient holds none")
-
     @property
     def shape(self):
         return self.data.shape

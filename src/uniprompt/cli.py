@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import load_encoder, save_encoder
-from .graphs import edge_homophily, load_graph_bundle, save_graph_bundle
+from .graphs import BUNDLE_FILES, edge_homophily, load_graph_bundle, save_graph_bundle
 from .harness import (
     DEFAULT_RUNS,
     DEFAULT_SEEDS,
@@ -44,35 +45,43 @@ def _resolve_dataset(args, name):
     return load_graph_bundle(path if path.is_dir() else _data_dir(args) / name)
 
 
-def _out_file(path):
-    """``path``, the file --out names, once its directory exists and it is no
-    directory itself, so a verb fails before its work, not after it."""
-    path = Path(path)
-    if path.is_dir():
-        raise ValueError(f"--out {path} is a directory")
-    if not path.parent.is_dir():
-        raise ValueError(f"--out {path}: no directory {path.parent}")
-    return path
+def _check_out(out, *paths, make_dirs=False):
+    """Refuse ``out``, the value of --out, before the verb's work unless each
+    of ``paths``, the files the verb writes or replaces, can be written: it
+    is no directory and no symbolic link that cannot be written through (a
+    loop, or a link into a missing directory), and its nearest existing
+    ancestor is a writable directory, which must be its own directory
+    unless the verb makes the directories it needs (``make_dirs``). A path
+    of None, an --out not given, is skipped. Nothing is created, so a
+    refused value leaves nothing behind."""
+    for path in map(Path, filter(None, paths)):
+        where = f"--out {out}" if path == Path(out) else f"--out {out}: {path}"
+        if path.is_dir():
+            raise ValueError(f"{where} is a directory")
+        parent = path.parent
+        if path.is_symlink():
+            try:
+                os.stat(path)
+            except OSError as exc:
+                if exc.errno == errno.ELOOP:
+                    raise ValueError(f"{where} is a symbolic link loop") from None
+                # written through, to a file in a directory no verb makes
+                parent = Path(os.path.realpath(path)).parent
+        elif make_dirs:
+            parent = next(p for p in (parent, *parent.parents) if os.path.lexists(p))
+            if not parent.is_dir():
+                raise ValueError(f"--out {out}: {parent} is not a directory")
+        if not parent.is_dir():
+            raise ValueError(f"--out {out}: no directory {parent}")
+        if not os.access(parent, os.W_OK):
+            raise ValueError(f"--out {out}: {parent} is not writable")
 
 
-def _bundle_dir(path):
-    """``path``, the bundle directory make-sbm's --out names, once it is a
-    directory or lies under one, so the verb fails before drawing the
-    graph. Nothing is created here: a directory made before the generator
-    checks its own arguments would outlive a failed run."""
-    path = Path(path)
-    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
-    if not nearest.is_dir():
-        raise ValueError(f"--out {path}: {nearest} is not a directory")
-    return path
-
-
-def _make_out_dir(path):
-    """Create the directory --out names, with its parents."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"--out {path}: {exc.strerror}") from None
+def _emit(text, out):
+    """Print ``text``, and write it to ``out`` when --out is given."""
+    if out:
+        Path(out).write_text(text + "\n")
+    print(text)
 
 
 def _load_json(path):
@@ -130,7 +139,7 @@ def _tune_config(args, pretrain_name, dataset_name):
 
 
 def _cmd_pretrain(args):
-    out = _out_file(args.out)
+    _check_out(args.out, args.out, args.out + ".json")
     graph = _resolve_dataset(args, args.dataset)
     cfg = PretrainConfig(
         objective=args.objective,
@@ -141,17 +150,17 @@ def _cmd_pretrain(args):
         embed_dim=args.embed,
     )
     enc = pretrain(graph, cfg)
-    save_encoder(enc, out, meta={
+    save_encoder(enc, args.out, meta={
         "pretrain": args.objective,
         "dataset": graph.name,
         "seed": args.seed,
     })
-    print(f"wrote encoder checkpoint to {out}")
+    print(f"wrote encoder checkpoint to {args.out}")
     return 0
 
 
 def _cmd_tune(args):
-    out = _out_file(args.out) if args.out else None
+    _check_out(args.out, args.out)
     graph = _resolve_dataset(args, args.dataset)
     enc, meta = load_encoder(args.encoder)
     cfg = _tune_config(args, meta.get("pretrain"), graph.name)
@@ -169,10 +178,7 @@ def _cmd_tune(args):
         "epochs": result.epochs_run,
         "final_loss": result.final_loss,
     }
-    text = json.dumps(record, sort_keys=True, allow_nan=False)
-    if out:
-        out.write_text(text + "\n")
-    print(text)
+    _emit(json.dumps(record, sort_keys=True, allow_nan=False), args.out)
     return 0
 
 
@@ -213,38 +219,40 @@ def _experiment_spec(args):
     )
 
 
+def _table_files(out_dir):
+    """The files eval and sweep write under --out."""
+    return Path(out_dir) / "results.csv", Path(out_dir) / "results.md"
+
+
 def _write_table(table, out_dir):
-    out_dir = Path(out_dir)
-    table.to_csv(out_dir / "results.csv")
-    table.to_markdown(out_dir / "results.md")
-    print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'results.md'}")
+    csv_path, md_path = _table_files(out_dir)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    table.to_csv(csv_path)
+    table.to_markdown(md_path)
+    print(f"wrote {csv_path} and {md_path}")
     return 0
 
 
 def _cmd_eval(args):
-    table = run_experiment(_experiment_spec(args), before_runs=lambda: _make_out_dir(args.out))
-    return _write_table(table, args.out)
+    _check_out(args.out, *_table_files(args.out), make_dirs=True)
+    return _write_table(run_experiment(_experiment_spec(args)), args.out)
 
 
 def _cmd_sweep(args):
+    _check_out(args.out, *_table_files(args.out), make_dirs=True)
     grid = [float(v) for v in args.grid.split(",") if v]
-    table = sweep(args.param, grid, _experiment_spec(args),
-                  before_runs=lambda: _make_out_dir(args.out))
-    return _write_table(table, args.out)
+    return _write_table(sweep(args.param, grid, _experiment_spec(args)), args.out)
 
 
 def _cmd_verify_theory(args):
-    out = _out_file(args.out) if args.out else None
+    _check_out(args.out, args.out)
     summary = run_verification(trials=args.trials, eta=args.eta, seed=args.seed)
-    report = format_report(summary)
-    if out:
-        out.write_text(report + "\n")
-    print(report)
+    _emit(format_report(summary), args.out)
     return 0 if summary.passed else 2
 
 
 def _cmd_make_sbm(args):
-    out = _bundle_dir(args.out)
+    _check_out(args.out, *(Path(args.out) / name for name in BUNDLE_FILES), make_dirs=True)
     graph = generate_sbm(
         n=args.n,
         classes=args.classes,
@@ -255,23 +263,20 @@ def _cmd_make_sbm(args):
         seed=args.seed,
         name=args.name,
     )
-    save_graph_bundle(graph, out)
-    print(f"wrote SBM bundle to {out} "
+    save_graph_bundle(graph, args.out)
+    print(f"wrote SBM bundle to {args.out} "
           f"(N={graph.num_nodes}, E={graph.num_undirected_edges}, "
           f"homophily={edge_homophily(graph):.2f})")
     return 0
 
 
 def _cmd_inspect(args):
-    out = _out_file(args.out) if args.out else None
+    _check_out(args.out, args.out)
     graph = _resolve_dataset(args, args.dataset)
     hom = edge_homophily(graph)
     hom_text = "n/a" if np.isnan(hom) else f"{hom:.2f}"
-    line = (f"{graph.num_nodes} {graph.num_undirected_edges} "
-            f"{graph.num_features} {graph.num_classes} {hom_text}")
-    if out:
-        out.write_text(line + "\n")
-    print(line)
+    _emit(f"{graph.num_nodes} {graph.num_undirected_edges} "
+          f"{graph.num_features} {graph.num_classes} {hom_text}", args.out)
     return 0
 
 
@@ -330,8 +335,9 @@ def build_parser():
     p.add_argument("--eta", type=float, default=1e-4)
     p.set_defaults(handler=_cmd_verify_theory)
 
-    p = sub.add_parser("make-sbm", help="write a synthetic SBM bundle (meta.json, edges.npy, "
-                       "labels.npy and features.npy; loaders also accept the .csv forms)")
+    p = sub.add_parser("make-sbm", help="write a synthetic SBM bundle into the directory "
+                       "--out, made if missing (meta.json, edges.npy, labels.npy and "
+                       "features.npy; loaders also accept the .csv forms)")
     common(p, "seed", out_required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)

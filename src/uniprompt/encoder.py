@@ -236,6 +236,8 @@ def load_encoder(path):
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar must be a JSON object, got {type(meta).__name__}")
+    if not isinstance(meta.get("pretrain", ""), str):
+        raise ValueError(f"sidecar: pretrain must be a string, got {meta['pretrain']!r}")
     if "activation" not in meta:
         raise ValueError("sidecar: missing key 'activation'")
     if meta["activation"] != "prelu":

@@ -430,6 +430,11 @@ def load_graph_bundle(path):
     return graph_from_pairs(n, pairs, features, labels, num_classes, name=name)
 
 
+# the files ``save_graph_bundle`` writes, and the CSV forms it replaces
+BUNDLE_FILES = ("meta.json", "edges.npy", "labels.npy", "features.npy",
+                "edges.csv", "labels.csv", "features.csv")
+
+
 def save_graph_bundle(graph, path):
     """Write a Graph as a bundle directory (inverse of load_graph_bundle):
     meta.json and three .npy arrays: edges.npy, one (src, dst) row with

@@ -1,5 +1,6 @@
 """Few-shot task sampling, repeated-run evaluation, sweeps, synthetic graph
-generation, and result reporting.
+generation, and result reporting. Each driver returns its ``ResultTable``
+and writes no file; the caller writes the table where it chooses.
 
 ``sweep`` is the one driver that repeats an experiment over a grid: of a
 tune field (tau, k, alpha) or of the feature-noise level (noise), whose
@@ -251,13 +252,11 @@ def _checked(spec):
     return spec
 
 
-def run_experiment(spec, before_runs=None):
-    """Every (method, shot, seed, run) combination; exactly
-    len(seeds) * runs records per (method, shot) cell. ``before_runs``, if
-    given, is called once the spec is checked and before the first run."""
+def run_experiment(spec):
+    """Every (method, shot, seed, run) combination, the spec checked before
+    the first run; exactly len(seeds) * runs records per (method, shot)
+    cell."""
     _checked(spec)
-    if before_runs is not None:
-        before_runs()
     keys = [
         (method, shot, seed, run)
         for method in spec.methods
@@ -276,10 +275,9 @@ def run_experiment(spec, before_runs=None):
     return ResultTable(records)
 
 
-def sweep(param, grid, base_spec, before_runs=None):
+def sweep(param, grid, base_spec):
     """One experiment per grid value of a ``SWEEP_PARAMS`` name, every spec
-    checked before any run; ``before_runs``, if given, is called in between.
-    'noise' sets the feature-noise level ``noise_sigma`` (kNN recomputed on
+    checked before any run. 'noise' sets the feature-noise level ``noise_sigma`` (kNN recomputed on
     the noisy features inside each tuning run; level 0 reproduces the
     baseline exactly); the others set that field of every tune config."""
     if param not in SWEEP_PARAMS:
@@ -302,8 +300,6 @@ def sweep(param, grid, base_spec, before_runs=None):
             spec = replace(base_spec, tune={key: replace(c, **{param: value})
                                             for key, c in base_spec.tune.items()})
         specs.append(_checked(spec))
-    if before_runs is not None:
-        before_runs()
     table = ResultTable(param_name=param)
     for value, spec in zip(values, specs):
         table.extend(replace(r, param=value) for r in run_experiment(spec).records)

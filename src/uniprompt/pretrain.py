@@ -75,19 +75,11 @@ class PretrainConfig:
     seed: int = 0
     hidden_dim: int = 256
     embed_dim: int = 256
-    # grace
-    edge_drop: float = 0.2
-    feature_mask: float = 0.2
-    temperature: float = 0.5
-    # graphmae
-    mask_rate: float = 0.5
-    sce_gamma: float = 2.0
 
     def validate(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective '{self.objective}'")
-        check_types(self, ("epochs", "seed", "hidden_dim", "embed_dim"),
-                    ("lr", "temperature", "sce_gamma", "edge_drop", "feature_mask", "mask_rate"))
+        check_types(self, ("epochs", "seed", "hidden_dim", "embed_dim"), ("lr",))
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         for name in ("hidden_dim", "embed_dim"):
@@ -95,16 +87,6 @@ class PretrainConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        for name in ("edge_drop", "feature_mask", "mask_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.sce_gamma < 1.0:
-            raise ValueError("sce_gamma must be >= 1")
-        if self.objective == "graphmae" and self.mask_rate == 0:
-            raise ValueError("mask rate 0 gives no training signal")
         return self
 
 
@@ -183,6 +165,11 @@ def _dgi(graph, cfg, enc):
 # ---------------------------------------------------------------------------
 
 
+EDGE_DROP = 0.2      # share of undirected edges each view drops
+FEATURE_MASK = 0.2   # share of feature columns each view masks
+TEMPERATURE = 0.5    # InfoNCE temperature
+
+
 def _drop_edges(graph, rate, rng):
     mask = graph.src < graph.dst
     pairs = np.stack([graph.src[mask], graph.dst[mask]], axis=1)
@@ -236,15 +223,15 @@ def _grace(graph, cfg, enc):
     def masked_xw1(rng):
         """(X*keep) W1 for a fresh 0/1 column mask, as X (keep*W1): the mask
         falls on W1's rows, and no masked copy of X is formed."""
-        keep = ad.constant(rng.random((graph.num_features, 1)) >= cfg.feature_mask)
+        keep = ad.constant(rng.random((graph.num_features, 1)) >= FEATURE_MASK)
         return ad.matmul(x, ad.hadamard(enc.layer1.weight, keep))
 
     def loss_fn(rng):
-        adj1 = symmetric_normalize(_drop_edges(graph, cfg.edge_drop, rng))
-        adj2 = symmetric_normalize(_drop_edges(graph, cfg.edge_drop, rng))
+        adj1 = symmetric_normalize(_drop_edges(graph, EDGE_DROP, rng))
+        adj2 = symmetric_normalize(_drop_edges(graph, EDGE_DROP, rng))
         z1 = project(encode(enc, adj1, xw1=masked_xw1(rng)))
         z2 = project(encode(enc, adj2, xw1=masked_xw1(rng)))
-        return infonce_loss(z1, z2, cfg.temperature)
+        return infonce_loss(z1, z2, TEMPERATURE)
 
     return loss_fn, head, "views"
 
@@ -252,6 +239,10 @@ def _grace(graph, cfg, enc):
 # ---------------------------------------------------------------------------
 # GraphMAE: masked-feature reconstruction with scaled cosine error
 # ---------------------------------------------------------------------------
+
+
+MASK_RATE = 0.5   # share of nodes whose features are masked, at least one
+SCE_GAMMA = 2.0   # the scaled cosine error's exponent
 
 
 def scaled_cosine_error(cos, gamma):
@@ -286,7 +277,7 @@ def _graphmae(graph, cfg, enc):
     mask_token = ad.parameter(np.zeros((1, f)), name="graphmae.mask_token")
     dec_w = ad.parameter(_glorot(init_rng, cfg.embed_dim, f), name="graphmae.decoder.weight")
     dec_b = ad.parameter(np.zeros((1, f)), name="graphmae.decoder.bias")
-    n_mask = max(1, int(round(cfg.mask_rate * n)))
+    n_mask = max(1, int(round(MASK_RATE * n)))
     x = ad.constant(graph.features)
     x_scale = ad.unit_row_scales(graph.features)
 
@@ -302,7 +293,7 @@ def _graphmae(graph, cfg, enc):
         h_read = ad.hadamard(ad.gather_rows(h, support), ad.constant(keep[support]))
         cos = ad.decoded_cosine(ad.spmm(adj_masked, h_read), dec_w, dec_b,
                                 graph.features, x_scale, masked)
-        return scaled_cosine_error(cos, cfg.sce_gamma)
+        return scaled_cosine_error(cos, SCE_GAMMA)
 
     return loss_fn, [mask_token, dec_w, dec_b], "mask"
 

@@ -5,6 +5,7 @@ dispatch, and the verb set itself."""
 import argparse
 import csv
 import json
+import os
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from uniprompt.encoder import load_encoder
 from uniprompt.graphs import edge_homophily, load_graph_bundle
 from uniprompt.harness import run_seed, sample_k_shot
 from uniprompt.hyperparams import TUNING_TABLE, get_tuning_config
+from uniprompt.pretrain import PretrainConfig
 from uniprompt.prompt import METHODS, TuneConfig, run_method
 
 TUNE_OVERRIDES = {"k": 3, "max_epochs": 5, "clf_hidden": 6}
@@ -329,6 +331,22 @@ def test_tune_flags_are_the_tune_config_fields_but_the_seed():
                      for f in fields(TuneConfig) if f.name != "seed"}
 
 
+def test_every_pretrain_config_field_is_set_from_a_pretrain_flag(workspace, tmp_path,
+                                                                  monkeypatch):
+    # a setting that no flag reaches is a constant, not a config field
+    bundle, _, _ = workspace
+    configs = []
+    monkeypatch.setattr(cli, "pretrain", lambda graph, cfg: configs.append(cfg))
+    monkeypatch.setattr(cli, "save_encoder", lambda *a, **kw: None)
+    base = ["pretrain", "--dataset", str(bundle), "--out", str(tmp_path / "e.bin")]
+    assert dispatch([*base, "--objective", "dgi"]) == 0
+    assert dispatch([*base, "--objective", "grace", "--epochs", "7", "--lr", "0.5",
+                     "--seed", "3", "--hidden", "5", "--embed", "4"]) == 0
+    default, flagged = configs
+    assert [f.name for f in fields(PretrainConfig)
+            if getattr(default, f.name) == getattr(flagged, f.name)] == []
+
+
 def test_sidecar_naming_another_activation_exits_one(workspace, capsys, tmp_path):
     bundle, checkpoint, config = workspace
     copy = tmp_path / "enc.ckpt"
@@ -567,7 +585,8 @@ def bad_values(workspace, root):
     valid probe method or shot, in an eval and in a sweep over tau or the
     noise level; a checkpoint whose header line is
     not a JSON object, or gives a shape that is not a list of non-negative
-    integers, and a sidecar that is not a JSON object."""
+    integers, a sidecar that is not a JSON object, and sidecars whose
+    pretrain is a number or null."""
     bundle, checkpoint, _ = workspace
     experiment = {"dataset": str(bundle), "encoder": str(checkpoint), "methods": ["gpf"],
                   "seeds": [3], "runs": 1}
@@ -596,10 +615,16 @@ def bad_values(workspace, root):
     for tag, header, side in (("list-header", [1, 2], sidecar),
                               ("string-dim", {"layer1.weight": ["a"]}, sidecar),
                               ("negative-dim", {"layer1.weight": [-1, 8]}, sidecar),
-                              ("list-sidecar", None, "[1]")):
+                              ("list-sidecar", None, "[1]"),
+                              ("int-pretrain", None,
+                               json.dumps({**json.loads(sidecar), "pretrain": 5})),
+                              ("null-pretrain", None,
+                               json.dumps({**json.loads(sidecar), "pretrain": None}))):
         head = payload[:payload.index(b"\n")] if header is None else json.dumps(header).encode()
         (root / f"{tag}.ckpt").write_bytes(head + payload[payload.index(b"\n"):])
         (root / f"{tag}.ckpt.json").write_text(side)
+    (root / "null-pretrain.json").write_text(json.dumps(
+        {**experiment, "encoder": str(root / "null-pretrain.ckpt")}))
     wide = root / "wide"
     assert dispatch(["make-sbm", "--n", "24", "--classes", "3", "--p-in", "0.4",
                      "--p-out", "0.05", "--feature-dim", "7", "--seed", "1",
@@ -619,6 +644,10 @@ def bad_values(workspace, root):
                                          "non-negative integers, got [-1, 8]"),
         "tune-sidecar-list": ([*damaged, str(root / "list-sidecar.ckpt")],
                               "sidecar must be a JSON object, got list"),
+        "tune-sidecar-int-pretrain": ([*damaged, str(root / "int-pretrain.ckpt")],
+                                      "sidecar: pretrain must be a string, got 5"),
+        "eval-sidecar-null-pretrain": (["eval", "--config", str(root / "null-pretrain.json"),
+                                        *out], "sidecar: pretrain must be a string, got None"),
         "eval-string-k": (["eval", "--config", str(root / "string-k.json"), *out],
                           "k must be an integer, got '4'"),
         "tune-fractional-config": ([*tune, "--dataset", str(bundle),
@@ -737,7 +766,8 @@ def bad_values(workspace, root):
                                   "eval-default-k-not-below-n",
                                   "sweep-default-k-not-below-n",
                                   "tune-checkpoint-header-list", "tune-checkpoint-string-dim",
-                                  "tune-checkpoint-negative-dim", "tune-sidecar-list"])
+                                  "tune-checkpoint-negative-dim", "tune-sidecar-list",
+                                  "tune-sidecar-int-pretrain", "eval-sidecar-null-pretrain"])
 def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, monkeypatch, case):
     argv, message = bad_values(workspace, tmp_path)[case]
     runs = []
@@ -753,24 +783,46 @@ def test_bad_value_exits_one_with_its_message(workspace, capsys, tmp_path, monke
 def bad_outs(workspace, root):
     """Argument lists whose --out cannot be written, with the message each
     must print and the (module, name) of the function that would do the
-    work: a file in a directory that does not exist, in a file, or that is
-    a directory, and an eval, sweep or make-sbm output directory that is a
-    file or lies in one. ``root`` holds a file ``file`` and the experiment
-    spec ``experiment.json``."""
+    work: a file in a directory that does not exist, in a file, that is a
+    directory, a symbolic link to itself or a link into a missing directory,
+    a checkpoint whose sidecar is a directory, an eval, sweep or make-sbm
+    output directory that is a file or lies in one, and a bundle directory
+    whose meta.json is a directory. ``root`` holds a file ``file``, the
+    experiment spec ``experiment.json``, a link ``loop`` to itself, a link
+    ``dangling`` to a file in the missing ``no-such-dir``, a directory
+    ``e.bin.json`` and a bundle ``dir-meta`` whose meta.json is a
+    directory."""
     bundle, checkpoint, _ = workspace
     missing, blocker = root / "no-such-dir", root / "file"
+    loop, dangling = root / "loop", root / "dangling"
     spec = ["--config", str(root / "experiment.json"), "--jobs", "1"]
     pretrain = ["pretrain", "--dataset", str(bundle), "--objective", "grace", "--epochs", "3",
                 "--hidden", "4", "--embed", "4", "--out"]
     tune = ["tune", "--method", "gpf", "--encoder", str(checkpoint), "--dataset", str(bundle),
             "--shot", "1", "--out"]
     sbm = ["make-sbm", "--n", "40", "--classes", "2", "--p-in", "0.3", "--p-out", "0.1", "--out"]
+    text_verbs = {"pretrain": (pretrain, (cli, "pretrain")),
+                  "tune": (tune, (cli, "run_method")),
+                  "verify-theory": (["verify-theory", "--out"], (cli, "run_verification")),
+                  "inspect": (["inspect", "--dataset", str(bundle), "--out"],
+                              (cli, "load_graph_bundle"))}
+    links = {f"{verb}-out-loops": ([*argv, str(loop)], f"--out {loop} is a symbolic link loop",
+                                   work)
+             for verb, (argv, work) in text_verbs.items()}
+    links.update({f"{verb}-out-links-into-missing-dir": (
+        [*argv, str(dangling)],
+        f"--out {dangling}: no directory {os.path.realpath(missing)}", work)
+        for verb, (argv, work) in text_verbs.items()})
     return {
+        **links,
         "pretrain-missing-dir": ([*pretrain, str(missing / "e.bin")],
                                  f"--out {missing / 'e.bin'}: no directory {missing}",
                                  (cli, "pretrain")),
         "pretrain-out-is-a-dir": ([*pretrain, str(root)], f"--out {root} is a directory",
                                   (cli, "pretrain")),
+        "pretrain-sidecar-is-a-dir": ([*pretrain, str(root / "e.bin")],
+                                      f"--out {root / 'e.bin'}: {root / 'e.bin.json'} "
+                                      "is a directory", (cli, "pretrain")),
         "tune-missing-dir": ([*tune, str(missing / "r.json")],
                              f"--out {missing / 'r.json'}: no directory {missing}",
                              (cli, "run_method")),
@@ -781,16 +833,21 @@ def bad_outs(workspace, root):
                                       f"--out {missing / 'report.txt'}: no directory {missing}",
                                       (cli, "run_verification")),
         "eval-out-is-a-file": (["eval", *spec, "--out", str(blocker)],
-                               f"--out {blocker}: File exists", (harness, "run_method")),
+                               f"--out {blocker}: {blocker} is not a directory",
+                               (harness, "run_method")),
         "sweep-out-in-a-file": (["sweep", *spec, "--param", "tau", "--grid", "0.5",
                                  "--out", str(blocker / "sub")],
-                                f"--out {blocker / 'sub'}: Not a directory",
+                                f"--out {blocker / 'sub'}: {blocker} is not a directory",
                                 (harness, "run_method")),
         "make-sbm-out-is-a-file": ([*sbm, str(blocker)],
                                    f"--out {blocker}: {blocker} is not a directory",
                                    (cli, "generate_sbm")),
         "make-sbm-out-in-a-file": ([*sbm, str(blocker / "a" / "b")],
                                    f"--out {blocker / 'a' / 'b'}: {blocker} is not a directory",
+                                   (cli, "generate_sbm")),
+        "make-sbm-file-is-a-dir": ([*sbm, str(root / "dir-meta")],
+                                   f"--out {root / 'dir-meta'}: "
+                                   f"{root / 'dir-meta' / 'meta.json'} is a directory",
                                    (cli, "generate_sbm")),
     }
 
@@ -804,12 +861,29 @@ def test_unwritable_out_fails_before_the_work(workspace, capsys, tmp_path, monke
     (tmp_path / "experiment.json").write_text(json.dumps({
         "dataset": str(bundle), "encoder": str(checkpoint), "methods": ["linear-probe"],
         "seeds": [3], "runs": 1, "tune": {"default": TUNE_OVERRIDES}}))
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    (tmp_path / "dangling").symlink_to(tmp_path / "no-such-dir" / "r.txt")
+    (tmp_path / "e.bin.json").mkdir()
+    shutil.copytree(bundle, tmp_path / "dir-meta")
+    (tmp_path / "dir-meta" / "meta.json").unlink()
+    (tmp_path / "dir-meta" / "meta.json").mkdir()
     argv, message, (module, name) = bad_outs(workspace, tmp_path)[case]
     calls = []
     monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a))
     capsys.readouterr()
     assert dispatch(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_out_in_a_read_only_directory_fails_before_the_work(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_verification", lambda **kw: calls.append(kw))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "report.txt"
+    assert exit_code_and_err(["verify-theory", "--out", str(out)], capsys) == (
+        1, f"error: --out {out}: {tmp_path} is not writable\n")
     assert calls == []
 
 
@@ -824,12 +898,12 @@ def test_make_sbm_with_a_bad_value_leaves_no_directory(capsys, tmp_path):
 
 
 def os_errors(workspace, root):
-    """One argument list per verb whose named path the system refuses, with
-    the error text each must print. ``root`` holds a bundle ``dir-meta``
-    whose meta.json is a directory, an empty directory ``empty`` and a
-    symbolic link ``loop`` to itself."""
+    """One argument list per verb that reads a path the system refuses,
+    with the error text each must print; a refused --out is checked before
+    the work (``bad_outs``). ``root`` holds a bundle ``dir-meta`` whose
+    meta.json is a directory and an empty directory ``empty``."""
     bundle, checkpoint, config = workspace
-    broken, empty, loop = root / "dir-meta", root / "empty", root / "loop"
+    broken, empty = root / "dir-meta", root / "empty"
     spec = ["--config", str(empty), "--out", str(root / "unused"), "--jobs", "1"]
     return {
         "pretrain": (["pretrain", "--dataset", str(broken), "--objective", "dgi", "--epochs", "1",
@@ -838,10 +912,6 @@ def os_errors(workspace, root):
                   "--shot", "1"], "Is a directory"),
         "eval": (["eval", *spec], "Is a directory"),
         "sweep": (["sweep", *spec, "--param", "tau", "--grid", "0.5"], "Is a directory"),
-        "verify-theory": (["verify-theory", "--trials", "1", "--out", str(loop)],
-                          "Too many levels of symbolic links"),
-        "make-sbm": (["make-sbm", "--n", "40", "--classes", "2", "--p-in", "0.3",
-                      "--p-out", "0.1", "--out", str(broken)], "Is a directory"),
         "inspect": (["inspect", "--dataset", str(broken)], "Is a directory"),
     }
 
@@ -855,7 +925,6 @@ def test_refused_path_exits_one_without_traceback(workspace, capsys, tmp_path, v
     (broken / "meta.json").unlink()
     (broken / "meta.json").mkdir()
     (tmp_path / "empty").mkdir()
-    (tmp_path / "loop").symlink_to(tmp_path / "loop")
     argv, message = os_errors(workspace, tmp_path)[verb]
     code, err = exit_code_and_err(argv, capsys)
     assert code == 1

@@ -38,16 +38,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="objective"):
             PretrainConfig("byol").validate()
 
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError, match="edge_drop"):
-            PretrainConfig("grace", edge_drop=1.0).validate()
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError, match="sce_gamma"):
-            PretrainConfig("graphmae", sce_gamma=0.5).validate()
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["lr", "temperature", "sce_gamma"])
+    @pytest.mark.parametrize("field", ["lr"])
     def test_rejects_non_finite_value(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
             PretrainConfig("graphmae", **{field: value}).validate()
@@ -58,15 +50,10 @@ class TestConfig:
         ("hidden_dim", 8.0, "must be an integer, got 8.0"),
         ("epochs", True, "must be an integer, got True"),
         ("seed", "1", "must be an integer, got '1'"),
-        ("edge_drop", "0.2", "must be a number, got '0.2'")])
+        ("lr", "0.001", "must be a number, got '0.001'")])
     def test_rejects_bad_width_or_type_by_name(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{field} {message}$"):
             PretrainConfig("grace", **{field: value}).validate()
-
-    def test_rejects_graphmae_zero_mask_rate(self):
-        with pytest.raises(ValueError, match="mask rate"):
-            PretrainConfig("graphmae", mask_rate=0.0).validate()
-        PretrainConfig("dgi", mask_rate=0.0).validate()  # only graphmae masks
 
 
 class TestDgi:
@@ -146,11 +133,12 @@ class TestGrace:
         got = infonce_loss(ad.constant(z1), ad.constant(z2), t).item()
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_zero_edges_after_drop_rejected(self):
+    def test_zero_edges_after_drop_rejected(self, monkeypatch):
         from uniprompt.graphs import graph_from_pairs
         g = graph_from_pairs(4, [(0, 1)], np.random.default_rng(0).normal(size=(4, 3)),
                              [0, 0, 1, 1], 2)
-        cfg = small_cfg("grace", edge_drop=0.999, epochs=200)
+        monkeypatch.setattr(pretrain_mod, "EDGE_DROP", 0.999)
+        cfg = small_cfg("grace", epochs=200)
         with pytest.raises(RuntimeError, match="zero edges"):
             pretrain(g, cfg)
 
@@ -187,10 +175,6 @@ class TestGraphMae:
         loss = reconstruction_error(x, half, gamma=2.0)
         assert loss.item() == pytest.approx(0.25, abs=1e-6)
 
-    def test_zero_mask_rate_rejected(self, sbm):
-        with pytest.raises(ValueError, match="mask rate"):
-            pretrain(sbm, small_cfg("graphmae", mask_rate=0.0))
-
     def test_returns_frozen_and_runs(self, sbm):
         enc = pretrain(sbm, small_cfg("graphmae", epochs=2))
         assert enc.frozen
@@ -224,8 +208,8 @@ class TestGraphMaeAgainstComposition:
 
     @pytest.mark.parametrize("mask", ["one", "half", "all_but_one"])
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_loss_and_every_gradient_match(self, name, mask):
-        self.check(name, mask)
+    def test_loss_and_every_gradient_match(self, name, mask, monkeypatch):
+        self.check(name, mask, monkeypatch)
 
     @pytest.mark.parametrize("block", [1, 3])
     @pytest.mark.parametrize("mask", ["half", "all_but_one"])
@@ -234,15 +218,16 @@ class TestGraphMaeAgainstComposition:
         # the masked rows span many tiles, whose decoder gradients are summed
         # tile by tile
         monkeypatch.setattr(ad, "COSINE_BLOCK_ROWS", block)
-        self.check(name, mask)
+        self.check(name, mask, monkeypatch)
 
-    def check(self, name, mask):
+    def check(self, name, mask, monkeypatch):
         """Loss and the gradient of every parameter within 1e-12 of the
         oracle's largest entry, on the named graph and mask size."""
         graph = generate_sbm(*self.GRAPHS[name])
         n, f = graph.features.shape
         size = {"one": 1, "half": n // 2, "all_but_one": n - 1}[mask]
-        cfg = small_cfg("graphmae", mask_rate=size / n, hidden_dim=6, embed_dim=5)
+        monkeypatch.setattr(pretrain_mod, "MASK_RATE", size / n)
+        cfg = small_cfg("graphmae", hidden_dim=6, embed_dim=5)
         rng = np.random.default_rng(7)
         enc = init_encoder(f, cfg.hidden_dim, cfg.embed_dim, rng)
         loss_fn, extra, _ = pretrain_mod.OBJECTIVE_TABLE["graphmae"](graph, cfg, enc)
@@ -254,7 +239,7 @@ class TestGraphMaeAgainstComposition:
         got = ad.backward(loss, params=params)
         # the mask that loss_fn drew from the same stream
         masked = np.sort(np.random.default_rng(3).choice(n, size=size, replace=False))
-        oracle = composed_graphmae_loss(graph, enc, *extra, masked, cfg.sce_gamma)
+        oracle = composed_graphmae_loss(graph, enc, *extra, masked, pretrain_mod.SCE_GAMMA)
         want = ad.backward(oracle, params=params)
 
         assert abs(loss.item() - oracle.item()) <= 1e-12 * abs(oracle.item())
